@@ -3,8 +3,9 @@
     python3 bench/setup_probe.py WORKLOAD SEED
 
 Prints the seconds from before the library's import to the end of the
-warm-up operation (see workloads.setup).  run.py starts several of these to
-take the median set-up time.
+warm-up operation (see workloads.setup), then the host-speed scale measured
+right after it (hostspeed.scale_now).  run.py starts several of these to
+take the median scaled set-up time.
 """
 
 import shutil
@@ -16,6 +17,7 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
 if __name__ == "__main__":
@@ -26,6 +28,7 @@ if __name__ == "__main__":
         t0 = time.perf_counter()
         workloads.setup(name, seed, workdir)
         elapsed = time.perf_counter() - t0
+        scale = hostspeed.scale_now()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    print(repr(elapsed))
+    print(repr(elapsed), repr(scale))

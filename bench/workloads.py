@@ -53,8 +53,8 @@ MIXED_DOC = {
 
 NORM_EPS = 0.1  # f_0.1 = (z + 0.1i)^-(2/p + 0.1)
 # p values per measure.  e^-t and t^-1/2 cost 0.4-1.1 s per norm; keeping
-# them at p = 2 (where the norm is known exactly) holds a round near 2.5 s,
-# so each operation is timed about 8 times in a 20 s run.  With every p on
+# them at p = 2 (where the norm is known exactly) holds a round at 2.5-3.7 s,
+# so each operation is timed 7-10 times in a 25 s run.  With every p on
 # every measure a round took 11 s, each operation was timed twice, and
 # wall_s spread 13-26% between runs on a shared host.
 NORM_PS = {"uniform": (1.0, 1.5, 2.0, 4.0), "exp": (2.0,), "rsqrt": (2.0,)}
