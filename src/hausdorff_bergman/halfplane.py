@@ -112,13 +112,15 @@ class HalfPlaneFunction:
     """An evaluable function on the upper half-plane.
 
     decay_hint = (power, shift) encodes |f(z)| <~ C * |z + i*shift|^-power
-    at infinity and steers the half-plane quadratures.  known_norms may
-    record closed-form Bergman norms as (p, value) pairs.
+    at infinity and steers the half-plane quadratures.  image_of, when set,
+    is (operator, source): the function is the operator's image of the
+    source, and Bergman norms are then computed from that structure (see
+    logpolar.py) without calling the evaluator.
     """
 
     evaluator: Callable = field(compare=False)
     decay_hint: tuple[float, float]
-    known_norms: tuple[tuple[float, float], ...] | None = None
+    image_of: tuple[object, "HalfPlaneFunction"] | None = None
 
     def __call__(self, z):
         return self.evaluator(_as_z(z))
@@ -138,13 +140,14 @@ class HalfPlaneFunction:
         if not np.isscalar(c):
             return NotImplemented
         f = self.evaluator
-        norms = None
-        if self.known_norms is not None:
-            norms = tuple((p, abs(c) * v) for p, v in self.known_norms)
+        image = None
+        if self.image_of is not None:
+            op, source = self.image_of
+            image = (op, source * c)  # the operator is linear
         return HalfPlaneFunction(
             evaluator=lambda z: c * f(z),
             decay_hint=self.decay_hint,
-            known_norms=norms,
+            image_of=image,
         )
 
     __rmul__ = __mul__
@@ -156,9 +159,7 @@ class HalfPlaneFunction:
         return self + (-other)
 
 
-def rational_power(shift: float, exponent: float,
-                   known_norms: tuple[tuple[float, float], ...] | None = None
-                   ) -> HalfPlaneFunction:
+def rational_power(shift: float, exponent: float) -> HalfPlaneFunction:
     """The family (z + i*shift)^-exponent with shift > 0."""
     if shift <= 0:
         raise ValueError("shift must be positive")
@@ -166,7 +167,7 @@ def rational_power(shift: float, exponent: float,
     def ev(z):
         return _principal_power(np.asarray(z, dtype=complex) + 1j * shift, -exponent)
 
-    return HalfPlaneFunction(ev, decay_hint=(exponent, shift), known_norms=known_norms)
+    return HalfPlaneFunction(ev, decay_hint=(exponent, shift))
 
 
 def dilate(f: HalfPlaneFunction, s: float) -> HalfPlaneFunction:

@@ -6,6 +6,13 @@ density contributions go through the adaptive quadrature, vectorized over
 evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
 quadrature available as an independent cross-check route.
+
+Point values are one thing, norms another: as_function records (operator,
+f) on its result, and Bergman norms of the result are computed from that
+record on a log-polar lattice (logpolar.py).  In z = e^(v + i theta) the
+operator is a convolution in v, and scaling by e^(2v/p) makes both the
+area element (r dr dtheta = e^(2v) dv dtheta) and the kernel's integral
+(the moment of t^(2/p - 1), the operator norm) come out exactly.
 """
 
 from __future__ import annotations
@@ -180,7 +187,11 @@ def as_function(op: HausdorffOperator, f: HalfPlaneFunction,
 
     The decay hint keeps the power of f; the reference shift scales with
     the infimum of the (effective) measure support, falling back to the
-    shift of f when the support reaches down to 0.
+    shift of f when the support reaches down to 0.  The result carries
+    image_of = (op, f), so its Bergman norms go to the log-polar engine,
+    which evaluates f on a lattice instead of calling the evaluator; the
+    evaluator (one inner quadrature per point, with cfg) serves everything
+    else.
     """
     cfg = cfg or QuadratureConfig()
     op._guard()
@@ -200,7 +211,8 @@ def as_function(op: HausdorffOperator, f: HalfPlaneFunction,
         vals = vals.reshape(zz.shape)
         return vals if np.ndim(z) else complex(vals[0])
 
-    return HalfPlaneFunction(evaluator=ev, decay_hint=(power, new_shift))
+    return HalfPlaneFunction(evaluator=ev, decay_hint=(power, new_shift),
+                             image_of=(op, f))
 
 
 def quasi_as_function(mu: Measure, f: HalfPlaneFunction, p: float = 2.0,

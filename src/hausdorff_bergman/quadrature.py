@@ -12,6 +12,9 @@ the remainder is negligible.
 Two dimensional integration over the upper half-plane works in polar
 coordinates: a globally adaptive tensor Kronrod rule on (r, theta) panels
 covers a core disk, and the far field is integrated in log-radius blocks.
+Bergman norms of operator images (functions carrying image_of, as
+hausdorff.as_function returns them) go instead to the log-polar engine in
+logpolar.py, which exploits that the operator commutes with dilations.
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -126,7 +129,9 @@ class IntegralResult:
 
     failure_reason is None when converged, otherwise 'budget' (subdivision
     budget exhausted) or 'tail' (an improper tail kept contributing up to
-    the representable sweep limit).
+    the representable sweep limit).  subdivisions_used counts panel
+    bisections on the adaptive paths and refinement levels on the log-polar
+    engine.
     """
 
     value: complex | float
@@ -157,6 +162,20 @@ def _tol_scale(x) -> float:
     return s if math.isfinite(s) else 0.0
 
 
+def _nodes_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i w[i] * v[i] over the leading (node) axis of v.
+
+    Computed as a one-row real matrix product (a complex payload viewed as
+    pairs of reals).  On complex payloads of a thousand values np.tensordot,
+    and a matrix-vector product as well, wake the BLAS thread pool and spend
+    about twice their wall time in CPU; this form stays on one thread and is
+    no slower."""
+    flat = np.ascontiguousarray(v).reshape(len(w), -1)
+    cplx = np.iscomplexobj(flat)
+    out = (w[None, :] @ (flat.view(float) if cplx else flat))[0]
+    return (out.view(complex) if cplx else out).reshape(np.shape(v)[1:])
+
+
 def _gk_panel(f, a: float, b: float):
     """One Kronrod/Gauss evaluation on [a, b].
 
@@ -169,13 +188,13 @@ def _gk_panel(f, a: float, b: float):
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
         v = np.asarray(f(x))
-        k = h * np.tensordot(_WGK, v, axes=(0, 0))
-        g = h * np.tensordot(_WG, v[_GAUSS_IDX], axes=(0, 0))
+        k = h * _nodes_dot(_WGK, v)
+        g = h * _nodes_dot(_WG, v[_GAUSS_IDX])
         raw = np.abs(k - g)
         # QUADPACK-style sharpening keeps the estimate meaningful when the
         # integrand is rough on the panel.
         mean = k / (b - a)
-        resasc = h * np.tensordot(_WGK, np.abs(v - mean), axes=(0, 0))
+        resasc = h * _nodes_dot(_WGK, np.abs(v - mean))
         err = np.where(
             resasc > 0.0,
             resasc
@@ -636,7 +655,9 @@ def bergman_norm_p_power(f, p: float,
     """The p-th power of the Bergman norm: (1/pi) * integral of |f|^p dA.
 
     f must expose decay_hint = (power at infinity, reference shift) and be
-    callable on complex arrays.
+    callable on complex arrays.  An operator image (image_of set, as
+    `as_function` returns it) goes to the log-polar engine in logpolar.py;
+    anything else to the adaptive polar quadrature.
     """
     cfg = cfg or QuadratureConfig()
     if p < 1:
@@ -648,6 +669,12 @@ def bergman_norm_p_power(f, p: float,
             f"decay power {power} gives p*power = {p * power:.3g} <= 2; "
             "supply an explicit truncation radius"
         )
+    if getattr(f, "image_of", None) is not None:
+        # imported here: logpolar builds on this module, and only operator
+        # images need it
+        from .logpolar import image_norm_power
+
+        return image_norm_power(f, p, cfg)
 
     def h(r, th):
         z = r[:, None] * np.exp(1j * th[None, :])
