@@ -40,11 +40,12 @@ _THETA0 = 4        # Gauss-Legendre theta nodes at level 0; doubled per level
 _GAUSS0 = 3        # Gauss-Legendre nodes per log-panel at level 0; doubled
 _PANEL = 1.0       # widest log-panel of a finite segment
 _MAX_LEVELS = 12
-_POINTS_PER_SUBDIVISION = 256  # lattice points per level per max_subdivisions
+_EVALS_PER_SUBDIVISION = 10000  # family evaluations per run per max_subdivisions
 _W_CAP = 700.0     # |w| <= _W_CAP for every w = v - s, so that e^w and the
                    # factor e^(2w/p) stay finite
 _S_CAP = 250.0     # a kernel reaches at most this far from its anchor
 _BLOCK = 1 << 12  # complex entries per theta-block temporary (64 KiB)
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +87,10 @@ def _geometric_tail(vals, h: float, m: int, rate: float | None) -> float | None:
     unless every one of those ratios is below 1, i.e. unless the values have
     been seen to decay geometrically there.  rate, the slowest decay the
     decay data allow there (per unit of v), floors the ratio at e^(-rate h)
-    so that a slower asymptotic decay is not missed."""
+    so that a slower asymptotic decay is not missed.  An edge value of
+    exactly 0 needs no closure: _sums keeps no lattice row that used an
+    underflowed value of f, so such a zero is |F|^p below the range of
+    doubles."""
     edge = float(vals[-1])
     if edge == 0.0:
         return 0.0
@@ -111,33 +115,28 @@ def _slowest(rates) -> float | None:
     return min(finite) if finite and min(finite) > 0.0 else None
 
 
-def _fft_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+def _scaled_family(ev, w: np.ndarray, eith: np.ndarray, q: float):
+    """G(w, theta) = e^(q w) f(e^(w + i theta)) on the grid w x theta, and the
+    smallest w > 0 at which f left the normal range of doubles (inf if none).
 
-
-def _scaled_family(ev, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
-    """G(w, theta) = e^(q w) f(e^(w + i theta)) on the grid w x theta.  The
-    factor is applied in two halves so that neither it nor the product
-    overflows where f decays."""
+    The factor is applied in two halves so that neither it nor the product
+    overflows where f decays.  Where f decays it can still underflow: |f|
+    ~ e^(-a w) falls below 2.2e-308 at a w ~ 708 while G ~ e^((q-a) w) is
+    still large, and the factor then turns f's rounding to 0 (or to a
+    subnormal) into an error as large as G itself.  A source that is zero
+    on the whole grid is exact and is not reported."""
     half = np.exp(0.5 * q * w)[:, None]
     z = np.exp(w)[:, None] * eith[None, :]
-    return (np.asarray(ev(z)) * half) * half
+    fz = np.asarray(ev(z))
+    small = np.abs(fz) < _TINY
+    lost = (w > 0.0) & np.any(small, axis=1)
+    w_lost = float(w[lost].min()) if lost.any() and not small.all() else math.inf
+    return (fz * half) * half, w_lost
 
 
-class _TailFailure(Exception):
-    """A window edge or a kernel end cannot be closed within the caps."""
+class _Stop(Exception):
+    """The run cannot go on: args[0] is the failure reason, "tail" (a window
+    edge or a kernel end cannot be closed within the caps) or "budget"."""
 
 
 @dataclass
@@ -161,6 +160,7 @@ class _LevelSums:
     eith: np.ndarray       # e^(i theta) at the theta nodes
     s_lo: float            # range of the shifts s in G(v - s)
     s_hi: float
+    w_lost: float          # smallest w > 0 at which f underflowed (or inf)
 
 
 class _LogPolarNorm:
@@ -259,12 +259,12 @@ class _LogPolarNorm:
                              divide="ignore"):
                 k = np.asarray(seg.density(np.exp(s)), dtype=float) * np.exp(self.q * s)
             if not np.all(np.isfinite(k)):
-                raise _TailFailure("kernel is not finite")
+                raise _Stop("tail")  # the kernel is not finite
             tail = _geometric_tail(k, h, m, rate)
             if tail is not None and tail <= self.eta * h * float(np.sum(k)):
                 return s, k, tail
             if extent >= _S_CAP:
-                raise _TailFailure("kernel does not decay within its cap")
+                raise _Stop("tail")  # the kernel does not decay within its cap
             extent *= 2.0
 
     def _conv_kernel(self, seg, h: float) -> _ConvKernel:
@@ -312,7 +312,16 @@ class _LogPolarNorm:
         gauss = self._gauss_terms(lvl) if self.finite else None
         gauss_j = self._gauss_terms(lvl - 1) if self.finite and lvl else gauss
         kernels = [self._conv_kernel(seg, h) for seg in self.touching]
-        ffts = [_fft_len(n_v + len(kr.a) - 1) for kr in kernels]
+        # family evaluations of this lattice: the direct terms at every
+        # lattice point, and the values under every convolution kernel
+        n_direct = len(atoms[0])
+        if gauss is not None:
+            n_direct += len(gauss[0]) + (0 if gauss_j is gauss else len(gauss_j[0]))
+        evals = len(eith) * (n_v * n_direct + sum(n_v + len(kr.a) - 1 for kr in kernels))
+        if self.evals + evals > self.budget:
+            raise _Stop("budget")
+        self.evals += evals
+        ffts = [1 << (n_v + len(kr.a) - 2).bit_length() for kr in kernels]
         kernel_hat = [np.fft.fft(kr.a, n) for kr, n in zip(kernels, ffts)]
         nb = max(1, _BLOCK // max([n_v] + ffts))
 
@@ -320,10 +329,17 @@ class _LogPolarNorm:
         prof_j = np.zeros(n_v)
         g_mass = [0.0] * len(kernels)
         edge_abs = np.zeros(0)
+        w_lost = math.inf
+
+        def family(w, eb):
+            nonlocal w_lost
+            g, lost = _scaled_family(ev, w, eb, q)
+            w_lost = min(w_lost, lost)
+            return g
 
         def add_direct(out, terms, eb):
             for shift, c in zip(*terms):
-                out += c * _scaled_family(ev, v - shift, eb, q)
+                out += c * family(v - shift, eb)
 
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
@@ -335,7 +351,7 @@ class _LogPolarNorm:
                 for i, (kr, n_fft, k_hat) in enumerate(zip(kernels, ffts, kernel_hat)):
                     m_k = len(kr.a)
                     u = v_lo - kr.s_max + h * np.arange(n_v + m_k - 1)
-                    g = _scaled_family(ev, u, eb, q)
+                    g = family(u, eb)
                     g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** p).T)))
                     conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None],
                                        axis=0)
@@ -357,7 +373,7 @@ class _LogPolarNorm:
         shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
         shifts = np.concatenate([np.ravel(s) for s in shifts])
         return _LevelSums(prof, prof_j, [(kr.tail, gm) for kr, gm in zip(kernels, g_mass)],
-                          edge_abs, eith, float(shifts.min()), float(shifts.max()))
+                          edge_abs, eith, float(shifts.min()), float(shifts.max()), w_lost)
 
     # -- refinement ------------------------------------------------------
 
@@ -389,6 +405,7 @@ class _LogPolarNorm:
         else:
             v_lo, v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
         self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, h0
+        self.v_cap = math.inf  # bound on v_hi set by _cut
 
     def _grow(self, left: bool, sums: "_LevelSums") -> bool:
         """Move a free edge out by half the window (at least 4, a multiple of
@@ -399,7 +416,7 @@ class _LogPolarNorm:
         if left:
             room = self.v_lo - sums.s_hi + _W_CAP
         else:
-            room = _W_CAP + sums.s_lo - self.v_hi
+            room = min(_W_CAP + sums.s_lo, self.v_cap) - self.v_hi
         step = min(step, h0 * math.floor(room / h0))
         if step <= 0.0:
             return False
@@ -407,6 +424,16 @@ class _LogPolarNorm:
             self.v_lo -= step
         else:
             self.v_hi += step
+        return True
+
+    def _cut(self, cut: float) -> bool:
+        """Pull a free right edge below cut onto the h0-grid and keep it
+        there; False if the edge is fixed or under two steps of window would
+        be left."""
+        steps = math.ceil((cut - self.v_lo) / self.h0) - 1
+        if not self.right_free or steps < 2:
+            return False
+        self.v_hi = self.v_cap = self.v_lo + self.h0 * steps
         return True
 
     def _outer_weights(self, n_v: int) -> np.ndarray:
@@ -422,19 +449,23 @@ class _LogPolarNorm:
     def _sums(self, lvl: int, h: float):
         """One level on a window grown until both free edges close with a
         geometric tail below an eighth of the tolerance.  Returns
-        (sums, sum, sum with lower inner rules, left tail, right tail), with
-        a tail None where its edge could not be closed, or a failure
-        reason."""
+        (sums, sum, sum with lower inner rules, left tail, right tail,
+        whether both edges closed), with a tail None where the values were
+        not seen to decay, or a failure reason."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         while True:
             n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-            if n_v * (_THETA0 << lvl) > self.budget:
-                return "budget"
             try:
                 sums = self._level(lvl, self.v_lo, n_v, h)
-            except _TailFailure:
-                return "tail"
+            except _Stop as stop:
+                return stop.args[0]
+            cut = sums.w_lost + sums.s_lo  # rows from here on used an underflowed f
+            if self.v_hi >= cut:
+                if not self._cut(cut):
+                    return "tail"
+                n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
+                sums.prof, sums.prof_j = sums.prof[:n_v], sums.prof_j[:n_v]
             c = self._outer_weights(n_v)
             core, core_j = h * float(c @ sums.prof), h * float(c @ sums.prof_j)
             if not (math.isfinite(core) and math.isfinite(core_j)):
@@ -448,10 +479,10 @@ class _LogPolarNorm:
             open_lo = t_lo is None or t_lo > tau
             open_hi = t_hi is None or t_hi > tau
             if not (open_lo or open_hi):
-                return sums, core, core_j, t_lo, t_hi
+                return sums, core, core_j, t_lo, t_hi, True
             if (open_lo and not self._grow(True, sums)) or (
                     open_hi and not self._grow(False, sums)):
-                return sums, core, core_j, None if open_lo else t_lo, None if open_hi else t_hi
+                return sums, core, core_j, t_lo, t_hi, False
 
     def run(self) -> IntegralResult:
         """Refine level by level; converged once the error budget (lattice
@@ -461,7 +492,8 @@ class _LogPolarNorm:
         if self.mu.is_zero:
             return IntegralResult(0.0, 0.0, 1, True)
         self._initial_window()
-        self.budget = _POINTS_PER_SUBDIVISION * cfg.max_subdivisions
+        self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
+        self.evals = 0
         prev_value = prev_d = None
         value, err, reason = 0.0, math.inf, "budget"
         for lvl in range(_MAX_LEVELS):
@@ -469,8 +501,8 @@ class _LogPolarNorm:
             if isinstance(out, str):
                 reason = out
                 break
-            sums, core, core_j, t_lo, t_hi = out
-            if t_lo is None or t_hi is None:  # an edge stayed open at the cap
+            sums, core, core_j, t_lo, t_hi, closed = out
+            if not closed:  # an edge stayed open at the cap
                 value, err, reason = core + (t_lo or 0.0) + (t_hi or 0.0), math.inf, "tail"
                 break
             value = core + t_lo + t_hi

@@ -32,7 +32,13 @@ from hausdorff_bergman import (
     rational_power,
 )
 from hausdorff_bergman import cli, harness
-from hausdorff_bergman.logpolar import _gauss_legendre, _geometric_tail, _gregory_weights
+from hausdorff_bergman.logpolar import (
+    _LogPolarNorm,
+    _gauss_legendre,
+    _geometric_tail,
+    _gregory_weights,
+    _scaled_family,
+)
 
 CFG = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
 
@@ -117,6 +123,23 @@ def test_single_atom_dilation_law(p):
         assert_within(image_norm_power(mu, p, a, eps), exact)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("eps", [0.05, 0.025, 0.0125])
+def test_lattice_on_one_atom_at_slow_decay(p, eps):
+    # the lattice itself (not the dilation shortcut) on one atom: |F|^p
+    # decays like e^(-p eps v), and at p <= 1.5 f underflows before the far
+    # edge can close, so a converged result must still bound its error
+    t, w = 2.5, 0.7
+    a = 2.0 / p + eps
+    f = rational_power(eps, a)
+    res = _LogPolarNorm(Measure.from_atoms((t, w)), f, p, CFG, f.decay_hint).run()
+    exact = (w * t ** (2.0 / p - 1.0)) ** p * ratpow_norm_power(p, a, eps)
+    if res.converged:
+        assert_within(res, exact)
+    else:
+        assert res.failure_reason == "tail"
+
+
 def test_two_atoms_against_pairings():
     # the lattice path proper: dilated copies that overlap
     atoms = ((0.5, 1.2), (3.0, 0.4))
@@ -170,6 +193,22 @@ def test_random_measures_agree_with_nested_path(seed):
     slow = bergman_norm_p_power(nested(hf), p, CFG)
     assert fast.converged and slow.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
+
+
+def test_underflowed_source_ends_in_a_tail_failure():
+    # f = (z + 0.025i)^-2.025 underflows for |z| > e^350, where |Hf|^1 still
+    # holds about 1e-4 of the norm; the zeros there must not close the edge
+    p, eps = 1.0, 0.025
+    hf = as_function(HausdorffOperator(uniform_12(), p), rational_power(eps, 2.0 / p + eps),
+                     CFG.tighter())
+    fast = bergman_norm_p_power(hf, p, CFG)
+    slow = bergman_norm_p_power(nested(hf), p, CFG)
+    if fast.converged:
+        assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
+    else:
+        assert fast.failure_reason == "tail"
+    # the value still includes the far edge's geometric closure
+    assert abs(fast.value - slow.value) <= 1e-3 * slow.value
 
 
 def test_quasi_image_agrees_with_nested_path():
@@ -237,11 +276,26 @@ def test_zero_measure_has_zero_norm():
 
 
 def test_budget_failure_is_reported():
-    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=1)
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=1)
     res = image_norm_power(exp_measure(), 2.0, 2.0, 1.0, cfg)
     assert not res.converged
     assert res.failure_reason == "budget"
     assert res.subdivisions_used > 0
+
+
+def test_budget_counts_direct_gauss_terms():
+    # a long finite segment costs Gauss nodes times lattice points: the
+    # budget counts every family evaluation and stops before exceeding it
+    mu = Measure(segments=(DensitySegment.from_spec(1e-3, 1e3, ("const", (1.0,))),))
+    f = rational_power(1.0, 2.0)
+    runs = {}
+    for subdivisions in (20, 2000):
+        cfg = dataclasses.replace(CFG, max_subdivisions=subdivisions)
+        engine = _LogPolarNorm(mu, f, 2.0, cfg, f.decay_hint)
+        runs[subdivisions] = engine.run()
+        assert 0 < engine.evals <= engine.budget
+    assert runs[20].failure_reason == "budget"
+    assert runs[2000].converged
 
 
 def test_tail_failure_is_reported():
@@ -308,6 +362,22 @@ def test_gregory_corrections_raise_the_order():
         errors.append(abs(h * c @ np.exp(-x) - 1.0))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-9
+
+
+def test_scaled_family_reports_where_the_source_underflows():
+    # |f| = |z + 0.025i|^-2.025 leaves the normal doubles at
+    # w = -log(2.2e-308) / 2.025 = 349.9; w <= 0 does not count
+    f = rational_power(0.025, 2.025)
+    w = np.arange(-400.0, 400.0, 0.5)
+    eith = np.exp(1j * np.array([0.1, 1.5, 3.0]))
+    g, w_lost = _scaled_family(f.evaluator, w, eith, 2.0)
+    assert 349.0 <= w_lost <= 351.0
+    assert np.all(np.abs(g[(w > 0.0) & (w < w_lost)]) > 1e-5)
+    # beyond, f is subnormal, then 0 from w = 745 / 2.025 = 368, while G
+    # itself is still about 1e-4
+    assert np.all(g[w > 370.0] == 0.0)
+    zero = 0.0 * f
+    assert _scaled_family(zero.evaluator, w, eith, 2.0)[1] == math.inf
 
 
 def test_geometric_tail_closes_exact_geometric_decay():
