@@ -22,6 +22,7 @@ from .errors import NumericsError, ParameterOutOfRange
 from .halfplane import parse_function_spec
 from .hausdorff import HausdorffOperator, apply_with_error, as_function
 from .measure import (
+    SCHEMA_VERSION,
     Measure,
     classify_boundedness,
     load_measure,
@@ -35,7 +36,6 @@ from .quadrature import QuadratureConfig, bergman_norm_p
 class _UsageError(Exception):
     pass
 
-SCHEMA_VERSION = 1
 
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"

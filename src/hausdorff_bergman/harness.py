@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentIntegral, ParameterOutOfRange
+from .errors import DivergentIntegral, ParameterOutOfRange, QuadratureFailure
 from .halfplane import (
     HalfPlaneFunction,
     ModulusFunction,
@@ -160,7 +160,8 @@ def _extrapolate(ratios) -> float:
 
 
 def _norm(f: HalfPlaneFunction, p: float, cfg: QuadratureConfig) -> float:
-    return float(bergman_norm_p(f, p, cfg).value)
+    """||f||_p; raises QuadratureFailure rather than return an unconverged value."""
+    return float(bergman_norm_p(f, p, cfg).require_converged("Bergman norm").value)
 
 
 def _ratio(op: HausdorffOperator, f: HalfPlaneFunction, p: float,
@@ -449,18 +450,6 @@ def run_growth_decay_check(f, p: float,
     )
 
 
-def _cos_power_integral(p: float, lo: float, hi: float,
-                        cfg: QuadratureConfig) -> float:
-    res = integrate_segment(lambda th: np.cos(th) ** p, lo, hi, cfg)
-    return float(np.real(res.value))
-
-
-def _sin_power_integral(p: float, lo: float, hi: float,
-                        cfg: QuadratureConfig) -> float:
-    res = integrate_segment(lambda th: np.sin(th) ** p, lo, hi, cfg)
-    return float(np.real(res.value))
-
-
 def lower_bound_constant(p: float, eps: float, theta0: float | None,
                          cfg: QuadratureConfig | None = None) -> tuple[str, float]:
     """The case constant k(p) of the norm lower bound, from its closed form.
@@ -470,17 +459,22 @@ def lower_bound_constant(p: float, eps: float, theta0: float | None,
     Case III (p = 1):    2^(-(eps+1)) * (1 - cos(theta0)) / (4 pi)
     """
     cfg = cfg or QuadratureConfig()
+
+    def power_integral(trig, lo: float, hi: float) -> float:
+        res = integrate_segment(lambda th: trig(th) ** p, lo, hi, cfg)
+        return float(np.real(res.value))
+
     if p > 2.0:
         case = "I"
-        k = 2.0 ** (-p * (eps + 1.0)) * _cos_power_integral(
-            p, 0.0, math.pi / 2.0, cfg
+        k = 2.0 ** (-p * (eps + 1.0)) * power_integral(
+            np.cos, 0.0, math.pi / 2.0
         ) / (4.0 * math.pi)
     elif p > 1.0:
         case = "II"
         k = (
             case_constant(p, eps)
             * 2.0 ** (-p * (eps + 1.0))
-            * _sin_power_integral(p, math.pi / 4.0, math.pi / 2.0, cfg)
+            * power_integral(np.sin, math.pi / 4.0, math.pi / 2.0)
             / (4.0 * math.pi)
         )
     else:
@@ -623,18 +617,27 @@ def _random_function(rng: np.random.Generator, p: float) -> HalfPlaneFunction:
 def run_minkowski_samples(n_samples: int = 50, seed: int = 20240801,
                           cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Random (measure, function, p) triples never beat the moment ceiling:
-    every measured ratio stays below theoretical_norm * (1 + 1e-4)."""
+    every measured ratio stays below theoretical_norm * (1 + 1e-4).
+
+    A sample whose norm does not converge bounds nothing either way: it is
+    counted as unconverged, not as a breach, and leaves the worst ratio
+    alone."""
     cfg = cfg or default_config()
     rng = np.random.default_rng(seed)
     worst = 0.0
     breaches = 0
+    unconverged = 0
     with _Timer() as tm:
         for _ in range(n_samples):
             p = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
             mu = _random_bounded_measure(rng, p)
             f = _random_function(rng, p)
             target = theoretical_norm(mu, p, cfg).value
-            ratio = _ratio(HausdorffOperator(mu, p=p), f, p, cfg)
+            try:
+                ratio = _ratio(HausdorffOperator(mu, p=p), f, p, cfg)
+            except QuadratureFailure:
+                unconverged += 1
+                continue
             rel = ratio / target if target > 0 else 0.0
             worst = max(worst, rel)
             if ratio > target * (1.0 + 1e-4):
@@ -642,7 +645,8 @@ def run_minkowski_samples(n_samples: int = 50, seed: int = 20240801,
     return VerificationReport(
         experiment="minkowski_ceiling",
         parameters={"n_samples": n_samples, "seed": seed},
-        computed={"breaches": breaches, "worst_ratio_over_norm": worst},
+        computed={"breaches": breaches, "worst_ratio_over_norm": worst,
+                  "unconverged": unconverged},
         expected={"breaches": 0},
         tolerance=1e-4,
         passed=breaches == 0,

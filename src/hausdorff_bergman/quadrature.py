@@ -1,20 +1,28 @@
 """Adaptive quadrature engines.
 
-One dimensional integration over finite, half-infinite and (0, inf)
-intervals uses a globally adaptive 15-point Kronrod rule with the embedded
-7-point Gauss estimate for the local error; the interval with the largest
-error is bisected first.  Improper endpoints are removed by the logarithmic
+One refinement pool serves one and two dimensional integrals.  A panel is
+a box of (lo, hi) sides, evaluated by a 15-point Kronrod rule with the
+embedded 7-point Gauss estimate for the local error (tensor rules on
+two-sided boxes); the panel with the largest error is split first, halving
+every side.
+
+One dimensional integration covers finite, half-infinite and (0, inf)
+intervals.  Improper endpoints are removed by the logarithmic
 substitutions t = a*e^u (at infinity) and t = b*e^(-u) (at zero), after
 which the transformed integrand decays exponentially for every integrand
-this package produces and the half-line is swept in doubling blocks until
-the remainder is negligible.
+this package produces.
 
 Two dimensional integration over the upper half-plane works in polar
-coordinates: a globally adaptive tensor Kronrod rule on (r, theta) panels
-covers a core disk, and the far field is integrated in log-radius blocks.
-Bergman norms of operator images (functions carrying image_of, as
+coordinates: the pool refines a log-graded annulus of (r, theta) panels,
+and the regions below and beyond it are swept in log radius.  Norms and
+pairings are one integral each; a pairing's payload is complex.  Bergman
+norms of operator images (functions carrying image_of, as
 hausdorff.as_function returns them) go instead to the log-polar engine in
 logpolar.py, which exploits that the operator commutes with dilations.
+
+Every half-line, in either dimension, is covered by the same sweep:
+doubling blocks in u (one panel per block in 1-D, four theta panels in
+2-D) until the remainder is negligible.
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -22,6 +30,7 @@ repeated runs produce bitwise identical results.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -209,9 +218,42 @@ def _gk_panel(f, a: float, b: float):
     return k, esup
 
 
-class _Pool1D:
-    """Global worst-interval-first refinement over 1-D panels.
+def _panel2d(g, box):
+    """One tensor Kronrod/Gauss evaluation on the box ((a0, a1), (b0, b1)).
 
+    g maps node arrays u (15,) and v (15,) to real or complex values of
+    shape (15, 15); returns the Kronrod estimate and the panel error.
+    """
+    (a0, a1), (b0, b1) = box
+    cu, hu = 0.5 * (a0 + a1), 0.5 * (a1 - a0)
+    cv, hv = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
+    u = cu + hu * _XGK
+    v = cv + hv * _XGK
+    with np.errstate(over="ignore", under="ignore", invalid="ignore",
+                     divide="ignore"):
+        vals = np.asarray(g(u, v))
+        k = hu * hv * (_WGK @ vals @ _WGK).item()
+        # a contiguous copy: a strided view takes another matmul loop, which
+        # rounds differently
+        gauss = np.ascontiguousarray(vals[1::2, 1::2])
+        gg = hu * hv * (_WG @ gauss @ _WG).item()
+        raw = abs(k - gg)
+        mean = k / ((a1 - a0) * (b1 - b0))
+        resasc = hu * hv * float(_WGK @ np.abs(vals - mean) @ _WGK)
+    if resasc > 0.0 and math.isfinite(resasc):
+        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
+    else:
+        err = raw
+    if not cmath.isfinite(k):
+        err = math.inf
+    return k, err
+
+
+class _Pool:
+    """Global worst-panel-first refinement over boxes of (lo, hi) sides.
+
+    A box with one side is a Kronrod panel, one with two sides a tensor
+    Kronrod panel; splitting halves every side, giving 2 or 4 children.
     Panels carry their own integrand, so log-substituted blocks mix freely
     with direct ones.  Running sums are maintained incrementally; the final
     value is re-summed over the surviving panels in a deterministic order.
@@ -219,32 +261,28 @@ class _Pool1D:
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
-        self._heap: list[tuple[float, int, float, float, Callable, object]] = []
-        self._final: list[tuple[object, float]] = []
+        self._heap: list[tuple[float, int, tuple, Callable, object]] = []
+        self._final: list[object] = []
         self._counter = 0
-        self._val_sum = None
+        # running sum: a Python scalar for scalar payloads, an array for
+        # vector ones
+        self.value = 0.0
         self._err_sum = 0.0
         self.reserved_error = 0.0
         self.subdivisions = 0
         self.exhausted = False
 
     def _acc(self, k, sign: float) -> None:
-        if self._val_sum is None:
-            self._val_sum = np.zeros_like(np.asarray(k, dtype=np.result_type(k, 1.0)))
         with np.errstate(invalid="ignore"):
-            self._val_sum = self._val_sum + sign * np.asarray(k)
+            self.value = self.value + sign * k
 
-    def add(self, f: Callable, a: float, b: float) -> tuple[object, float]:
-        k, esup = _gk_panel(f, a, b)
+    def add(self, g: Callable, box: tuple) -> tuple[object, float]:
+        k, err = _gk_panel(g, *box[0]) if len(box) == 1 else _panel2d(g, box)
         self._acc(k, 1.0)
-        self._err_sum += esup
-        heapq.heappush(self._heap, (-esup, self._counter, a, b, f, k))
+        self._err_sum += err
+        heapq.heappush(self._heap, (-err, self._counter, box, g, k))
         self._counter += 1
-        return k, esup
-
-    @property
-    def value(self):
-        return 0.0 if self._val_sum is None else self._val_sum
+        return k, err
 
     @property
     def error(self) -> float:
@@ -254,31 +292,33 @@ class _Pool1D:
         raw = max(self.cfg.abs_tol, self.cfg.rel_tol * _tol_scale(self.value))
         return max(raw - self.reserved_error, raw * 0.25)
 
-    def refine(self) -> bool:
-        """Refine until converged or budget spent; True iff converged."""
+    def refine(self) -> None:
+        """Refine until converged or the subdivision budget is spent."""
         while self._err_sum > self._target() and self._heap:
-            neg_err, _, a, b, f, k = self._heap[0]
-            esup = -neg_err
-            width_floor = 1e-14 * max(abs(a), abs(b), 1.0)
-            if esup <= 0.0 or (b - a) <= width_floor:
+            neg_err, _, box, g, k = self._heap[0]
+            err = -neg_err
+            if err <= 0.0 or all(hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1.0)
+                                 for lo, hi in box):
                 heapq.heappop(self._heap)
-                self._final.append((k, esup))
+                self._final.append(k)
                 continue
             if self.subdivisions >= self.cfg.max_subdivisions:
                 self.exhausted = True
-                return False
+                return
             heapq.heappop(self._heap)
             self._acc(k, -1.0)
-            self._err_sum -= esup
-            m = 0.5 * (a + b)
-            self.add(f, a, m)
-            self.add(f, m, b)
+            self._err_sum -= err
+            children = [()]
+            for lo, hi in box:
+                m = 0.5 * (lo + hi)
+                children = [c + (side,) for side in ((lo, m), (m, hi)) for c in children]
+            for child in children:
+                self.add(g, child)
             self.subdivisions += 1
-        return self._err_sum <= self._target()
 
     def final_value(self):
         """Deterministic fixed-order pairwise re-summation of all panels."""
-        vals = [k for _, _, _, _, _, k in self._heap] + [k for k, _ in self._final]
+        vals = [k for _, _, _, _, k in self._heap] + self._final
         if not vals:
             return 0.0
         return np.sum(np.array(vals), axis=0)
@@ -290,64 +330,60 @@ def _as_scalar(value):
     return value
 
 
-def _integrate_panels(panels, cfg: QuadratureConfig) -> IntegralResult:
-    pool = _Pool1D(cfg)
-    for f, a, b in panels:
-        pool.add(f, a, b)
-    ok = pool.refine()
-    return IntegralResult(
-        value=_as_scalar(pool.final_value()),
-        error_estimate=pool.error,
-        subdivisions_used=pool.subdivisions,
-        converged=ok,
-        failure_reason=None if ok else "budget",
-    )
+def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float,
+           block_panels: Callable) -> tuple[float, str | None]:
+    """Integrate over u in [0, inf) assuming eventual exponential decay.
 
-
-def _sweep_halfline(g, cfg: QuadratureConfig, u_cap: float) -> IntegralResult:
-    """Integrate g over u in [0, inf) assuming eventual exponential decay.
-
-    Doubling blocks [0,1], [1,2], [2,4], ... feed a single global pool; the
-    sweep ends once two consecutive blocks are negligible (and either some
-    mass has been seen or a minimum extent has been covered), or at u_cap.
+    Doubling blocks [0,1], [1,2], [2,4], ... feed the shared pool, each as
+    the (integrand, box) panels block_panels(lo, hi) returns; the sweep ends
+    once two consecutive blocks are negligible (and either some mass has
+    been seen or a minimum extent has been covered), or at u_cap.  Returns
+    the tail allowance and the failure reason (None, 'budget' or 'tail').
     """
-    pool = _Pool1D(cfg)
     lo, width = 0.0, 1.0
     quiet = 0
-    tail_rem = 0.0
     prev_block = None
-    reason = None
     while True:
         hi = min(lo + width, u_cap)
-        k, esup = pool.add(g, lo, hi)
+        block = 0.0
+        block_err = 0.0
+        for g, box in block_panels(lo, hi):
+            k, err = pool.add(g, box)
+            block += _sup(k)
+            block_err += err
         pool.refine()
         if pool.exhausted:
-            reason = "budget"
-            break
-        block_size = _sup(k) + esup
+            return 0.0, "budget"
+        size = block + block_err
         stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
         seen_mass = _tol_scale(pool.value) > 10.0 * cfg.abs_tol
-        if block_size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
+        if size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
             quiet += 1
             if quiet >= 2:
-                rho = 0.5
-                if prev_block and prev_block > 0.0:
-                    rho = min(block_size / prev_block, 0.9)
-                tail_rem = block_size * rho / (1.0 - rho) + stop_tol
-                break
+                rho = min(size / prev_block, 0.9) if prev_block else 0.5
+                return size * rho / (1.0 - rho) + stop_tol, None
         else:
             quiet = 0
-        prev_block = block_size
+        prev_block = size
         if hi >= u_cap:
             # the sweep cannot extend further; only a block that still
             # carries mass makes this a genuine divergent-tail failure
-            if block_size <= stop_tol:
-                tail_rem = block_size + stop_tol
-            else:
-                reason = "tail"
-            break
+            if size <= stop_tol:
+                return size + stop_tol, None
+            return 0.0, "tail"
         lo = hi
         width = min(width * 2.0, _U_BLOCK_MAX)
+
+
+def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
+            reason: str | None = None,
+            radius_tail: float | None = None) -> IntegralResult:
+    """Reserve the tail allowance, refine, certify and report.
+
+    radius_tail, given when the domain was truncated at an explicit radius,
+    is the analytic bound on the integral beyond it: it is added to the
+    error and the converged flag is checked again against the result.
+    """
     pool.reserved_error = tail_rem
     pool.refine()
     if reason is None and pool.exhausted:
@@ -358,13 +394,17 @@ def _sweep_halfline(g, cfg: QuadratureConfig, u_cap: float) -> IntegralResult:
     ok = bool(reason is None and math.isfinite(val_sup) and total_err <= max(
         cfg.abs_tol, cfg.rel_tol * val_sup
     ))
-    return IntegralResult(
+    res = IntegralResult(
         value=_as_scalar(pool.final_value()),
         error_estimate=total_err,
         subdivisions_used=pool.subdivisions,
         converged=ok,
         failure_reason=None if ok else reason or "budget",
     )
+    if radius_tail is None:
+        return res
+    res.error_estimate += radius_tail
+    return _certify(res, cfg)
 
 
 def _jac_apply(f, t, jac):
@@ -399,224 +439,31 @@ def integrate_segment(f, lo: float, hi: float,
             converged=left.converged and right.converged,
             failure_reason=left.failure_reason or right.failure_reason,
         )
+    pool = _Pool(cfg)
     if math.isinf(hi):
         a = lo
         u_cap = min(_U_CAP, 700.0 - math.log(max(a, 1.0)) - 10.0)
 
-        def g_up(u):
+        def g(u):
             t = a * np.exp(u)
             return _jac_apply(f, t, t)
-
-        return _sweep_halfline(g_up, cfg, u_cap)
-    if lo == 0.0:
+    elif lo == 0.0:
         b = hi
         u_cap = min(_U_CAP, 690.0 + min(0.0, math.log(b)))
 
-        def g_down(u):
+        def g(u):
             t = b * np.exp(-u)
             return _jac_apply(f, t, t)
-
-        return _sweep_halfline(g_down, cfg, u_cap)
-    return _integrate_panels([(f, lo, hi)], cfg)
+    else:
+        pool.add(f, ((lo, hi),))
+        return _finish(pool, cfg)
+    tail_rem, reason = _sweep(pool, cfg, u_cap, lambda u0, u1: [(g, ((u0, u1),))])
+    return _finish(pool, cfg, tail_rem, reason)
 
 
 # ---------------------------------------------------------------------------
 # two-dimensional polar integration over the upper half-plane
 # ---------------------------------------------------------------------------
-
-
-def _panel2d(g, box):
-    a0, a1, b0, b1 = box
-    cu, hu = 0.5 * (a0 + a1), 0.5 * (a1 - a0)
-    cv, hv = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
-    u = cu + hu * _XGK
-    v = cv + hv * _XGK
-    with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                     divide="ignore"):
-        vals = np.asarray(g(u, v))
-        k = hu * hv * float(_WGK @ vals @ _WGK)
-        gg = hu * hv * float(_WG @ vals[np.ix_(_GAUSS_IDX, _GAUSS_IDX)] @ _WG)
-        raw = abs(k - gg)
-        mean = k / ((a1 - a0) * (b1 - b0))
-        resasc = hu * hv * float(_WGK @ np.abs(vals - mean) @ _WGK)
-    if resasc > 0.0 and math.isfinite(resasc):
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    if not math.isfinite(k):
-        err = math.inf
-    return k, err
-
-
-class _Pool2D:
-    """Worst-panel-first quadtree refinement on rectangular (u, v) panels."""
-
-    def __init__(self, cfg: QuadratureConfig):
-        self.cfg = cfg
-        self._heap: list[tuple[float, int, tuple, Callable, float]] = []
-        self._final: list[float] = []
-        self._counter = 0
-        self._val_sum = 0.0
-        self._err_sum = 0.0
-        self.reserved_error = 0.0
-        self.subdivisions = 0
-        self.exhausted = False
-
-    def add(self, g, box) -> tuple[float, float]:
-        k, err = _panel2d(g, box)
-        self._val_sum += k
-        self._err_sum += err
-        heapq.heappush(self._heap, (-err, self._counter, box, g, k))
-        self._counter += 1
-        return k, err
-
-    @property
-    def value(self) -> float:
-        return self._val_sum
-
-    @property
-    def error(self) -> float:
-        return max(self._err_sum, 0.0)
-
-    def _target(self) -> float:
-        raw = max(self.cfg.abs_tol, self.cfg.rel_tol * _tol_scale(self._val_sum))
-        return max(raw - self.reserved_error, raw * 0.25)
-
-    def refine(self) -> bool:
-        while self._err_sum > self._target() and self._heap:
-            neg_err, _, box, g, k = self._heap[0]
-            err = -neg_err
-            a0, a1, b0, b1 = box
-            tiny = (a1 - a0) <= 1e-13 * max(abs(a0), abs(a1), 1.0) and (
-                b1 - b0
-            ) <= 1e-13
-            if err <= 0.0 or tiny:
-                heapq.heappop(self._heap)
-                self._final.append(k)
-                continue
-            if self.subdivisions >= self.cfg.max_subdivisions:
-                self.exhausted = True
-                return False
-            heapq.heappop(self._heap)
-            self._val_sum -= k
-            self._err_sum -= err
-            am, bm = 0.5 * (a0 + a1), 0.5 * (b0 + b1)
-            for child in (
-                (a0, am, b0, bm),
-                (am, a1, b0, bm),
-                (a0, am, bm, b1),
-                (am, a1, bm, b1),
-            ):
-                self.add(g, child)
-            self.subdivisions += 1
-        return self._err_sum <= self._target()
-
-    def final_value(self) -> float:
-        vals = [k for _, _, _, _, k in self._heap] + self._final
-        return float(np.sum(np.array(vals))) if vals else 0.0
-
-
-def _sweep_blocks_2d(pool: _Pool2D, g, cfg: QuadratureConfig,
-                     u_cap: float) -> tuple[float, str | None]:
-    """Doubling u-blocks of four theta panels feeding the shared pool.
-
-    g(u, theta) must decay in u eventually; returns (tail allowance, failure
-    reason or None)."""
-    lo, width = 0.0, 1.0
-    quiet = 0
-    prev_block = None
-    while True:
-        hi = min(lo + width, u_cap)
-        block = 0.0
-        block_err = 0.0
-        for j in range(4):
-            th0, th1 = j * math.pi / 4.0, (j + 1) * math.pi / 4.0
-            k, e = pool.add(g, (lo, hi, th0, th1))
-            block += abs(k)
-            block_err += e
-        pool.refine()
-        if pool.exhausted:
-            return 0.0, "budget"
-        stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
-        size = block + block_err
-        if size <= stop_tol:
-            quiet += 1
-            if quiet >= 2:
-                rho = min(size / prev_block, 0.9) if prev_block else 0.5
-                return size * rho / (1.0 - rho) + stop_tol, None
-        else:
-            quiet = 0
-        prev_block = size
-        if hi >= u_cap:
-            if size <= stop_tol:
-                return size + stop_tol, None
-            return 0.0, "tail"
-        lo = hi
-        width = min(width * 2.0, _U_BLOCK_MAX)
-
-
-def _polar_integral(h, cfg: QuadratureConfig, r_core: float, scale: float,
-                    sweep_far: bool) -> IntegralResult:
-    """Integrate h(r, theta) (which already includes the r/pi factor) over
-    (r, theta) in (r_inner, inf) x (0, pi).
-
-    A log-graded annulus is refined adaptively; the regions below the inner
-    edge and beyond r_core are swept in log radius where operator outputs
-    with integrable origin/far-field behaviour become decaying exponentials.
-    """
-    pool = _Pool2D(cfg)
-    r_lo = cfg.halfplane_inner_radius
-    if r_lo >= r_core:
-        raise ValueError("inner radius must be smaller than the core radius")
-    inner_edge = r_lo if r_lo > 0.0 else max(min(1.0, scale), r_core / 4096.0)
-
-    breaks = [r_core]
-    while breaks[-1] / 2.0 > inner_edge:
-        breaks.append(breaks[-1] / 2.0)
-    breaks.append(inner_edge)
-    breaks.reverse()
-    thetas = np.linspace(0.0, math.pi, 5)
-    for i in range(len(breaks) - 1):
-        for j in range(4):
-            pool.add(h, (breaks[i], breaks[i + 1], thetas[j], thetas[j + 1]))
-    pool.refine()
-
-    tail_rem = 0.0
-    reason = "budget" if pool.exhausted else None
-    if reason is None and r_lo == 0.0:
-
-        def h_down(u, th):
-            r = inner_edge * np.exp(-u)
-            return h(r, th) * r[:, None]
-
-        down_cap = min(_U_CAP, 690.0 + min(0.0, math.log(inner_edge)))
-        rem, reason = _sweep_blocks_2d(pool, h_down, cfg, down_cap)
-        tail_rem += rem
-    if reason is None and sweep_far:
-
-        def h_up(u, th):
-            r = r_core * np.exp(u)
-            return h(r, th) * r[:, None]
-
-        up_cap = min(_U_CAP, 690.0 - math.log(max(r_core, 1.0)))
-        rem, reason = _sweep_blocks_2d(pool, h_up, cfg, up_cap)
-        tail_rem += rem
-
-    pool.reserved_error = tail_rem
-    pool.refine()
-    if reason is None and pool.exhausted:
-        reason = "budget"
-    total_err = float(pool.error + tail_rem)
-    converged = bool(reason is None and math.isfinite(pool.value)
-                     and total_err <= max(cfg.abs_tol,
-                                          cfg.rel_tol * abs(pool.value)))
-    return IntegralResult(
-        value=pool.final_value(),
-        error_estimate=total_err,
-        subdivisions_used=pool.subdivisions,
-        converged=converged,
-        failure_reason=None if converged else reason or "budget",
-    )
 
 
 def _certify(res: IntegralResult, cfg: QuadratureConfig) -> IntegralResult:
@@ -650,6 +497,74 @@ def _analytic_tail_bound(coeff: float, radius: float, power: float, shift: float
     return (coeff**p) * core
 
 
+def _polar_integral(integrand, cfg: QuadratureConfig, scale: float,
+                    far_shift: float, decay: tuple) -> IntegralResult:
+    """(1/pi) * integral of integrand(z) over the half-plane, |z| > r_inner.
+
+    In polar coordinates a log-graded annulus is refined adaptively; the
+    regions below its inner edge and beyond its outer radius (by default
+    max(16, 8 * (1 + far_shift))) are swept in log radius, where operator
+    outputs with integrable origin/far-field behaviour become decaying
+    exponentials.  With an explicit truncation radius the annulus ends
+    there, and the analytic bound beyond it comes from
+    decay = (func, power, shift, p): |integrand| = |func|^p, with |func|
+    decaying like C |z + i*shift|^-power.
+    """
+    explicit = cfg.halfplane_truncation_radius
+    r_core = explicit if explicit is not None else max(16.0, 8.0 * (1.0 + far_shift))
+    r_lo = cfg.halfplane_inner_radius
+    if r_lo >= r_core:
+        raise ValueError("inner radius must be smaller than the core radius")
+    inner_edge = r_lo if r_lo > 0.0 else max(min(1.0, scale), r_core / 4096.0)
+
+    thetas = [j * math.pi / 4.0 for j in range(5)]
+
+    def h(r, th):
+        z = r[:, None] * np.exp(1j * th[None, :])
+        return integrand(z) * (r[:, None] / math.pi)
+
+    def ring(r_of_u):
+        """A u-block's four theta panels of h, with r = r_of_u(u)."""
+        def h_u(u, th):
+            r = r_of_u(u)
+            return h(r, th) * r[:, None]
+
+        return lambda lo, hi: [(h_u, ((lo, hi), (thetas[j], thetas[j + 1])))
+                               for j in range(4)]
+
+    pool = _Pool(cfg)
+    breaks = [r_core]
+    while breaks[-1] / 2.0 > inner_edge:
+        breaks.append(breaks[-1] / 2.0)
+    breaks.append(inner_edge)
+    breaks.reverse()
+    for i in range(len(breaks) - 1):
+        for j in range(4):
+            pool.add(h, ((breaks[i], breaks[i + 1]), (thetas[j], thetas[j + 1])))
+    pool.refine()
+
+    tail_rem = 0.0
+    reason = "budget" if pool.exhausted else None
+    if reason is None and r_lo == 0.0:
+        down_cap = min(_U_CAP, 690.0 + min(0.0, math.log(inner_edge)))
+        rem, reason = _sweep(pool, cfg, down_cap,
+                             ring(lambda u: inner_edge * np.exp(-u)))
+        tail_rem += rem
+    if reason is None and explicit is None:
+        up_cap = min(_U_CAP, 690.0 - math.log(max(r_core, 1.0)))
+        rem, reason = _sweep(pool, cfg, up_cap, ring(lambda u: r_core * np.exp(u)))
+        tail_rem += rem
+
+    radius_tail = None
+    if explicit is not None:
+        func, power, shift, p = decay
+        radius_tail = 0.0
+        if p * power > 2.0 and explicit > shift:
+            coeff = _estimate_decay_coeff(func, explicit, power, shift)
+            radius_tail = _analytic_tail_bound(coeff, explicit, power, shift, p)
+    return _finish(pool, cfg, tail_rem, reason, radius_tail)
+
+
 def bergman_norm_p_power(f, p: float,
                          cfg: QuadratureConfig | None = None) -> IntegralResult:
     """The p-th power of the Bergman norm: (1/pi) * integral of |f|^p dA.
@@ -663,8 +578,7 @@ def bergman_norm_p_power(f, p: float,
     if p < 1:
         raise ValueError("p must be >= 1")
     power, shift = f.decay_hint
-    explicit = cfg.halfplane_truncation_radius
-    if p * power <= 2.0 and explicit is None:
+    if p * power <= 2.0 and cfg.halfplane_truncation_radius is None:
         raise NonIntegrableAtInfinity(
             f"decay power {power} gives p*power = {p * power:.3g} <= 2; "
             "supply an explicit truncation radius"
@@ -675,21 +589,9 @@ def bergman_norm_p_power(f, p: float,
         from .logpolar import image_norm_power
 
         return image_norm_power(f, p, cfg)
-
-    def h(r, th):
-        z = r[:, None] * np.exp(1j * th[None, :])
-        return (np.abs(np.asarray(f(z))) ** p) * (r[:, None] / math.pi)
-
-    scale = max(shift, 1e-3)
-    if explicit is not None:
-        res = _polar_integral(h, cfg, explicit, scale, sweep_far=False)
-        if p * power > 2.0 and explicit > shift:
-            coeff = _estimate_decay_coeff(f, explicit, power, shift)
-            res.error_estimate += _analytic_tail_bound(coeff, explicit, power,
-                                                       shift, p)
-        return _certify(res, cfg)
-    r_core = max(16.0, 8.0 * (1.0 + shift))
-    return _polar_integral(h, cfg, r_core, scale, sweep_far=True)
+    return _polar_integral(lambda z: np.abs(np.asarray(f(z))) ** p, cfg,
+                           scale=max(shift, 1e-3), far_shift=shift,
+                           decay=(f, power, shift, p))
 
 
 def bergman_norm_p(f, p: float,
@@ -725,43 +627,15 @@ def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
     pf, sf = f.decay_hint
     pg, sg = g.decay_hint
     total_power = pf + pg
-    explicit = cfg.halfplane_truncation_radius
-    if total_power <= 2.0 and explicit is None:
+    if total_power <= 2.0 and cfg.halfplane_truncation_radius is None:
         raise NonIntegrableAtInfinity(
             f"decay powers sum to {total_power:.3g} <= 2; pairing not integrable"
         )
 
     def prod(z):
-        return np.asarray(f(z)) * np.conj(np.asarray(g(z)))
+        # complex also for real-valued families: the pairing is complex
+        return np.asarray(f(z), dtype=complex) * np.conj(np.asarray(g(z)))
 
-    def h_re(r, th):
-        z = r[:, None] * np.exp(1j * th[None, :])
-        return np.real(prod(z)) * (r[:, None] / math.pi)
-
-    def h_im(r, th):
-        z = r[:, None] * np.exp(1j * th[None, :])
-        return np.imag(prod(z)) * (r[:, None] / math.pi)
-
-    scale = max(min(sf, sg), 1e-3)
-    if explicit is not None:
-        r_core, sweep = explicit, False
-    else:
-        r_core, sweep = max(16.0, 8.0 * (1.0 + max(sf, sg))), True
-    res_re = _polar_integral(h_re, cfg, r_core, scale, sweep_far=sweep)
-    res_im = _polar_integral(h_im, cfg, r_core, scale, sweep_far=sweep)
-    err = res_re.error_estimate + res_im.error_estimate
-    if explicit is not None and total_power > 2.0:
-        shift = min(sf, sg)
-        if explicit > shift:
-            coeff = _estimate_decay_coeff(prod, explicit, total_power, shift)
-            err += _analytic_tail_bound(coeff, explicit, total_power, shift, 1.0)
-    return _certify(
-        IntegralResult(
-            value=complex(float(res_re.value), float(res_im.value)),
-            error_estimate=err,
-            subdivisions_used=res_re.subdivisions_used + res_im.subdivisions_used,
-            converged=res_re.converged and res_im.converged,
-            failure_reason=res_re.failure_reason or res_im.failure_reason,
-        ),
-        cfg,
-    )
+    return _polar_integral(prod, cfg, scale=max(min(sf, sg), 1e-3),
+                           far_shift=max(sf, sg),
+                           decay=(prod, total_power, min(sf, sg), 1.0))

@@ -194,6 +194,16 @@ def test_sweep_and_plotdata(measures, tmp_path, capsys):
     assert [float(r) for _, r in data] == doc["ratios"]
 
 
+def test_sweep_unconverged_norm_exits_1(measures, tmp_path, capsys):
+    code = main(["sweep", "-m", measures["seg12"], "-p", "2",
+                 "--epsilons", "0.2,0.1,0.05", "--rel-tol", "1e-9",
+                 "--abs-tol", "1e-14", "--max-subdiv", "1",
+                 "-o", str(tmp_path / "sweepdir")])
+    assert code == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "sweepdir" / "sweep.json").exists()
+
+
 def test_plotdata_missing_report(tmp_path, capsys):
     code = main(["plotdata", "--report", str(tmp_path / "none.json")])
     assert code == 2

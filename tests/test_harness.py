@@ -10,6 +10,7 @@ from hausdorff_bergman import (
     Measure,
     ParameterOutOfRange,
     QuadratureConfig,
+    QuadratureFailure,
 )
 from hausdorff_bergman import harness
 from hausdorff_bergman.halfplane import ModulusFunction, TestFunction
@@ -102,6 +103,14 @@ def test_sweep_requires_decreasing_epsilons():
 def test_sweep_unbounded_raises():
     with pytest.raises(DivergentIntegral):
         harness.run_sharpness_sweep(lebesgue(), 2.0, (0.2, 0.1, 0.05), CFG)
+
+
+def test_sweep_unconverged_norm_raises():
+    # one subdivision leaves the eps = 0.05 image norm unconverged; a ratio
+    # built from it must not enter the sweep
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=1)
+    with pytest.raises(QuadratureFailure):
+        harness.run_sharpness_sweep(uniform_12(), 2.0, (0.2, 0.1, 0.05), cfg)
 
 
 def test_extrapolation_requires_contraction():
@@ -277,6 +286,15 @@ def test_minkowski_samples_small():
     rep = harness.run_minkowski_samples(n_samples=8, seed=5, cfg=CFG)
     assert rep.passed
     assert rep.computed["breaches"] == 0
+
+
+def test_minkowski_unconverged_samples_are_counted_apart():
+    # with two subdivisions no sample's norm converges: none is a breach,
+    # and none feeds the worst ratio
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=2)
+    rep = harness.run_minkowski_samples(n_samples=6, seed=2, cfg=cfg)
+    assert rep.computed == {"breaches": 0, "worst_ratio_over_norm": 0.0,
+                            "unconverged": 6}
 
 
 def test_quasi_equivalence_small():

@@ -186,6 +186,24 @@ def test_pairing_conjugate_symmetry():
         assert abs(ab - np.conj(ba)) < 1e-10
 
 
+def ratpow_pairing(a: float, alpha: float, beta: float) -> float:
+    """<(z + i alpha)^-a, (z + i beta)^-a> in closed form."""
+    return (math.gamma(2.0 * a - 1.0) / (2.0 * (a - 1.0) * math.gamma(a) ** 2)
+            * (alpha + beta) ** (2.0 - 2.0 * a))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 2.0), (0.05, 0.2)])
+@pytest.mark.parametrize("a, radius", [(1.5, None), (2.0, None), (3.0, None),
+                                       (3.0, 200.0)])
+def test_pairing_against_closed_form(a, radius, alpha, beta):
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10,
+                           halfplane_truncation_radius=radius)
+    res = pairing(rational_power(alpha, a), rational_power(beta, a), cfg)
+    assert isinstance(res.value, complex)
+    assert res.converged
+    assert abs(res.value - ratpow_pairing(a, alpha, beta)) <= res.error_estimate
+
+
 def test_pairing_non_integrable():
     f = rational_power(1.0, 1.0)
     with pytest.raises(NonIntegrableAtInfinity):
