@@ -621,7 +621,7 @@ def run_minkowski_samples(n_samples: int = 50, seed: int = 20240801,
 
     A sample whose norm does not converge bounds nothing either way: it is
     counted as unconverged, not as a breach, and leaves the worst ratio
-    alone."""
+    alone.  The report passes only if some sample converged."""
     cfg = cfg or default_config()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -649,7 +649,7 @@ def run_minkowski_samples(n_samples: int = 50, seed: int = 20240801,
                   "unconverged": unconverged},
         expected={"breaches": 0},
         tolerance=1e-4,
-        passed=breaches == 0,
+        passed=breaches == 0 and unconverged < n_samples,
         runtime_ms=tm.ms,
         details={},
     )

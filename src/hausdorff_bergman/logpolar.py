@@ -37,7 +37,8 @@ _GREGORY = (1.0 / 12.0, -1.0 / 24.0, 19.0 / 720.0, -3.0 / 160.0,
 _ORDER = len(_GREGORY)
 _H0 = 1.0          # lattice step in v = log r at level 0; halved per level
 _THETA0 = 4        # Gauss-Legendre theta nodes at level 0; doubled per level
-_GAUSS0 = 3        # Gauss-Legendre nodes per log-panel at level 0; doubled
+_GAUSS0 = 3        # Gauss-Legendre nodes per log-panel at rule 0; doubled
+                   # per rule, which advances apart from the level
 _PANEL = 1.0       # widest log-panel of a finite segment
 _MAX_LEVELS = 12
 _EVALS_PER_SUBDIVISION = 10000  # family evaluations per run per max_subdivisions
@@ -154,7 +155,8 @@ class _ConvKernel:
 @dataclass
 class _LevelSums:
     prof: np.ndarray       # P(v_j) with this level's inner rules
-    prof_j: np.ndarray     # P(v_j) with the inner rules one level lower
+    prof_g: np.ndarray     # P(v_j) with the Gauss rule one lower
+    prof_j: np.ndarray     # P(v_j) with the Gauss rule and Gregory order one lower
     kernel_tails: list     # (geometric tail of a kernel, ||G||_p^p seen by it)
     edge_abs: np.ndarray   # |F| on the last lattice row, when R is fixed
     eith: np.ndarray       # e^(i theta) at the theta nodes
@@ -187,8 +189,16 @@ class _LogPolarNorm:
     touches 0 or infinity through the trapezoid rule in s on the lattice
     itself, with Gregory corrections at its finite endpoint, as one FFT
     convolution per theta block, so every value of G serves all output
-    points.  Levels halve h and double the theta and Gauss nodes until
-    successive values agree and their differences contract.
+    points.  Levels halve h and double the theta nodes until successive
+    values agree and their differences contract.
+
+    The Gauss rule of the finite segments has its own index.  Every level
+    also sums F with the rule one index lower, a profile of values already
+    evaluated; the index advances while that difference is above an eighth
+    of the tolerance (as the edge tails are) and is held once it is below.
+    The error estimate adds two measured differences: the inner-rule one
+    (Gauss rule one lower, Gregory order one lower) and the lattice one,
+    between this level and the last on the same Gauss rule.
     """
 
     def __init__(self, mu, f, p: float, cfg: QuadratureConfig, decay_hint):
@@ -299,9 +309,11 @@ class _LogPolarNorm:
 
     # -- one lattice -----------------------------------------------------
 
-    def _level(self, lvl: int, v_lo: float, n_v: int, h: float) -> "_LevelSums":
-        """Profiles P(v_j) = (1/pi) int |F|^p dtheta of this level's rule and
-        of the rule with one-level-lower inner nodes, plus the side data."""
+    def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
+               h: float) -> "_LevelSums":
+        """Profiles P(v_j) = (1/pi) int |F|^p dtheta with the Gauss rule of
+        index rule, with the rule one lower, and with both inner rules one
+        lower, plus the side data."""
         p, q, ev = self.p, self.q, self.f.evaluator
         x, wx = _gauss_legendre(_THETA0 << lvl)
         eith = np.exp(0.5j * math.pi * (x + 1.0))
@@ -309,8 +321,8 @@ class _LogPolarNorm:
         v = v_lo + h * np.arange(n_v)
 
         atoms = self._atom_terms()
-        gauss = self._gauss_terms(lvl) if self.finite else None
-        gauss_j = self._gauss_terms(lvl - 1) if self.finite and lvl else gauss
+        gauss = self._gauss_terms(rule) if self.finite else None
+        gauss_j = self._gauss_terms(rule - 1) if self.finite and rule else gauss
         kernels = [self._conv_kernel(seg, h) for seg in self.touching]
         # family evaluations of this lattice: the direct terms at every
         # lattice point, and the values under every convolution kernel
@@ -326,6 +338,7 @@ class _LogPolarNorm:
         nb = max(1, _BLOCK // max([n_v] + ffts))
 
         prof = np.zeros(n_v)
+        prof_g = np.zeros(n_v)
         prof_j = np.zeros(n_v)
         g_mass = [0.0] * len(kernels)
         edge_abs = np.zeros(0)
@@ -366,13 +379,16 @@ class _LogPolarNorm:
                     common = full
                 else:
                     add_direct(common, gauss_j, eb)
+                    prof_g += _nodes_dot(wb, (np.abs(common) ** p).T)
                 prof_j += _nodes_dot(wb, (np.abs(common + fix) ** p).T)
                 if self.radius is not None:
                     edge_abs = np.concatenate([edge_abs, np.abs(full[-1])])
         shifts = [atoms[0], *(t[0] for t in (gauss, gauss_j) if t is not None)]
         shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
         shifts = np.concatenate([np.ravel(s) for s in shifts])
-        return _LevelSums(prof, prof_j, [(kr.tail, gm) for kr, gm in zip(kernels, g_mass)],
+        if gauss_j is gauss:
+            prof_g = prof
+        return _LevelSums(prof, prof_g, prof_j, [(kr.tail, gm) for kr, gm in zip(kernels, g_mass)],
                           edge_abs, eith, float(shifts.min()), float(shifts.max()), w_lost)
 
     # -- refinement ------------------------------------------------------
@@ -446,18 +462,19 @@ class _LogPolarNorm:
             c[n_v - 1 - order:] = _gregory_weights(order)[::-1]
         return c
 
-    def _sums(self, lvl: int, h: float):
+    def _sums(self, lvl: int, rule: int, h: float):
         """One level on a window grown until both free edges close with a
         geometric tail below an eighth of the tolerance.  Returns
-        (sums, sum, sum with lower inner rules, left tail, right tail,
-        whether both edges closed), with a tail None where the values were
-        not seen to decay, or a failure reason."""
+        (sums, (sum, sum with the Gauss rule one lower, sum with both inner
+        rules one lower), left tail, right tail, whether both edges closed),
+        with a tail None where the values were not seen to decay, or a
+        failure reason."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         while True:
             n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
             try:
-                sums = self._level(lvl, self.v_lo, n_v, h)
+                sums = self._level(lvl, rule, self.v_lo, n_v, h)
             except _Stop as stop:
                 return stop.args[0]
             cut = sums.w_lost + sums.s_lo  # rows from here on used an underflowed f
@@ -465,12 +482,13 @@ class _LogPolarNorm:
                 if not self._cut(cut):
                     return "tail"
                 n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-                sums.prof, sums.prof_j = sums.prof[:n_v], sums.prof_j[:n_v]
+                sums.prof, sums.prof_g, sums.prof_j = (
+                    sums.prof[:n_v], sums.prof_g[:n_v], sums.prof_j[:n_v])
             c = self._outer_weights(n_v)
-            core, core_j = h * float(c @ sums.prof), h * float(c @ sums.prof_j)
-            if not (math.isfinite(core) and math.isfinite(core_j)):
+            cores = tuple(h * float(c @ pr) for pr in (sums.prof, sums.prof_g, sums.prof_j))
+            if not all(map(math.isfinite, cores)):
                 return "tail"
-            tau = max(cfg.abs_tol, cfg.rel_tol * core) / 8.0
+            tau = max(cfg.abs_tol, cfg.rel_tol * cores[0]) / 8.0
             t_lo = t_hi = 0.0
             if self.left_free:
                 t_lo = _geometric_tail(sums.prof[m::-1], h, m, self.rate_lo)
@@ -479,15 +497,17 @@ class _LogPolarNorm:
             open_lo = t_lo is None or t_lo > tau
             open_hi = t_hi is None or t_hi > tau
             if not (open_lo or open_hi):
-                return sums, core, core_j, t_lo, t_hi, True
+                return sums, cores, t_lo, t_hi, True
             if (open_lo and not self._grow(True, sums)) or (
                     open_hi and not self._grow(False, sums)):
-                return sums, core, core_j, t_lo, t_hi, False
+                return sums, cores, t_lo, t_hi, False
 
     def run(self) -> IntegralResult:
         """Refine level by level; converged once the error budget (lattice
         difference + inner-rule difference + tail allowances) is within
-        tolerance and the refinement differences contract."""
+        tolerance and the refinement differences contract.  The Gauss rule
+        starts at index 0, which has no lower rule to be measured against,
+        so it advances at least once."""
         cfg, p = self.cfg, self.p
         if self.mu.is_zero:
             return IntegralResult(0.0, 0.0, 1, True)
@@ -495,13 +515,14 @@ class _LogPolarNorm:
         self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
         self.evals = 0
         prev_value = prev_d = None
+        rule, held = 0, False
         value, err, reason = 0.0, math.inf, "budget"
         for lvl in range(_MAX_LEVELS):
-            out = self._sums(lvl, self.h0 / 2.0 ** lvl)
+            out = self._sums(lvl, rule, self.h0 / 2.0 ** lvl)
             if isinstance(out, str):
                 reason = out
                 break
-            sums, core, core_j, t_lo, t_hi, closed = out
+            sums, (core, core_g, core_j), t_lo, t_hi, closed = out
             if not closed:  # an edge stayed open at the cap
                 value, err, reason = core + (t_lo or 0.0) + (t_hi or 0.0), math.inf, "tail"
                 break
@@ -514,9 +535,12 @@ class _LogPolarNorm:
             if not self.right_free:
                 fixed += self._radius_tail(sums.edge_abs, sums.eith)
             if prev_value is None:
-                prev_value = value
+                prev_value, rule = value, 1
                 continue
-            d = abs(value - value_j) + abs(value_j - prev_value)
+            # the lattice difference compares sums on one Gauss rule: this
+            # level's own if the rule was held, the one-lower rule (which the
+            # last level used) if it advanced
+            d = abs(value - value_j) + abs((value if held else value_j) - prev_value)
             err = d + t_lo + t_hi + fixed
             tol = max(cfg.abs_tol, cfg.rel_tol * value)
             if fixed > tol:  # no refinement can shrink these
@@ -526,6 +550,9 @@ class _LogPolarNorm:
             prev_value, prev_d = value, d
             if contracting and err <= tol:
                 return IntegralResult(value, err, lvl + 1, True)
+            held = abs(core - core_g) <= tol / 8.0
+            if not held:
+                rule += 1
         return IntegralResult(value, err, lvl + 1, False, reason)
 
     def _radius_tail(self, edge_abs, eith) -> float:

@@ -9,6 +9,7 @@ extrapolation.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,10 +56,11 @@ class Atom:
 
 
 # serialized density kinds: ("const", [c]) -> c, ("power", [c, a]) -> c*t^a,
-# ("exp", [c, b]) -> c*exp(-b*t), ("expr", [source]) -> numpy expression in t
+# ("exp", [c, b]) -> c*exp(-b*t), ("expr", [source]) -> arithmetic expression
+# in t over the names below
 DensitySpec = tuple[str, tuple]
 
-_EXPR_NAMES = {
+_EXPR_FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,
     "sqrt": np.sqrt,
@@ -66,10 +68,35 @@ _EXPR_NAMES = {
     "cos": np.cos,
     "tan": np.tan,
     "abs": np.abs,
-    "pi": math.pi,
-    "e": math.e,
-    "np": np,
 }
+_EXPR_CONSTANTS = {"pi": math.pi, "e": math.e}
+_EXPR_NAMES = {**_EXPR_FUNCTIONS, **_EXPR_CONSTANTS}
+_EXPR_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_expr(node: ast.AST) -> None:
+    """Raise ValueError unless node is arithmetic on numbers, t, the listed
+    constants and calls of the listed functions.  A density expression comes
+    from measure JSON, which is untrusted: nothing else may run."""
+    if isinstance(node, ast.Expression):
+        return _check_expr(node.body)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPERATORS):
+        _check_expr(node.left)
+        return _check_expr(node.right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPERATORS):
+        return _check_expr(node.operand)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return None
+    if isinstance(node, ast.Name) and (node.id == "t" or node.id in _EXPR_CONSTANTS):
+        return None
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+        for arg in node.args:
+            _check_expr(arg)
+        return None
+    raise ValueError(f"density expression may use only arithmetic, numbers, t, "
+                     f"{', '.join(_EXPR_NAMES)}; found {type(node).__name__} "
+                     f"{ast.unparse(node)[:40]!r}")
 
 
 def _density_from_spec(spec: DensitySpec) -> Callable:
@@ -85,6 +112,13 @@ def _density_from_spec(spec: DensitySpec) -> Callable:
         return lambda t: float(c) * np.exp(-float(b) * np.asarray(t, dtype=float))
     if kind == "expr":
         (source,) = params
+        if not isinstance(source, str):
+            raise ValueError(f"density expression must be a string, got {source!r}")
+        try:
+            _check_expr(ast.parse(source, mode="eval"))
+        except (SyntaxError, RecursionError, MemoryError) as exc:
+            raise ValueError(f"density expression {source[:40]!r} does not parse: "
+                             f"{type(exc).__name__}") from None
         code = compile(source, "<density-expr>", "eval")
 
         def f(t):

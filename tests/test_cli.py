@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hausdorff_bergman import DensitySegment, Measure, measure_to_json, pushforward_inverse
 from hausdorff_bergman.cli import format_complex, main, parse_complex
 
 ATOM1 = {"atoms": [{"t": 1.0, "w": 1.0}], "segments": []}
@@ -165,6 +166,42 @@ def test_classify(measures, capsys):
 def test_missing_measure_file_is_usage_error(capsys):
     code = main(["moment", "-m", "/nonexistent.json", "--alpha", "0"])
     assert code == 2
+
+
+def _expr_measure(tmp_path, source) -> str:
+    path = tmp_path / "expr.json"
+    path.write_text(json.dumps({"atoms": [], "segments": [
+        {"lo": 1.0, "hi": 2.0, "density": {"kind": "expr", "params": [source]}}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", [
+    "np.save({target!r}, t)",
+    "t.real",
+    "__import__('os').getcwd()",
+    "(lambda s: s)(t)",
+])
+def test_expr_density_outside_arithmetic_is_usage_error(tmp_path, capsys, source):
+    # a measure file is untrusted: its density may not reach numpy, attributes,
+    # builtins or new functions, and is refused before anything is evaluated
+    target = tmp_path / "written.npy"
+    code = main(["moment", "-m", _expr_measure(tmp_path, source.format(target=str(target))),
+                 "--alpha", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load measure") and err.count("\n") == 1
+    assert "density expression may use only" in err
+    assert not target.exists()
+
+
+def test_expr_densities_of_the_library_still_load(tmp_path, capsys):
+    pushed = pushforward_inverse(Measure(segments=(DensitySegment.from_spec(
+        0.5, 1.0, ("exp", (1.0, 1.0))),)))
+    pushed_source = measure_to_json(pushed)["segments"][0]["density"]["params"][0]
+    assert pushed_source == "(1.0)*exp(-(1.0)/t)*t**-2.0"
+    for source in ("t**2 * exp(-t)", pushed_source):
+        assert main(["moment", "-m", _expr_measure(tmp_path, source), "--alpha", "0"]) == 0
+        assert float(capsys.readouterr().out.split()[0]) > 0.0
 
 
 # ---------------------------------------------------------------------------

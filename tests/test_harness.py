@@ -290,11 +290,12 @@ def test_minkowski_samples_small():
 
 def test_minkowski_unconverged_samples_are_counted_apart():
     # with two subdivisions no sample's norm converges: none is a breach,
-    # and none feeds the worst ratio
+    # none feeds the worst ratio, and a report that checked nothing fails
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=2)
     rep = harness.run_minkowski_samples(n_samples=6, seed=2, cfg=cfg)
     assert rep.computed == {"breaches": 0, "worst_ratio_over_norm": 0.0,
                             "unconverged": 6}
+    assert not rep.passed
 
 
 def test_quasi_equivalence_small():

@@ -70,9 +70,22 @@ def ratpow_norm_power(p: float, a: float, eps: float) -> float:
 
 def gauss_double_moment(lo: float, hi: float, a: float, weight=lambda t: 1.0) -> float:
     """D on [lo, hi] by a 60-point tensor Gauss-Legendre rule."""
+    return panel_double_moment(((lo, hi, weight),), a, panels=1)
+
+
+def panel_double_moment(pieces, a: float, panels: int = 16) -> float:
+    """D for the measure with density weight on each (lo, hi, weight) of
+    pieces, by a tensor 60-point Gauss-Legendre rule on panels equal in
+    log t per piece."""
     x, w = np.polynomial.legendre.leggauss(60)
-    t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    wt = 0.5 * (hi - lo) * w * weight(t)
+    t, wt = [], []
+    for lo, hi, weight in pieces:
+        edges = np.exp(np.linspace(math.log(lo), math.log(hi), panels + 1))
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            tp = 0.5 * (e1 + e0) + 0.5 * (e1 - e0) * x
+            t.append(tp)
+            wt.append(0.5 * (e1 - e0) * w * weight(tp))
+    t, wt = np.concatenate(t), np.concatenate(wt)
     tt, ss = np.meshgrid(t, t, indexing="ij")
     return float(wt @ ((tt * ss) ** (a - 1.0) * (tt + ss) ** (2.0 - 2.0 * a)) @ wt)
 
@@ -173,6 +186,48 @@ def test_truncated_operator_against_double_moment():
     assert_within(bergman_norm_p_power(hf, 2.0, CFG), exact)
 
 
+# finite segments of several log-panels: (segment, density as a function of t)
+MULTI_PANEL = {
+    "const[0.1,10]": (DensitySegment.from_spec(0.1, 10.0, ("const", (1.0,))),
+                      lambda t: np.ones_like(t)),
+    "power[0.5,3]": (DensitySegment.from_spec(0.5, 3.0, ("power", (0.7, 0.6))),
+                     lambda t: 0.7 * t ** 0.6),
+    "exp[0.25,4]": (DensitySegment.from_spec(0.25, 4.0, ("exp", (1.0, 1.0))),
+                    lambda t: np.exp(-t)),
+}
+# e^-t on [0.9, inf): its Gregory kernel needs levels past the point where
+# the Gauss rule of a finite segment has converged, so that rule is held
+EXP_TAIL = (DensitySegment.from_spec(0.9, math.inf, ("exp", (1.0, 1.0)), exp_hi=-math.inf),
+            lambda t: np.exp(-t))
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PANEL))
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_multi_panel_segments_against_double_moment(name, eps, rel_tol):
+    seg, weight = MULTI_PANEL[name]
+    a = 1.0 + eps  # f_eps at p = 2
+    exact = (pairing_constant(a) * eps ** (2.0 - 2.0 * a)
+             * panel_double_moment(((seg.lower, seg.upper, weight),), a))
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    assert_within(image_norm_power(Measure(segments=(seg,)), 2.0, a, eps, cfg), exact)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+def test_held_gauss_rule_against_double_moment(eps):
+    # the run goes on for levels after the segment's Gauss rule has
+    # converged; the differences of the held rule must still bound the error
+    seg, weight = MULTI_PANEL["power[0.5,3]"]
+    tail, tail_weight = EXP_TAIL
+    a = 1.0 + eps
+    # e^-t beyond t = 90 holds about 2e-39 of the mass
+    d = panel_double_moment(((seg.lower, seg.upper, weight), (0.9, 90.0, tail_weight)), a,
+                            panels=24)
+    res = image_norm_power(Measure(segments=(seg, tail)), 2.0, a, eps)
+    assert res.subdivisions_used >= 4
+    assert_within(res, pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
+
+
 # ---------------------------------------------------------------------------
 # the engine against the adaptive nested path
 # ---------------------------------------------------------------------------
@@ -180,6 +235,18 @@ def test_truncated_operator_against_double_moment():
 
 def nested(hf):
     return dataclasses.replace(hf, image_of=None)
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_PANEL))
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+def test_multi_panel_segments_agree_with_nested_path(name, p):
+    eps = 0.1
+    mu = Measure(segments=(MULTI_PANEL[name][0],))
+    hf = as_function(HausdorffOperator(mu, p), rational_power(eps, 2.0 / p + eps), CFG.tighter())
+    fast = bergman_norm_p_power(hf, p, CFG)
+    slow = bergman_norm_p_power(nested(hf), p, CFG)
+    assert fast.converged and slow.converged
+    assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -296,6 +363,26 @@ def test_budget_counts_direct_gauss_terms():
         assert 0 < engine.evals <= engine.budget
     assert runs[20].failure_reason == "budget"
     assert runs[2000].converged
+
+
+def test_converged_gauss_rule_is_not_refined_with_the_lattice():
+    # sample 3 of the built-in verify suite's Minkowski experiment: a finite
+    # segment on [1.09, 4.47] and an e^-t-type tail from 0.89, at p = 1.
+    # The tail's kernel needs five levels; refining the segment's Gauss rule
+    # with every level cost about 6.6 M evaluations of f, holding it once
+    # converged about 2.0 M, so 4 M (400 * 10,000) separates the two
+    mu = Measure(segments=(
+        DensitySegment.from_spec(1.0882620021010405, 4.466464354238836,
+                                 ("power", (1.303681029901046, -0.8129973402401034))),
+        DensitySegment.from_spec(0.8931583963692292, math.inf,
+                                 ("exp", (1.2093068046165578, 0.7347021124268363)),
+                                 exp_hi=-math.inf),
+    ))
+    f = rational_power(0.5082282923164314, 3.0652074913364533)
+    cfg = dataclasses.replace(CFG, max_subdivisions=400)
+    res = bergman_norm_p_power(as_function(HausdorffOperator(mu, 1.0), f, CFG.tighter()), 1.0, cfg)
+    assert res.converged, res
+    assert res.subdivisions_used == 5
 
 
 def test_tail_failure_is_reported():
