@@ -76,7 +76,10 @@ def _config_from_args(args) -> QuadratureConfig:
 def _add_common_flags(sp) -> None:
     sp.add_argument("--rel-tol", type=float, default=1e-6)
     sp.add_argument("--abs-tol", type=float, default=1e-10)
-    sp.add_argument("--max-subdiv", type=int, default=2000)
+    sp.add_argument("--max-subdiv", type=int, default=2000,
+                    help="budget: panel bisections of a one-dimensional integral; "
+                         "for half-plane norms and pairings (log-polar lattice), "
+                         "10,000 family evaluations per unit")
     sp.add_argument("--radius", type=float, default=None,
                     help="explicit half-plane truncation radius")
     sp.add_argument("-o", "--outdir", type=Path, default=None,

@@ -108,10 +108,10 @@ class HalfPlaneFunction:
     """An evaluable function on the upper half-plane.
 
     decay_hint = (power, shift) encodes |f(z)| <~ C * |z + i*shift|^-power
-    at infinity and steers the half-plane quadratures.  image_of, when set,
-    is (operator, source): the function is the operator's image of the
-    source, and Bergman norms are then computed from that structure (see
-    logpolar.py) without calling the evaluator.
+    at infinity and steers the half-plane lattice.  image_of, when set, is
+    (operator, source): the function is the operator's image of the source,
+    and Bergman norms and pairings are then computed from that structure
+    (see logpolar.py) without calling the evaluator.
     """
 
     evaluator: Callable = field(compare=False)

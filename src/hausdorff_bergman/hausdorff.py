@@ -7,12 +7,15 @@ evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
 quadrature available as an independent cross-check route.
 
-Point values are one thing, norms another: as_function records (operator,
-f) on its result, and Bergman norms of the result are computed from that
-record on a log-polar lattice (logpolar.py).  In z = e^(v + i theta) the
-operator is a convolution in v, and scaling by e^(2v/p) makes both the
-area element (r dr dtheta = e^(2v) dv dtheta) and the kernel's integral
-(the moment of t^(2/p - 1), the operator norm) come out exactly.
+Point values are one thing, norms and pairings another: as_function
+records (operator, f) on its result, and Bergman norms and pairings of the
+result are computed from that record on the log-polar lattice
+(logpolar.py), the same engine that serves plain functions.  In
+z = e^(v + i theta) the operator is a convolution in v, and scaling by
+e^(2v/p) makes both the area element (r dr dtheta = e^(2v) dv dtheta) and
+the kernel's integral (the moment of t^(2/p - 1), the operator norm) come
+out exactly.  Each side of the adjoint identity pairs an image with a
+plain function on that lattice.
 """
 
 from __future__ import annotations
@@ -186,12 +189,12 @@ def as_function(op: HausdorffOperator, f: HalfPlaneFunction,
     """Package the operator output as an evaluable half-plane function.
 
     The decay hint keeps the power of f; the reference shift scales with
-    the infimum of the (effective) measure support, falling back to the
-    shift of f when the support reaches down to 0.  The result carries
-    image_of = (op, f), so its Bergman norms go to the log-polar engine,
-    which evaluates f on a lattice instead of calling the evaluator; the
-    evaluator (one inner quadrature per point, with cfg) serves everything
-    else.
+    the infimum of the (effective) measure support, falling back to 0 when
+    the support reaches down to 0.  The result carries image_of = (op, f),
+    so its Bergman norms and pairings go to the log-polar engine as the
+    side (op's measure, f), which evaluates f on a lattice instead of
+    calling the evaluator; the evaluator (one inner quadrature per point,
+    with cfg) serves point values.
     """
     cfg = cfg or QuadratureConfig()
     op._guard()

@@ -1,12 +1,18 @@
-"""Bergman norms of operator images on a log-polar lattice.
+"""Bergman norms and pairings on a log-polar lattice: the package's one
+half-plane engine.
 
-`bergman_norm_p_power` sends every function that carries image_of = (H, f),
-as `as_function` returns it, here (image_norm_power).  H averages dilations
-of f against a measure mu, Hf(z) = integral of (1/t) f(z/t) dmu(t), so in
-z = e^(v + i theta) and t = e^s it is a convolution in v along every ray.
-_LogPolarNorm evaluates it on a uniform v-lattice times Gauss-Legendre
-theta nodes, sharing every evaluation of f among all output points, instead
-of running an inner quadrature at every point of an outer one.
+`bergman_norm_p_power` and `pairing` (quadrature.py) send every function
+here.  The engine works on sides.  A side is a measure mu and a source f,
+standing for Hf(z) = integral of (1/t) f(z/t) dmu(t):
+  - an operator image (a function carrying image_of = (H, f), as
+    `as_function` returns it) is the side (H's measure, f), and its own
+    evaluator is never called;
+  - any other function g is the side (unit atom, g).
+In z = e^(v + i theta) and t = e^s, H is a convolution in v along every
+ray, so every evaluation of f serves all output points.  A norm sums |F|^p
+over one side, a pairing F conj(G) over two, on one uniform v-lattice and
+one set of Gauss-Legendre theta nodes.  The trapezoid rule in v converges
+exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -14,20 +20,15 @@ repeated runs produce bitwise identical results.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    IntegralResult,
-    QuadratureConfig,
-    _analytic_tail_bound,
-    _certify,
-    _nodes_dot,
-    bergman_norm_p_power,
-)
+from .measure import Measure
+from .quadrature import IntegralResult, QuadratureConfig, _nodes_dot
 
 
 # Gregory end corrections: for g smooth on [x_0, inf) the integral equals
@@ -152,80 +153,76 @@ class _ConvKernel:
     tail: float            # integral of K beyond the kept ends (geometric)
 
 
+def _analytic_tail_bound(coeff: float, radius: float, power: float,
+                         shift: float) -> float:
+    """Bound on (1/pi) * integral over |z| > radius of C|z + i*shift|^-power dA."""
+    if power <= 2.0 or radius <= shift:
+        return math.inf
+    u = radius - shift
+    return coeff * (u ** (2.0 - power) / (power - 2.0)
+                    + shift * u ** (1.0 - power) / (power - 1.0))
+
+
 @dataclass
-class _LevelSums:
-    prof: np.ndarray       # P(v_j) with this level's inner rules
-    prof_g: np.ndarray     # P(v_j) with the Gauss rule one lower
-    prof_j: np.ndarray     # P(v_j) with the Gauss rule and Gregory order one lower
-    kernel_tails: list     # (geometric tail of a kernel, ||G||_p^p seen by it)
-    edge_abs: np.ndarray   # |F| on the last lattice row, when R is fixed
-    eith: np.ndarray       # e^(i theta) at the theta nodes
+class _SideLevel:
+    """A side's inner rules on one level of the lattice."""
+
+    atoms: tuple           # (shifts, coefficients) of the atoms' dilated copies
+    gauss: tuple | None    # the same for the finite segments' Gauss nodes
+    gauss_j: tuple | None  # ... with the Gauss rule one lower
+    kernels: list          # a _ConvKernel per segment touching 0 or infinity
+    ffts: list             # the FFT length of each kernel
+    kernel_hat: list       # the FFT of each kernel
+    evals: int             # family evaluations per theta node
     s_lo: float            # range of the shifts s in G(v - s)
     s_hi: float
-    w_lost: float          # smallest w > 0 at which f underflowed (or inf)
 
 
-class _LogPolarNorm:
-    """||Hf||_p^p for Hf(z) = integral of (1/t) f(z/t) dmu(t), on a log-polar
-    lattice.
+class _Side:
+    """One factor of the integrand: F(v, theta) = e^(q v) Hf(e^(v + i theta))
+    with q = 2/p, for Hf the image of source under mu.
 
     With z = e^(v + i theta) and t = e^s the area element is
-    r dr dtheta = e^(2v) dv dtheta, so scaling by e^(2v/p) turns the norm
-    into a plain L^p integral over (v, theta):
+    r dr dtheta = e^(2v) dv dtheta, so a norm becomes a plain L^p integral
+    over (v, theta), and a pairing (q = 1 on both sides) one of F conj(G):
 
         ||Hf||_p^p = (1/pi) int_0^pi int |F(v, theta)|^p dv dtheta,
-        F(v, theta) = e^(2v/p) Hf(e^(v + i theta))
-                    = int K(s) G(v - s, theta) ds,
+        F(v, theta) = int K(s) G(v - s, theta) ds,
 
-    with G(w, theta) = e^(2w/p) f(e^(w + i theta)) and the kernel
-    K(s) = rho(e^s) e^(2s/p) of a density rho (an atom of weight c at t
-    contributes c t^(2/p-1) G(v - log t)).  The exponent 2/p is the one that
-    makes the kernel's integral the moment of t^(2/p-1), the operator norm,
-    so F is bounded by it and decays at both ends of every ray.
+    with G(w, theta) = e^(qw) f(e^(w + i theta)) and the kernel
+    K(s) = rho(e^s) e^(qs) of a density rho (an atom of weight c at t
+    contributes c t^(q-1) G(v - log t)).  For a norm the kernel's integral
+    is the moment of t^(2/p-1), the operator norm, so F is bounded by it and
+    decays at both ends of every ray.
 
-    F is evaluated on a uniform lattice v_j = v_lo + j h times Gauss-Legendre
-    theta nodes: atoms as exact dilated copies; a finite segment [a, b] with
-    a > 0 through Gauss-Legendre nodes in s on log-panels; a segment that
-    touches 0 or infinity through the trapezoid rule in s on the lattice
-    itself, with Gregory corrections at its finite endpoint, as one FFT
-    convolution per theta block, so every value of G serves all output
-    points.  Levels halve h and double the theta nodes until successive
-    values agree and their differences contract.
-
-    The Gauss rule of the finite segments has its own index.  Every level
-    also sums F with the rule one index lower, a profile of values already
-    evaluated; the index advances while that difference is above an eighth
-    of the tolerance (as the edge tails are) and is held once it is below.
-    The error estimate adds two measured differences: the inner-rule one
-    (Gauss rule one lower, Gregory order one lower) and the lattice one,
-    between this level and the last on the same Gauss rule.
+    F is evaluated on a uniform lattice v_j = v_lo + j h times the theta
+    nodes: atoms as exact dilated copies; a finite segment [a, b] with a > 0
+    through Gauss-Legendre nodes in s on log-panels; a segment that touches
+    0 or infinity through the trapezoid rule in s on the lattice itself,
+    with Gregory corrections at its finite endpoint, as one FFT convolution
+    per theta block.  hint is the decay hint (power, shift) of Hf itself.
     """
 
-    def __init__(self, mu, f, p: float, cfg: QuadratureConfig, decay_hint):
-        self.mu, self.f, self.p, self.cfg = mu, f, p, cfg
-        self.q = 2.0 / p
-        self.power, self.shift = decay_hint
-        self.radius = cfg.halfplane_truncation_radius
-        self.inner = cfg.halfplane_inner_radius
+    def __init__(self, mu, source, hint, p: float, eta: float):
+        self.mu, self.source, self.p, self.eta = mu, source, p, eta
+        self.q = q = 2.0 / p
+        self.power, self.shift = hint
         self.finite = [s for s in mu.segments
                        if s.lower > 0.0 and not math.isinf(s.upper)]
         self.touching = [s for s in mu.segments
                          if s.lower == 0.0 or math.isinf(s.upper)]
-        self.eta = max(1e-3 * cfg.rel_tol, 1e-16)  # kernel tail / kernel mass
-        # the slowest decay of |F|^p per unit of v the decay data allow at
-        # each end: f is bounded near 0 when its shift is positive and decays
-        # like |z|^-power; kernels decay like their endpoint exponents say
-        q = self.q
-        lo = [q if f.decay_hint[1] > 0.0 else None]
+        # the slowest decay of |F| per unit of v the decay data allow at each
+        # end: the source is bounded near 0 when its shift is positive and Hf
+        # decays like |z|^-power; kernels decay like their endpoint
+        # exponents say
+        lo = [q if source.decay_hint[1] > 0.0 else None]
         lo += [self._kernel_rate(s.exp_lo, +1) for s in self.touching if s.lower == 0.0]
         hi = [self.power - q]
         hi += [self._kernel_rate(s.exp_hi, -1) for s in self.touching if math.isinf(s.upper)]
-        r_lo, r_hi = _slowest(lo), _slowest(hi)
-        self.rate_lo = None if r_lo is None else p * r_lo
-        self.rate_hi = None if r_hi is None else p * r_hi
+        self.rate_lo, self.rate_hi = _slowest(lo), _slowest(hi)
 
     def _kernel_rate(self, exponent: float | None, sign: int) -> float | None:
-        """Decay rate of K(s) = rho(e^s) e^(2s/p) towards s -> -inf (sign +1,
+        """Decay rate of K(s) = rho(e^s) e^(qs) towards s -> -inf (sign +1,
         rho ~ t^exponent at 0) or s -> +inf (sign -1, at infinity)."""
         return None if exponent is None else sign * (exponent + self.q)
 
@@ -309,101 +306,194 @@ class _LogPolarNorm:
 
     # -- one lattice -----------------------------------------------------
 
-    def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
-               h: float) -> "_LevelSums":
-        """Profiles P(v_j) = (1/pi) int |F|^p dtheta with the Gauss rule of
-        index rule, with the rule one lower, and with both inner rules one
-        lower, plus the side data."""
-        p, q, ev = self.p, self.q, self.f.evaluator
-        x, wx = _gauss_legendre(_THETA0 << lvl)
-        eith = np.exp(0.5j * math.pi * (x + 1.0))
-        w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
-        v = v_lo + h * np.arange(n_v)
-
+    def level(self, rule: int, h: float, n_v: int) -> _SideLevel:
+        """The inner rules of a level with step h and n_v rows, with the
+        Gauss rule of index rule."""
         atoms = self._atom_terms()
         gauss = self._gauss_terms(rule) if self.finite else None
         gauss_j = self._gauss_terms(rule - 1) if self.finite and rule else gauss
         kernels = [self._conv_kernel(seg, h) for seg in self.touching]
-        # family evaluations of this lattice: the direct terms at every
+        # family evaluations per theta node: the direct terms at every
         # lattice point, and the values under every convolution kernel
         n_direct = len(atoms[0])
         if gauss is not None:
             n_direct += len(gauss[0]) + (0 if gauss_j is gauss else len(gauss_j[0]))
-        evals = len(eith) * (n_v * n_direct + sum(n_v + len(kr.a) - 1 for kr in kernels))
-        if self.evals + evals > self.budget:
-            raise _Stop("budget")
-        self.evals += evals
+        evals = n_v * n_direct + sum(n_v + len(kr.a) - 1 for kr in kernels)
         ffts = [1 << (n_v + len(kr.a) - 2).bit_length() for kr in kernels]
         kernel_hat = [np.fft.fft(kr.a, n) for kr, n in zip(kernels, ffts)]
-        nb = max(1, _BLOCK // max([n_v] + ffts))
+        shifts = [atoms[0], *(t[0] for t in (gauss, gauss_j) if t is not None)]
+        shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
+        shifts = np.concatenate([np.ravel(s) for s in shifts])
+        return _SideLevel(atoms, gauss, gauss_j, kernels, ffts, kernel_hat, evals,
+                          float(shifts.min()), float(shifts.max()))
 
-        prof = np.zeros(n_v)
-        prof_g = np.zeros(n_v)
-        prof_j = np.zeros(n_v)
-        g_mass = [0.0] * len(kernels)
-        edge_abs = np.zeros(0)
+    def block(self, lv: _SideLevel, v: np.ndarray, h: float, eb: np.ndarray,
+              wb: np.ndarray, g_mass: list):
+        """F on the rows v at the theta nodes eb (weights wb): with the
+        level's inner rules, with its Gauss rule one lower, and with both
+        inner rules one lower.  Adds each kernel's ||G||_p^p seen here to
+        g_mass; also returns the smallest w > 0 at which the source
+        underflowed (inf if none)."""
+        n_v = len(v)
         w_lost = math.inf
 
-        def family(w, eb):
+        def family(w):
             nonlocal w_lost
-            g, lost = _scaled_family(ev, w, eb, q)
+            g, lost = _scaled_family(self.source.evaluator, w, eb, self.q)
             w_lost = min(w_lost, lost)
             return g
 
-        def add_direct(out, terms, eb):
+        def add_direct(out, terms):
             for shift, c in zip(*terms):
-                out += c * family(v - shift, eb)
+                out += c * family(v - shift)
 
+        common = np.zeros((n_v, len(eb)), dtype=complex)
+        fix = np.zeros_like(common)
+        add_direct(common, lv.atoms)
+        for i, (kr, n_fft, k_hat) in enumerate(zip(lv.kernels, lv.ffts, lv.kernel_hat)):
+            m_k = len(kr.a)
+            u = v[0] - kr.s_max + h * np.arange(n_v + m_k - 1)
+            g = family(u)
+            g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
+            conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None], axis=0)
+            common += conv[m_k - 1:m_k - 1 + n_v]
+            for k, dk in zip(kr.fix_idx, kr.fix_delta):
+                fix += dk * g[m_k - 1 - k:m_k - 1 - k + n_v]
+        full = common.copy()
+        if lv.gauss is not None:
+            add_direct(full, lv.gauss)
+        if lv.gauss_j is lv.gauss:
+            common = full
+        else:
+            add_direct(common, lv.gauss_j)
+        return (full, common, common + fix), w_lost
+
+
+@dataclass
+class _LevelSums:
+    profs: np.ndarray      # P(v_j) with this level's inner rules, with the
+                           # Gauss rule one lower, and with the Gauss rule
+                           # and Gregory order one lower (rows 0, 1, 2)
+    major: np.ndarray      # the majorant profile: P itself for a norm,
+                           # (1/pi) int |F||G| dtheta for a pairing
+    kernel_tails: list     # (side, geometric tail of a kernel, ||G||_p^p seen by it)
+    own: np.ndarray        # ||F||_2^2 of each side of a pairing
+    edge: np.ndarray       # the majorant on the last lattice row, when R is fixed
+    eith: np.ndarray       # e^(i theta) at the theta nodes
+    s_lo: float            # range of the shifts s in G(v - s)
+    s_hi: float
+    w_lost: float          # smallest w > 0 at which a source underflowed (or inf)
+
+
+class _LogPolarNorm:
+    """||Hf||_p^p of one side, or the pairing (1/pi) int Hf conj(Kg) dA of
+    two (at p = 2, where q = 1), on a log-polar lattice (see _Side).
+
+    sides holds (mu, source, decay hint) per side.  Levels halve h and
+    double the theta nodes until successive values agree and their
+    differences contract.  Free window edges (no inner or truncation
+    radius) grow until the majorant |F|^p, or |F||G| for a pairing, closes
+    there with a geometric tail below an eighth of the tolerance.  A norm's
+    value includes those tails; a pairing's error alone counts them.
+
+    The Gauss rule of the finite segments has its own index.  Every level
+    also sums with the rule one index lower, a profile of values already
+    evaluated; the index advances while that difference is above an eighth
+    of the tolerance (as the edge tails are) and is held once it is below.
+    The error estimate adds two measured differences: the inner-rule one
+    (Gauss rule one lower, Gregory order one lower) and the lattice one,
+    between this level and the last on the same Gauss rule.
+    """
+
+    def __init__(self, sides, p: float, cfg: QuadratureConfig):
+        self.p, self.cfg = p, cfg
+        self.pair = len(sides) == 2
+        self.radius = cfg.halfplane_truncation_radius
+        self.inner = cfg.halfplane_inner_radius
+        eta = max(1e-3 * cfg.rel_tol, 1e-16)  # kernel tail / kernel mass
+        self.sides = [_Side(mu, source, hint, p, eta) for mu, source, hint in sides]
+        # the majorant is the product of |F_k|^(p/n) over the n sides: its
+        # decay rates and far-field power add up accordingly
+        share = p / len(self.sides)
+        r_lo = [s.rate_lo for s in self.sides]
+        r_hi = [s.rate_hi for s in self.sides]
+        self.rate_lo = None if None in r_lo else share * sum(r_lo)
+        self.rate_hi = None if None in r_hi else share * sum(r_hi)
+        self.tail_power = share * sum(s.power for s in self.sides)
+        self.tail_shift = min(s.shift for s in self.sides)
+
+    def _integrand(self, x, y):
+        """|F|^p for a norm (y is x), F conj(G) for a pairing."""
+        return x * np.conj(y) if self.pair else np.abs(x) ** self.p
+
+    def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
+               h: float) -> _LevelSums:
+        """Profiles P(v_j) = (1/pi) int of the integrand dtheta with the
+        Gauss rule of index rule, with the rule one lower, and with both
+        inner rules one lower, plus the side data."""
+        x, wx = _gauss_legendre(_THETA0 << lvl)
+        eith = np.exp(0.5j * math.pi * (x + 1.0))
+        w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
+        v = v_lo + h * np.arange(n_v)
+        levels = [side.level(rule, h, n_v) for side in self.sides]
+        evals = len(eith) * sum(lv.evals for lv in levels)
+        if self.evals + evals > self.budget:
+            raise _Stop("budget")
+        self.evals += evals
+        nb = max(1, _BLOCK // max([n_v] + [n for lv in levels for n in lv.ffts]))
+        # with no lower Gauss rule anywhere, P with it is P itself
+        same_g = all(lv.gauss_j is lv.gauss for lv in levels)
+        rows = (0, 2) if same_g else (0, 1, 2)
+
+        profs = np.zeros((3, n_v), dtype=complex if self.pair else float)
+        major = np.zeros(n_v)
+        own = np.zeros(len(self.sides))
+        g_mass = [[0.0] * len(lv.kernels) for lv in levels]
+        edge = []
+        w_lost = math.inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
             for b0 in range(0, len(eith), nb):
                 eb, wb = eith[b0:b0 + nb], w_th[b0:b0 + nb]
-                common = np.zeros((n_v, len(eb)), dtype=complex)
-                fix = np.zeros_like(common)
-                add_direct(common, atoms, eb)
-                for i, (kr, n_fft, k_hat) in enumerate(zip(kernels, ffts, kernel_hat)):
-                    m_k = len(kr.a)
-                    u = v_lo - kr.s_max + h * np.arange(n_v + m_k - 1)
-                    g = family(u, eb)
-                    g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** p).T)))
-                    conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None],
-                                       axis=0)
-                    common += conv[m_k - 1:m_k - 1 + n_v]
-                    for k, dk in zip(kr.fix_idx, kr.fix_delta):
-                        fix += dk * g[m_k - 1 - k:m_k - 1 - k + n_v]
-                full = common.copy()
-                if gauss is not None:
-                    add_direct(full, gauss, eb)
-                prof += _nodes_dot(wb, (np.abs(full) ** p).T)
-                if gauss_j is gauss:
-                    common = full
-                else:
-                    add_direct(common, gauss_j, eb)
-                    prof_g += _nodes_dot(wb, (np.abs(common) ** p).T)
-                prof_j += _nodes_dot(wb, (np.abs(common + fix) ** p).T)
+                vals = []
+                for side, lv, gm in zip(self.sides, levels, g_mass):
+                    val, lost = side.block(lv, v, h, eb, wb, gm)
+                    vals.append(val)
+                    w_lost = min(w_lost, lost)
+                fx, gx = vals[0], vals[-1]
+                for k in rows:
+                    profs[k] += _nodes_dot(wb, self._integrand(fx[k], gx[k]).T)
+                if self.pair:
+                    major += _nodes_dot(wb, (np.abs(fx[0]) * np.abs(gx[0])).T)
+                    own += [h * float(np.sum(_nodes_dot(wb, (np.abs(val[0]) ** 2).T)))
+                            for val in vals]
                 if self.radius is not None:
-                    edge_abs = np.concatenate([edge_abs, np.abs(full[-1])])
-        shifts = [atoms[0], *(t[0] for t in (gauss, gauss_j) if t is not None)]
-        shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
-        shifts = np.concatenate([np.ravel(s) for s in shifts])
-        if gauss_j is gauss:
-            prof_g = prof
-        return _LevelSums(prof, prof_g, prof_j, [(kr.tail, gm) for kr, gm in zip(kernels, g_mass)],
-                          edge_abs, eith, float(shifts.min()), float(shifts.max()), w_lost)
+                    edge.append((np.abs(fx[0][-1]) * np.abs(gx[0][-1])) ** (0.5 * self.p))
+        if same_g:
+            profs[1] = profs[0]
+        tails = [(i, kr.tail, gm) for i, (lv, gms) in enumerate(zip(levels, g_mass))
+                 for kr, gm in zip(lv.kernels, gms)]
+        return _LevelSums(profs, major if self.pair else profs[0], tails, own,
+                          np.concatenate(edge) if edge else np.zeros(0), eith,
+                          min(lv.s_lo for lv in levels), max(lv.s_hi for lv in levels),
+                          w_lost)
 
     # -- refinement ------------------------------------------------------
 
     def _initial_window(self) -> None:
         """Window [v_lo, v_hi] and level-0 step h0: fixed edges at the inner
-        and truncation radii, free edges around the scales the source shift
-        and the measure's support set; free edges grow in _sums."""
-        sigma = self.shift if self.shift > 0.0 else 1.0
-        t_lo, t_hi = self.mu.support_infimum(), self.mu.support_supremum()
-        lo = math.log(t_lo) if t_lo > 0.0 else min(0.0, math.log(t_hi)) - 4.0
-        hi = math.log(t_hi) if math.isfinite(t_hi) else max(0.0, lo) + 4.0
+        and truncation radii, free edges around the scales the sides' shifts
+        and measures' supports set; free edges grow in _sums."""
+        lo, hi = math.inf, -math.inf
+        for side in self.sides:
+            sigma = side.shift if side.shift > 0.0 else 1.0
+            t_lo, t_hi = side.mu.support_infimum(), side.mu.support_supremum()
+            s_lo = math.log(t_lo) if t_lo > 0.0 else min(0.0, math.log(t_hi)) - 4.0
+            s_hi = math.log(t_hi) if math.isfinite(t_hi) else max(0.0, s_lo) + 4.0
+            lo = min(lo, s_lo + math.log(sigma) - 4.0)
+            hi = max(hi, s_hi + math.log(sigma) + 8.0)
         cap = _W_CAP - _S_CAP
-        lo = max(lo + math.log(sigma) - 4.0, -cap)
-        hi = min(hi + math.log(sigma) + 8.0, cap)
+        lo, hi = max(lo, -cap), min(hi, cap)
         self.left_free = self.inner == 0.0
         self.right_free = self.radius is None
         h0 = _H0
@@ -423,7 +513,7 @@ class _LogPolarNorm:
         self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, h0
         self.v_cap = math.inf  # bound on v_hi set by _cut
 
-    def _grow(self, left: bool, sums: "_LevelSums") -> bool:
+    def _grow(self, left: bool, sums: _LevelSums) -> bool:
         """Move a free edge out by half the window (at least 4, a multiple of
         h0), keeping every w = v - s of this level within the cap; False
         when there is no room left."""
@@ -467,7 +557,7 @@ class _LogPolarNorm:
         geometric tail below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower, sum with both inner
         rules one lower), left tail, right tail, whether both edges closed),
-        with a tail None where the values were not seen to decay, or a
+        with a tail None where the majorant was not seen to decay, or a
         failure reason."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
@@ -482,18 +572,17 @@ class _LogPolarNorm:
                 if not self._cut(cut):
                     return "tail"
                 n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-                sums.prof, sums.prof_g, sums.prof_j = (
-                    sums.prof[:n_v], sums.prof_g[:n_v], sums.prof_j[:n_v])
+                sums.profs, sums.major = sums.profs[:, :n_v], sums.major[:n_v]
             c = self._outer_weights(n_v)
-            cores = tuple(h * float(c @ pr) for pr in (sums.prof, sums.prof_g, sums.prof_j))
-            if not all(map(math.isfinite, cores)):
+            cores = tuple(h * (c @ pr).item() for pr in sums.profs)
+            if not all(map(cmath.isfinite, cores)):
                 return "tail"
-            tau = max(cfg.abs_tol, cfg.rel_tol * cores[0]) / 8.0
+            tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
             t_lo = t_hi = 0.0
             if self.left_free:
-                t_lo = _geometric_tail(sums.prof[m::-1], h, m, self.rate_lo)
+                t_lo = _geometric_tail(sums.major[m::-1], h, m, self.rate_lo)
             if self.right_free:
-                t_hi = _geometric_tail(sums.prof[-(m + 1):], h, m, self.rate_hi)
+                t_hi = _geometric_tail(sums.major[-(m + 1):], h, m, self.rate_hi)
             open_lo = t_lo is None or t_lo > tau
             open_hi = t_hi is None or t_hi > tau
             if not (open_lo or open_hi):
@@ -509,8 +598,9 @@ class _LogPolarNorm:
         starts at index 0, which has no lower rule to be measured against,
         so it advances at least once."""
         cfg, p = self.cfg, self.p
-        if self.mu.is_zero:
-            return IntegralResult(0.0, 0.0, 1, True)
+        levels = "lattice levels"
+        if any(side.mu.is_zero for side in self.sides):
+            return IntegralResult(0j if self.pair else 0.0, 0.0, 1, True, unit=levels)
         self._initial_window()
         self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
         self.evals = 0
@@ -524,16 +614,24 @@ class _LogPolarNorm:
                 break
             sums, (core, core_g, core_j), t_lo, t_hi, closed = out
             if not closed:  # an edge stayed open at the cap
-                value, err, reason = core + (t_lo or 0.0) + (t_hi or 0.0), math.inf, "tail"
+                value, err, reason = core, math.inf, "tail"
+                if not self.pair:
+                    value += (t_lo or 0.0) + (t_hi or 0.0)
                 break
-            value = core + t_lo + t_hi
-            value_j = core_j + t_lo + t_hi
-            # a kernel cut off with tail mass T moves F by at most T ||G||_p
-            # (Minkowski), hence the p-th power by p ||F||_p^(p-1) T ||G||_p
-            fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
-                        for t, g in sums.kernel_tails)
+            if self.pair:
+                value, value_j = core, core_j
+                # a kernel cut off with tail mass T moves its side by at most
+                # T ||G||_2 (Minkowski), hence the pairing by that times the
+                # other side's ||F||_2 (Cauchy-Schwarz)
+                fixed = sum(t * math.sqrt(g * sums.own[1 - i])
+                            for i, t, g in sums.kernel_tails)
+            else:
+                value, value_j = core + t_lo + t_hi, core_j + t_lo + t_hi
+                # ... and a norm's p-th power by p ||F||_p^(p-1) T ||G||_p
+                fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
+                            for _, t, g in sums.kernel_tails)
             if not self.right_free:
-                fixed += self._radius_tail(sums.edge_abs, sums.eith)
+                fixed += self._radius_tail(sums.edge, sums.eith)
             if prev_value is None:
                 prev_value, rule = value, 1
                 continue
@@ -542,52 +640,49 @@ class _LogPolarNorm:
             # last level used) if it advanced
             d = abs(value - value_j) + abs((value if held else value_j) - prev_value)
             err = d + t_lo + t_hi + fixed
-            tol = max(cfg.abs_tol, cfg.rel_tol * value)
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
             if fixed > tol:  # no refinement can shrink these
                 reason = "tail"
                 break
-            contracting = prev_d is not None and (d < prev_d or d <= 1e-13 * value)
+            contracting = prev_d is not None and (d < prev_d or d <= 1e-13 * abs(value))
             prev_value, prev_d = value, d
             if contracting and err <= tol:
-                return IntegralResult(value, err, lvl + 1, True)
+                return IntegralResult(value, err, lvl + 1, True, unit=levels)
             held = abs(core - core_g) <= tol / 8.0
             if not held:
                 rule += 1
-        return IntegralResult(value, err, lvl + 1, False, reason)
+        return IntegralResult(value, err, lvl + 1, False, reason, unit=levels)
 
-    def _radius_tail(self, edge_abs, eith) -> float:
-        """Analytic bound beyond |z| = R from |Hf| on that circle."""
-        radius = self.radius
-        if not (self.p * self.power > 2.0 and radius > self.shift):
+    def _radius_tail(self, edge, eith) -> float:
+        """Analytic bound beyond |z| = R from the majorant m (|Hf|^p, or
+        |Hf||Kg| for a pairing) on that circle: m <= C |z + i shift|^-P, with
+        C twice the largest sample per factor."""
+        radius, power, shift = self.radius, self.tail_power, self.tail_shift
+        if not (power > 2.0 and radius > shift):
             return 0.0
-        th = np.angle(eith)
-        hf = edge_abs * radius ** (-self.q)
-        w = np.abs(radius * np.exp(1j * th) + 1j * self.shift)
-        coeff = 2.0 * float(np.max(hf * w ** self.power))
-        return _analytic_tail_bound(coeff, radius, self.power, self.shift, self.p)
+        w = np.abs(radius * eith + 1j * shift)
+        coeff = 2.0 ** self.p * float(np.max(edge * radius ** -2.0 * w ** power))
+        return _analytic_tail_bound(coeff, radius, power, shift)
 
 
-def _dilated_norm_power(atom, source, p: float, cfg: QuadratureConfig) -> IntegralResult:
-    """A single atom c at t dilates: Hf(z) = (c/t) f(z/t), so
-    ||Hf||_p^p = (c t^(2/p-1))^p ||f||_p^p exactly, with both radii over t."""
-    t = atom.location
-    radius = cfg.halfplane_truncation_radius
-    res = bergman_norm_p_power(source, p, replace(
-        cfg,
-        halfplane_truncation_radius=None if radius is None else radius / t,
-        halfplane_inner_radius=cfg.halfplane_inner_radius / t,
-    ))
-    scale = (atom.weight * t ** (2.0 / p - 1.0)) ** p
-    res.value *= scale
-    res.error_estimate *= scale
-    return _certify(res, cfg)
+_UNIT = Measure.from_atoms((1.0, 1.0))
 
 
-def image_norm_power(f, p: float, cfg: QuadratureConfig) -> IntegralResult:
-    """||Hf||_p^p for f carrying image_of = (H, source): a single atom by
-    the dilation law, anything else on the log-polar lattice."""
+def _side(f) -> tuple:
+    """f as (measure, source, decay hint): an operator image as its
+    operator's measure and its source, any other function as its own image
+    under the unit atom."""
+    if f.image_of is None:
+        return _UNIT, f, f.decay_hint
     op, source = f.image_of
-    mu = op.effective_measure()
-    if len(mu.atoms) == 1 and not mu.segments:
-        return _dilated_norm_power(mu.atoms[0], source, p, cfg)
-    return _LogPolarNorm(mu, source, p, cfg, f.decay_hint).run()
+    return op.effective_measure(), source, f.decay_hint
+
+
+def norm_power(f, p: float, cfg: QuadratureConfig) -> IntegralResult:
+    """||f||_p^p = (1/pi) int |f|^p dA on the lattice."""
+    return _LogPolarNorm([_side(f)], p, cfg).run()
+
+
+def pairing(f, g, cfg: QuadratureConfig) -> IntegralResult:
+    """(1/pi) int f conj(g) dA on the lattice, with q = 1 on both sides."""
+    return _LogPolarNorm([_side(f), _side(g)], 2.0, cfg).run()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -71,32 +72,50 @@ _EXPR_FUNCTIONS = {
 }
 _EXPR_CONSTANTS = {"pi": math.pi, "e": math.e}
 _EXPR_NAMES = {**_EXPR_FUNCTIONS, **_EXPR_CONSTANTS}
-_EXPR_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+_EXPR_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                   ast.Div: operator.truediv, ast.Pow: operator.pow,
+                   ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _check_expr(node: ast.AST) -> None:
+def _check_expr(node: ast.AST) -> float | None:
     """Raise ValueError unless node is arithmetic on numbers, t, the listed
     constants and calls of the listed functions.  A density expression comes
-    from measure JSON, which is untrusted: nothing else may run."""
+    from measure JSON, which is untrusted: nothing else may run.
+
+    Returns the value of a constant node, computed in doubles, or None for a
+    node that depends on t or calls a function.  A constant that is not a
+    finite double (9**9**9, 1/0) is refused: evaluated with Python integers
+    at every density call, it could take unbounded time and memory."""
     if isinstance(node, ast.Expression):
         return _check_expr(node.body)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPERATORS):
-        _check_expr(node.left)
-        return _check_expr(node.right)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _EXPR_OPERATORS):
-        return _check_expr(node.operand)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return None
-    if isinstance(node, ast.Name) and (node.id == "t" or node.id in _EXPR_CONSTANTS):
-        return None
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPERATORS:
+        args = (_check_expr(node.left), _check_expr(node.right))
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPERATORS:
+        args = (_check_expr(node.operand),)
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        args = None
+    elif isinstance(node, ast.Name) and (node.id == "t" or node.id in _EXPR_CONSTANTS):
+        return _EXPR_CONSTANTS.get(node.id)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
         for arg in node.args:
             _check_expr(arg)
         return None
-    raise ValueError(f"density expression may use only arithmetic, numbers, t, "
-                     f"{', '.join(_EXPR_NAMES)}; found {type(node).__name__} "
-                     f"{ast.unparse(node)[:40]!r}")
+    else:
+        raise ValueError(f"density expression may use only arithmetic, numbers, t, "
+                         f"{', '.join(_EXPR_NAMES)}; found {type(node).__name__} "
+                         f"{ast.unparse(node)[:40]!r}")
+    if args is not None and None in args:
+        return None
+    try:
+        value = (float(node.value) if args is None
+                 else _EXPR_OPERATORS[type(node.op)](*args))
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ValueError(f"density expression constant {ast.unparse(node)[:40]!r} "
+                         "is not a finite real double")
+    return value
 
 
 def _density_from_spec(spec: DensitySpec) -> Callable:
@@ -158,7 +177,25 @@ class DensitySegment:
     def from_spec(cls, lower: float, upper: float, spec: DensitySpec,
                   exp_lo: float | None = None,
                   exp_hi: float | None = None) -> "DensitySegment":
-        return cls(lower, upper, _density_from_spec(spec), exp_lo, exp_hi, spec)
+        seg = cls(lower, upper, _density_from_spec(spec), exp_lo, exp_hi, spec)
+        seg._check_nonnegative()
+        return seg
+
+    def _check_nonnegative(self) -> None:
+        """Raise ValueError if the density takes negative values: decided from
+        the coefficient of a const, power or exp density, and by sampling
+        an expr density at 16 nodes spread in log t over the segment."""
+        kind, params = self.spec
+        if kind == "expr":
+            lo = self.lower if self.lower > 0.0 else min(1.0, self.upper) * 1e-6
+            hi = self.upper if math.isfinite(self.upper) else max(1.0, self.lower) * 1e6
+            with np.errstate(all="ignore"):
+                ok = bool(np.all(self.density(np.geomspace(lo, hi, 18)[1:-1]) >= 0.0))
+        else:
+            ok = float(params[0]) >= 0.0
+        if not ok:
+            raise ValueError(f"density {kind} {list(params)!r} on "
+                             f"({self.lower}, {self.upper}) takes negative values")
 
     @property
     def touches_zero(self) -> bool:

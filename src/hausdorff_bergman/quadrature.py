@@ -1,28 +1,19 @@
-"""Adaptive quadrature engines.
+"""One-dimensional adaptive quadrature, and the entry points of the
+half-plane norms and pairings.
 
-One refinement pool serves one and two dimensional integrals.  A panel is
-a box of (lo, hi) sides, evaluated by a 15-point Kronrod rule with the
-embedded 7-point Gauss estimate for the local error (tensor rules on
-two-sided boxes); the panel with the largest error is split first, halving
-every side.
+A refinement pool of Kronrod panels integrates over finite,
+half-infinite and (0, inf) intervals: each panel is evaluated by a
+15-point Kronrod rule with the embedded 7-point Gauss estimate for the
+local error, and the panel with the largest error is split in half first.
+Improper endpoints are removed by the logarithmic substitutions t = a*e^u
+(at infinity) and t = b*e^(-u) (at zero), after which the transformed
+integrand decays exponentially for every integrand this package produces;
+the half-line in u is swept in doubling blocks until the remainder is
+negligible.
 
-One dimensional integration covers finite, half-infinite and (0, inf)
-intervals.  Improper endpoints are removed by the logarithmic
-substitutions t = a*e^u (at infinity) and t = b*e^(-u) (at zero), after
-which the transformed integrand decays exponentially for every integrand
-this package produces.
-
-Two dimensional integration over the upper half-plane works in polar
-coordinates: the pool refines a log-graded annulus of (r, theta) panels,
-and the regions below and beyond it are swept in log radius.  Norms and
-pairings are one integral each; a pairing's payload is complex.  Bergman
-norms of operator images (functions carrying image_of, as
-hausdorff.as_function returns them) go instead to the log-polar engine in
-logpolar.py, which exploits that the operator commutes with dilations.
-
-Every half-line, in either dimension, is covered by the same sweep:
-doubling blocks in u (one panel per block in 1-D, four theta panels in
-2-D) until the remainder is negligible.
+Bergman norms and pairings over the upper half-plane are computed on the
+log-polar lattice of logpolar.py, for operator images and plain functions
+alike.
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -30,7 +21,6 @@ repeated runs produce bitwise identical results.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -101,12 +91,15 @@ _U_BLOCK_MAX = 32.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive integrators.
+    """Tolerances and budgets for the integrators.
 
-    halfplane_truncation_radius, when set, truncates the half-plane
-    integrals at |z| = R instead of sweeping the far field numerically; the
-    reported error then includes an analytic tail bound derived from the
-    integrand's decay hint.  halfplane_inner_radius excludes a central disk.
+    max_subdivisions bounds the panel bisections of a one-dimensional
+    integral; on the log-polar lattice it is a budget of 10,000 family
+    evaluations per unit.  halfplane_truncation_radius, when set, truncates
+    the half-plane integrals at |z| = R instead of closing the far field
+    numerically; the reported error then includes an analytic tail bound
+    from the integrand's values on that circle and its decay hint.
+    halfplane_inner_radius excludes a central disk.
     """
 
     rel_tol: float = 1e-8
@@ -134,13 +127,13 @@ class QuadratureConfig:
 
 @dataclass
 class IntegralResult:
-    """Outcome of an adaptive integration.
+    """Outcome of an integration.
 
     failure_reason is None when converged, otherwise 'budget' (subdivision
-    budget exhausted) or 'tail' (an improper tail kept contributing up to
-    the representable sweep limit).  subdivisions_used counts panel
-    bisections on the adaptive paths and refinement levels on the log-polar
-    engine.
+    or evaluation budget exhausted) or 'tail' (an improper tail kept
+    contributing up to the representable limit).  subdivisions_used counts
+    what unit names: panel bisections ("subdivisions") in one dimension,
+    refinement levels ("lattice levels") on the log-polar lattice.
     """
 
     value: complex | float
@@ -148,13 +141,14 @@ class IntegralResult:
     subdivisions_used: int
     converged: bool
     failure_reason: str | None = None
+    unit: str = "subdivisions"
 
     def require_converged(self, what: str = "integral") -> "IntegralResult":
         if not self.converged:
             raise QuadratureFailure(
                 f"{what} did not converge (reason: {self.failure_reason}, "
                 f"error~{self.error_estimate:.3g} after "
-                f"{self.subdivisions_used} subdivisions)"
+                f"{self.subdivisions_used} {self.unit})"
             )
         return self
 
@@ -218,50 +212,17 @@ def _gk_panel(f, a: float, b: float):
     return k, esup
 
 
-def _panel2d(g, box):
-    """One tensor Kronrod/Gauss evaluation on the box ((a0, a1), (b0, b1)).
-
-    g maps node arrays u (15,) and v (15,) to real or complex values of
-    shape (15, 15); returns the Kronrod estimate and the panel error.
-    """
-    (a0, a1), (b0, b1) = box
-    cu, hu = 0.5 * (a0 + a1), 0.5 * (a1 - a0)
-    cv, hv = 0.5 * (b0 + b1), 0.5 * (b1 - b0)
-    u = cu + hu * _XGK
-    v = cv + hv * _XGK
-    with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                     divide="ignore"):
-        vals = np.asarray(g(u, v))
-        k = hu * hv * (_WGK @ vals @ _WGK).item()
-        # a contiguous copy: a strided view takes another matmul loop, which
-        # rounds differently
-        gauss = np.ascontiguousarray(vals[1::2, 1::2])
-        gg = hu * hv * (_WG @ gauss @ _WG).item()
-        raw = abs(k - gg)
-        mean = k / ((a1 - a0) * (b1 - b0))
-        resasc = hu * hv * float(_WGK @ np.abs(vals - mean) @ _WGK)
-    if resasc > 0.0 and math.isfinite(resasc):
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    if not cmath.isfinite(k):
-        err = math.inf
-    return k, err
-
-
 class _Pool:
-    """Global worst-panel-first refinement over boxes of (lo, hi) sides.
-
-    A box with one side is a Kronrod panel, one with two sides a tensor
-    Kronrod panel; splitting halves every side, giving 2 or 4 children.
-    Panels carry their own integrand, so log-substituted blocks mix freely
-    with direct ones.  Running sums are maintained incrementally; the final
-    value is re-summed over the surviving panels in a deterministic order.
+    """Global worst-panel-first refinement over Kronrod panels; splitting
+    halves a panel.  Panels carry their own integrand, so log-substituted
+    blocks mix freely with direct ones.  Running sums are maintained
+    incrementally; the final value is re-summed over the surviving panels
+    in a deterministic order.
     """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
-        self._heap: list[tuple[float, int, tuple, Callable, object]] = []
+        self._heap: list[tuple[float, int, float, float, Callable, object]] = []
         self._final: list[object] = []
         self._counter = 0
         # running sum: a Python scalar for scalar payloads, an array for
@@ -276,11 +237,11 @@ class _Pool:
         with np.errstate(invalid="ignore"):
             self.value = self.value + sign * k
 
-    def add(self, g: Callable, box: tuple) -> tuple[object, float]:
-        k, err = _gk_panel(g, *box[0]) if len(box) == 1 else _panel2d(g, box)
+    def add(self, g: Callable, lo: float, hi: float) -> tuple[object, float]:
+        k, err = _gk_panel(g, lo, hi)
         self._acc(k, 1.0)
         self._err_sum += err
-        heapq.heappush(self._heap, (-err, self._counter, box, g, k))
+        heapq.heappush(self._heap, (-err, self._counter, lo, hi, g, k))
         self._counter += 1
         return k, err
 
@@ -295,10 +256,9 @@ class _Pool:
     def refine(self) -> None:
         """Refine until converged or the subdivision budget is spent."""
         while self._err_sum > self._target() and self._heap:
-            neg_err, _, box, g, k = self._heap[0]
+            neg_err, _, lo, hi, g, k = self._heap[0]
             err = -neg_err
-            if err <= 0.0 or all(hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1.0)
-                                 for lo, hi in box):
+            if err <= 0.0 or hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1.0):
                 heapq.heappop(self._heap)
                 self._final.append(k)
                 continue
@@ -308,17 +268,14 @@ class _Pool:
             heapq.heappop(self._heap)
             self._acc(k, -1.0)
             self._err_sum -= err
-            children = [()]
-            for lo, hi in box:
-                m = 0.5 * (lo + hi)
-                children = [c + (side,) for side in ((lo, m), (m, hi)) for c in children]
-            for child in children:
-                self.add(g, child)
+            mid = 0.5 * (lo + hi)
+            self.add(g, lo, mid)
+            self.add(g, mid, hi)
             self.subdivisions += 1
 
     def final_value(self):
         """Deterministic fixed-order pairwise re-summation of all panels."""
-        vals = [k for _, _, _, _, k in self._heap] + self._final
+        vals = [entry[-1] for entry in self._heap] + self._final
         if not vals:
             return 0.0
         return np.sum(np.array(vals), axis=0)
@@ -331,26 +288,22 @@ def _as_scalar(value):
 
 
 def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float,
-           block_panels: Callable) -> tuple[float, str | None]:
-    """Integrate over u in [0, inf) assuming eventual exponential decay.
+           g: Callable) -> tuple[float, str | None]:
+    """Integrate g over u in [0, inf) assuming eventual exponential decay.
 
-    Doubling blocks [0,1], [1,2], [2,4], ... feed the shared pool, each as
-    the (integrand, box) panels block_panels(lo, hi) returns; the sweep ends
-    once two consecutive blocks are negligible (and either some mass has
-    been seen or a minimum extent has been covered), or at u_cap.  Returns
-    the tail allowance and the failure reason (None, 'budget' or 'tail').
+    Doubling blocks [0,1], [1,2], [2,4], ... feed the shared pool as one
+    panel each; the sweep ends once two consecutive blocks are negligible
+    (and either some mass has been seen or a minimum extent has been
+    covered), or at u_cap.  Returns the tail allowance and the failure
+    reason (None, 'budget' or 'tail').
     """
     lo, width = 0.0, 1.0
     quiet = 0
     prev_block = None
     while True:
         hi = min(lo + width, u_cap)
-        block = 0.0
-        block_err = 0.0
-        for g, box in block_panels(lo, hi):
-            k, err = pool.add(g, box)
-            block += _sup(k)
-            block_err += err
+        k, block_err = pool.add(g, lo, hi)
+        block = _sup(k)
         pool.refine()
         if pool.exhausted:
             return 0.0, "budget"
@@ -376,14 +329,8 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float,
 
 
 def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
-            reason: str | None = None,
-            radius_tail: float | None = None) -> IntegralResult:
-    """Reserve the tail allowance, refine, certify and report.
-
-    radius_tail, given when the domain was truncated at an explicit radius,
-    is the analytic bound on the integral beyond it: it is added to the
-    error and the converged flag is checked again against the result.
-    """
+            reason: str | None = None) -> IntegralResult:
+    """Reserve the tail allowance, refine, certify and report."""
     pool.reserved_error = tail_rem
     pool.refine()
     if reason is None and pool.exhausted:
@@ -394,17 +341,13 @@ def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
     ok = bool(reason is None and math.isfinite(val_sup) and total_err <= max(
         cfg.abs_tol, cfg.rel_tol * val_sup
     ))
-    res = IntegralResult(
+    return IntegralResult(
         value=_as_scalar(pool.final_value()),
         error_estimate=total_err,
         subdivisions_used=pool.subdivisions,
         converged=ok,
         failure_reason=None if ok else reason or "budget",
     )
-    if radius_tail is None:
-        return res
-    res.error_estimate += radius_tail
-    return _certify(res, cfg)
 
 
 def _jac_apply(f, t, jac):
@@ -455,114 +398,15 @@ def integrate_segment(f, lo: float, hi: float,
             t = b * np.exp(-u)
             return _jac_apply(f, t, t)
     else:
-        pool.add(f, ((lo, hi),))
+        pool.add(f, lo, hi)
         return _finish(pool, cfg)
-    tail_rem, reason = _sweep(pool, cfg, u_cap, lambda u0, u1: [(g, ((u0, u1),))])
+    tail_rem, reason = _sweep(pool, cfg, u_cap, g)
     return _finish(pool, cfg, tail_rem, reason)
 
 
 # ---------------------------------------------------------------------------
-# two-dimensional polar integration over the upper half-plane
+# norms and pairings over the upper half-plane
 # ---------------------------------------------------------------------------
-
-
-def _certify(res: IntegralResult, cfg: QuadratureConfig) -> IntegralResult:
-    """Re-check the converged flag against the reported error estimate."""
-    ok = (res.converged and math.isfinite(abs(res.value))
-          and res.error_estimate <= max(cfg.abs_tol,
-                                        cfg.rel_tol * abs(res.value)))
-    if not ok and res.failure_reason is None:
-        res.failure_reason = "tail"
-    res.converged = bool(ok)
-    return res
-
-
-def _estimate_decay_coeff(func, radius: float, power: float, shift: float) -> float:
-    """Sample |f| on the arc |z| = radius; coefficient for C*|z+i*shift|^-power."""
-    th = np.linspace(0.0, math.pi, 65)[1:-1]
-    z = radius * np.exp(1j * th)
-    w = np.abs(z + 1j * shift)
-    c = float(np.max(np.abs(np.asarray(func(z))) * w**power))
-    return 2.0 * max(c, 0.0)
-
-
-def _analytic_tail_bound(coeff: float, radius: float, power: float, shift: float,
-                         p: float) -> float:
-    """Bound on (1/pi) * integral over |z| > radius of (C|z+i*shift|^-q)^p dA."""
-    pq = p * power
-    if pq <= 2.0 or radius <= shift:
-        return math.inf
-    u = radius - shift
-    core = u ** (2.0 - pq) / (pq - 2.0) + shift * u ** (1.0 - pq) / (pq - 1.0)
-    return (coeff**p) * core
-
-
-def _polar_integral(integrand, cfg: QuadratureConfig, scale: float,
-                    far_shift: float, decay: tuple) -> IntegralResult:
-    """(1/pi) * integral of integrand(z) over the half-plane, |z| > r_inner.
-
-    In polar coordinates a log-graded annulus is refined adaptively; the
-    regions below its inner edge and beyond its outer radius (by default
-    max(16, 8 * (1 + far_shift))) are swept in log radius, where operator
-    outputs with integrable origin/far-field behaviour become decaying
-    exponentials.  With an explicit truncation radius the annulus ends
-    there, and the analytic bound beyond it comes from
-    decay = (func, power, shift, p): |integrand| = |func|^p, with |func|
-    decaying like C |z + i*shift|^-power.
-    """
-    explicit = cfg.halfplane_truncation_radius
-    r_core = explicit if explicit is not None else max(16.0, 8.0 * (1.0 + far_shift))
-    r_lo = cfg.halfplane_inner_radius
-    if r_lo >= r_core:
-        raise ValueError("inner radius must be smaller than the core radius")
-    inner_edge = r_lo if r_lo > 0.0 else max(min(1.0, scale), r_core / 4096.0)
-
-    thetas = [j * math.pi / 4.0 for j in range(5)]
-
-    def h(r, th):
-        z = r[:, None] * np.exp(1j * th[None, :])
-        return integrand(z) * (r[:, None] / math.pi)
-
-    def ring(r_of_u):
-        """A u-block's four theta panels of h, with r = r_of_u(u)."""
-        def h_u(u, th):
-            r = r_of_u(u)
-            return h(r, th) * r[:, None]
-
-        return lambda lo, hi: [(h_u, ((lo, hi), (thetas[j], thetas[j + 1])))
-                               for j in range(4)]
-
-    pool = _Pool(cfg)
-    breaks = [r_core]
-    while breaks[-1] / 2.0 > inner_edge:
-        breaks.append(breaks[-1] / 2.0)
-    breaks.append(inner_edge)
-    breaks.reverse()
-    for i in range(len(breaks) - 1):
-        for j in range(4):
-            pool.add(h, ((breaks[i], breaks[i + 1]), (thetas[j], thetas[j + 1])))
-    pool.refine()
-
-    tail_rem = 0.0
-    reason = "budget" if pool.exhausted else None
-    if reason is None and r_lo == 0.0:
-        down_cap = min(_U_CAP, 690.0 + min(0.0, math.log(inner_edge)))
-        rem, reason = _sweep(pool, cfg, down_cap,
-                             ring(lambda u: inner_edge * np.exp(-u)))
-        tail_rem += rem
-    if reason is None and explicit is None:
-        up_cap = min(_U_CAP, 690.0 - math.log(max(r_core, 1.0)))
-        rem, reason = _sweep(pool, cfg, up_cap, ring(lambda u: r_core * np.exp(u)))
-        tail_rem += rem
-
-    radius_tail = None
-    if explicit is not None:
-        func, power, shift, p = decay
-        radius_tail = 0.0
-        if p * power > 2.0 and explicit > shift:
-            coeff = _estimate_decay_coeff(func, explicit, power, shift)
-            radius_tail = _analytic_tail_bound(coeff, explicit, power, shift, p)
-    return _finish(pool, cfg, tail_rem, reason, radius_tail)
 
 
 def bergman_norm_p_power(f, p: float,
@@ -570,28 +414,24 @@ def bergman_norm_p_power(f, p: float,
     """The p-th power of the Bergman norm: (1/pi) * integral of |f|^p dA.
 
     f must expose decay_hint = (power at infinity, reference shift) and be
-    callable on complex arrays.  An operator image (image_of set, as
-    `as_function` returns it) goes to the log-polar engine in logpolar.py;
-    anything else to the adaptive polar quadrature.
+    callable on complex arrays.  The norm is computed on the log-polar
+    lattice of logpolar.py: an operator image (image_of set, as
+    `as_function` returns it) from its source, any other function from its
+    own values.
     """
     cfg = cfg or QuadratureConfig()
     if p < 1:
         raise ValueError("p must be >= 1")
-    power, shift = f.decay_hint
+    power, _ = f.decay_hint
     if p * power <= 2.0 and cfg.halfplane_truncation_radius is None:
         raise NonIntegrableAtInfinity(
             f"decay power {power} gives p*power = {p * power:.3g} <= 2; "
             "supply an explicit truncation radius"
         )
-    if getattr(f, "image_of", None) is not None:
-        # imported here: logpolar builds on this module, and only operator
-        # images need it
-        from .logpolar import image_norm_power
+    # imported here: logpolar builds on this module
+    from .logpolar import norm_power
 
-        return image_norm_power(f, p, cfg)
-    return _polar_integral(lambda z: np.abs(np.asarray(f(z))) ** p, cfg,
-                           scale=max(shift, 1e-3), far_shift=shift,
-                           decay=(f, power, shift, p))
+    return norm_power(f, p, cfg)
 
 
 def bergman_norm_p(f, p: float,
@@ -618,24 +458,19 @@ def bergman_norm_p(f, p: float,
         subdivisions_used=res.subdivisions_used,
         converged=converged,
         failure_reason=res.failure_reason,
+        unit=res.unit,
     )
 
 
 def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """Duality pairing (1/pi) * integral of f * conj(g) over the half-plane."""
+    """Duality pairing (1/pi) * integral of f * conj(g) over the half-plane,
+    on the log-polar lattice; the value is complex."""
     cfg = cfg or QuadratureConfig()
-    pf, sf = f.decay_hint
-    pg, sg = g.decay_hint
-    total_power = pf + pg
+    total_power = f.decay_hint[0] + g.decay_hint[0]
     if total_power <= 2.0 and cfg.halfplane_truncation_radius is None:
         raise NonIntegrableAtInfinity(
             f"decay powers sum to {total_power:.3g} <= 2; pairing not integrable"
         )
+    from .logpolar import pairing as lattice_pairing
 
-    def prod(z):
-        # complex also for real-valued families: the pairing is complex
-        return np.asarray(f(z), dtype=complex) * np.conj(np.asarray(g(z)))
-
-    return _polar_integral(prod, cfg, scale=max(min(sf, sg), 1e-3),
-                           far_shift=max(sf, sg),
-                           decay=(prod, total_power, min(sf, sg), 1.0))
+    return lattice_pairing(f, g, cfg)

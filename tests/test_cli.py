@@ -204,6 +204,36 @@ def test_expr_densities_of_the_library_still_load(tmp_path, capsys):
         assert float(capsys.readouterr().out.split()[0]) > 0.0
 
 
+@pytest.mark.parametrize("source", ["9**9**9 * t", "t + 10**400", "exp(2**2**2**2**2)", "1/0"])
+def test_expr_density_with_an_unbounded_constant_is_usage_error(tmp_path, capsys, source):
+    # constant arithmetic is done in doubles when the measure is read: a
+    # constant beyond them is refused instead of being computed with Python
+    # integers at every density call
+    code = main(["moment", "-m", _expr_measure(tmp_path, source), "--alpha", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load measure") and err.count("\n") == 1
+    assert "is not a finite real double" in err
+
+
+@pytest.mark.parametrize("lo, hi, density", [
+    (1.0, 2.0, {"kind": "const", "params": [-1.0]}),
+    (0.5, 3.0, {"kind": "power", "params": [-0.7, 1.3]}),
+    (1.0, 4.0, {"kind": "exp", "params": [-2.0, 1.0]}),
+    (1.0, 2.0, {"kind": "expr", "params": ["t - 1.5"]}),
+    (0.0, 1.0, {"kind": "expr", "params": ["log(t)"]}),
+])
+def test_negative_density_is_usage_error(tmp_path, capsys, lo, hi, density):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"atoms": [], "segments": [
+        {"lo": lo, "hi": hi, "density": density, "exp_lo": 0.0}]}))
+    code = main(["moment", "-m", str(path), "--alpha", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load measure") and err.count("\n") == 1
+    assert "takes negative values" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep + plotdata
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The log-polar engine for norms of operator images.
+"""The log-polar engine, the one half-plane engine for norms and pairings.
 
-`bergman_norm_p_power` sends every function that `as_function` returns to
-the engine in quadrature.py.  These tests hold it to closed forms (each
-checks |value - exact| <= error_estimate whenever the result is converged),
-cross-check it against the adaptive nested path, and pin the ways an
-operator image can be built and changed.
+`bergman_norm_p_power` and `pairing` send every function to the engine in
+logpolar.py.  These tests hold it to closed forms and to quadratures
+independent of it (each checks |value - exact| <= error_estimate whenever
+the result is converged), check its inner convolution against the nested
+point evaluator, and pin the ways an operator image can be built and
+changed.
 
 Notation: f_{eps,a}(z) = (z + i eps)^-a and, for t > 0,
 (1/t) f_{eps,a}(z/t) = t^(a-1) (z + i eps t)^-a.  At p = 2 the pairing
@@ -24,10 +25,14 @@ from hausdorff_bergman import (
     DensitySegment,
     HausdorffOperator,
     Measure,
+    ModulusFunction,
     QuadratureConfig,
+    QuadratureFailure,
+    TestFunction,
     as_function,
     bergman_norm_p,
     bergman_norm_p_power,
+    pairing,
     quasi_as_function,
     rational_power,
 )
@@ -128,7 +133,7 @@ def test_slow_decay_feps_0025():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 def test_single_atom_dilation_law(p):
-    # a single atom is a dilation: the engine scales the source's own norm
+    # a single atom is a dilation: the norm scales the source's own
     t, w = 2.5, 0.7
     mu = Measure.from_atoms((t, w))
     for a, eps in ((2.0 / p + 1.0, 1.0), (2.0 / p + 0.3, 0.3)):
@@ -139,13 +144,13 @@ def test_single_atom_dilation_law(p):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("eps", [0.05, 0.025, 0.0125])
 def test_lattice_on_one_atom_at_slow_decay(p, eps):
-    # the lattice itself (not the dilation shortcut) on one atom: |F|^p
-    # decays like e^(-p eps v), and at p <= 1.5 f underflows before the far
-    # edge can close, so a converged result must still bound its error
+    # one atom on the lattice: |F|^p decays like e^(-p eps v), and at
+    # p <= 1.5 f underflows before the far edge can close, so a converged
+    # result must still bound its error
     t, w = 2.5, 0.7
     a = 2.0 / p + eps
     f = rational_power(eps, a)
-    res = _LogPolarNorm(Measure.from_atoms((t, w)), f, p, CFG, f.decay_hint).run()
+    res = _LogPolarNorm([(Measure.from_atoms((t, w)), f, f.decay_hint)], p, CFG).run()
     exact = (w * t ** (2.0 / p - 1.0)) ** p * ratpow_norm_power(p, a, eps)
     if res.converged:
         assert_within(res, exact)
@@ -229,11 +234,127 @@ def test_held_gauss_rule_against_double_moment(eps):
 
 
 # ---------------------------------------------------------------------------
-# the engine against the adaptive nested path
+# plain functions and pairings against closed forms
+# ---------------------------------------------------------------------------
+
+# the Gamma oracles are computed in doubles: a few units of rounding are
+# allowed on top of error_estimate
+ROUNDING = 4.0 * 2.0 ** -52
+
+
+def within_rounding(res, exact) -> bool:
+    return abs(res.value - exact) <= res.error_estimate + ROUNDING * abs(exact)
+
+
+def ratpow_pairing(a: float, alpha: float, beta: float) -> float:
+    """<(z + i alpha)^-a, (z + i beta)^-a> in closed form."""
+    return pairing_constant(a) * (alpha + beta) ** (2.0 - 2.0 * a)
+
+
+def log_panel_integral(h, lo: float, hi: float, panels: int = 48) -> float:
+    """integral of h over [lo, hi] by 60-point Gauss-Legendre on panels equal
+    in log t."""
+    x, w = np.polynomial.legendre.leggauss(60)
+    edges = np.exp(np.linspace(math.log(lo), math.log(hi), panels + 1))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * x).ravel()
+    return float(((half[:, None] * w).ravel()) @ h(t))
+
+
+def test_plain_feps_norms_against_gamma_closed_form():
+    # f_eps = (z + i eps)^-(2/p + eps) on the lattice as the unit atom's
+    # image, over p in {1, 1.5, 2, 4}, eps in {0.1, ..., 0.0125} and two
+    # tolerances.  At the smallest p * eps the far edge needs hundreds of
+    # units of log r and may end in 'tail'; every converged result must
+    # bound its error
+    converged = 0
+    for rel_tol in (1e-6, 1e-9):
+        cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-10)
+        for p in (1.0, 1.5, 2.0, 4.0):
+            for eps in (0.1, 0.05, 0.025, 0.0125):
+                res = bergman_norm_p_power(TestFunction(p, eps).as_function(), p, cfg)
+                exact = ratpow_norm_power(p, 2.0 / p + eps, eps)
+                if res.converged:
+                    converged += 1
+                    assert within_rounding(res, exact), (rel_tol, p, eps, res, exact)
+                else:
+                    assert res.failure_reason == "tail"
+    assert converged >= 23
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_plain_gmod_norms_against_gamma_closed_form(rel_tol):
+    # |g|^p = |z + i delta|^-(2 + lam) is |(z + i delta)^-a|^p at p a = 2 + lam
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-10)
+    for p in (1.0, 2.0, 4.0):
+        for lam in (0.1, 2.0):
+            for delta in (0.05, 2.0):
+                res = bergman_norm_p_power(ModulusFunction(lam, delta, p).as_function(), p, cfg)
+                exact = ratpow_norm_power(p, (2.0 + lam) / p, delta)
+                assert res.converged, (p, lam, delta, res)
+                assert within_rounding(res, exact), (p, lam, delta, res, exact)
+
+
+def adjoint_sides(mu, alpha, beta, a, cfg):
+    """<Hf, g> and <f, H*g> for f = (z + i alpha)^-a, g = (z + i beta)^-a."""
+    f, g = rational_power(alpha, a), rational_power(beta, a)
+    hf = as_function(HausdorffOperator(mu, 2.0), f, cfg.tighter())
+    hstar_g = quasi_as_function(mu, g, p=2.0, cfg=cfg.tighter())
+    return pairing(hf, g, cfg), pairing(f, hstar_g, cfg)
+
+
+# (1/t) f(z/t) = t^(a-1) (z + i alpha t)^-a and t g(tz) = t^(1-a) (z + i beta/t)^-a,
+# so both sides of the adjoint identity equal
+# integral of t^(a-1) P(alpha t, beta, a) dmu(t), with P the pairing above
+@pytest.mark.parametrize("atoms", [((2.0, 1.0),), ((0.5, 1.5), (3.0, 0.5))])
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_atom_pairings_against_closed_form(atoms, beta, rel_tol):
+    # the atom measures and pairs of the acceptance test of the adjoint identity
+    a, alpha = 2.0, 1.0
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-10)
+    exact = sum(w * t ** (a - 1.0) * ratpow_pairing(a, alpha * t, beta) for t, w in atoms)
+    for res in adjoint_sides(Measure.from_atoms(*atoms), alpha, beta, a, cfg):
+        assert isinstance(res.value, complex)
+        assert res.converged, res
+        assert within_rounding(res, exact), (res, exact)
+
+
+@pytest.mark.parametrize("a,alpha,beta", [(2.0, 1.0, 2.0), (1.5, 0.3, 1.0)])
+def test_exp_measure_pairings_against_panel_quadrature(a, alpha, beta):
+    # e^-t on (0, inf): both sides are convolutions with kernels cut off at
+    # both ends; e^-t beyond t = 80 and the integrand below 1e-14 are far
+    # below the tolerance
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+    exact = log_panel_integral(
+        lambda t: np.exp(-t) * t ** (a - 1.0) * ratpow_pairing(a, alpha * t, beta),
+        1e-14, 80.0)
+    for res in adjoint_sides(exp_measure(), alpha, beta, a, cfg):
+        assert res.converged, res
+        assert within_rounding(res, exact), (res, exact)
+
+
+def test_lattice_failure_message_counts_levels():
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=1)
+    res = bergman_norm_p(as_function(HausdorffOperator(exp_measure(), 2.0),
+                                     rational_power(1.0, 2.0), cfg.tighter()), 2.0, cfg)
+    assert (res.converged, res.failure_reason, res.unit) == (False, "budget", "lattice levels")
+    with pytest.raises(QuadratureFailure, match=(
+            r"^norm did not converge \(reason: budget, error~\S+ after "
+            rf"{res.subdivisions_used} lattice levels\)$")):
+        res.require_converged("norm")
+
+
+# ---------------------------------------------------------------------------
+# the inner convolution against the nested point evaluator
 # ---------------------------------------------------------------------------
 
 
 def nested(hf):
+    """hf without its image record: both share the outer lattice, but the
+    copy's values come from the nested point evaluator (one 1-D inner
+    quadrature per lattice point) instead of the lattice's own convolution,
+    so these tests check that convolution and its inner rules."""
     return dataclasses.replace(hf, image_of=None)
 
 
@@ -358,7 +479,7 @@ def test_budget_counts_direct_gauss_terms():
     runs = {}
     for subdivisions in (20, 2000):
         cfg = dataclasses.replace(CFG, max_subdivisions=subdivisions)
-        engine = _LogPolarNorm(mu, f, 2.0, cfg, f.decay_hint)
+        engine = _LogPolarNorm([(mu, f, f.decay_hint)], 2.0, cfg)
         runs[subdivisions] = engine.run()
         assert 0 < engine.evals <= engine.budget
     assert runs[20].failure_reason == "budget"
