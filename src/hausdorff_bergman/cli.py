@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
-import time
 from pathlib import Path
 
 from . import harness
@@ -26,7 +24,6 @@ from .measure import (
     Measure,
     classify_boundedness,
     load_measure,
-    measure_from_json,
     moment,
     pushforward_inverse,
 )
@@ -201,29 +198,25 @@ def cmd_sweep(args) -> int:
     mu = _load_measure_arg(args.measure)
     cfg = _config_from_args(args)
     epsilons = tuple(float(e) for e in args.epsilons.split(","))
-    t0 = time.perf_counter()
-    sweep = harness.run_sharpness_sweep(mu, args.p, epsilons, cfg,
-                                        truncation=args.delta)
-    runtime_ms = int(round(1000 * (time.perf_counter() - t0)))
-    report = harness.sweep_to_report(sweep, cfg, runtime_ms)
+    report = harness.run_sharpness_experiment(mu, args.p, epsilons, args.delta, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sharpness" if args.delta is None else "truncated",
         "p": args.p,
         "delta": args.delta,
-        "epsilons": list(sweep.epsilons),
-        "ratios": list(sweep.ratios),
-        "target": sweep.target,
-        "extrapolated": sweep.extrapolated,
+        "epsilons": report.parameters["epsilons"],
+        "ratios": report.details["ratios"],
+        "target": report.expected,
+        "extrapolated": report.computed,
         "passed": report.passed,
     }
     outdir = args.outdir or Path(".")
     path = outdir / "sweep.json"
     _write_json(path, payload)
-    for eps, ratio in zip(sweep.epsilons, sweep.ratios):
+    for eps, ratio in zip(payload["epsilons"], payload["ratios"]):
         print(f"eps={eps:g} ratio={ratio:.10g}")
-    print(f"extrapolated {sweep.extrapolated:.10g}")
-    print(f"target {sweep.target:.10g}")
+    print(f"extrapolated {report.computed:.10g}")
+    print(f"target {report.expected:.10g}")
     print(path)
     return 0 if report.passed else 1
 
@@ -248,102 +241,6 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
-_BUILTIN_SUITE = {
-    "experiments": [
-        {"kind": "gnorm", "lambdas": [1.0], "deltas": [1.0, 2.0], "p": 2.0},
-        {"kind": "sharpness", "p": 2.0, "epsilons": [0.2, 0.1, 0.05],
-         "measure": {"atoms": [], "segments": [
-             {"lo": 1.0, "hi": 2.0,
-              "density": {"kind": "const", "params": [1.0]}}]}},
-        {"kind": "truncated", "p": 1.0, "delta": 0.25,
-         "epsilons": [0.2, 0.1, 0.05],
-         "measure": {"atoms": [], "segments": [
-             {"lo": 0.0, "hi": "inf",
-              "density": {"kind": "exp", "params": [1.0, 1.0]},
-              "exp_lo": 0.0, "exp_hi": "-inf"}]}},
-        {"kind": "sector", "case": "I", "p": 6.0, "eps": 0.05, "samples": 4000},
-        {"kind": "sector", "case": "II", "p": 2.0, "eps": 0.4, "samples": 4000},
-        {"kind": "sector", "case": "III", "p": 1.0, "eps": 0.05,
-         "theta0": math.pi / 32.0, "samples": 4000},
-        {"kind": "boundedness", "ps": [1.0, 2.0], "measures": [
-            {"atoms": [], "segments": [
-                {"lo": 0.0, "hi": "inf",
-                 "density": {"kind": "const", "params": [1.0]},
-                 "exp_lo": 0.0, "exp_hi": 0.0}]},
-            {"atoms": [{"t": 2.0, "w": 0.5}], "segments": []},
-        ]},
-        {"kind": "growth", "function": "test:p=2,eps=0.5", "p": 2.0},
-        {"kind": "lower_bound", "p": 4.0, "eps": 0.25},
-        {"kind": "lower_bound", "p": 2.0, "eps": 0.3},
-        {"kind": "lower_bound", "p": 1.0, "eps": 0.2,
-         "theta0": math.pi / 32.0},
-        {"kind": "feps_norm", "p": 2.0, "epsilons": [0.2, 0.1, 0.05]},
-        {"kind": "quasi", "n_samples": 25},
-        {"kind": "minkowski", "n_samples": 10},
-    ]
-}
-
-
-def _suite_measure(entry, base: Path) -> Measure:
-    raw = entry["measure"]
-    if isinstance(raw, str):
-        return load_measure(base / raw)
-    return measure_from_json(raw)
-
-
-def _run_suite_entry(entry: dict, base: Path, cfg: QuadratureConfig) -> list:
-    kind = entry["kind"]
-    if kind == "gnorm":
-        return harness.run_gnorm_experiment(
-            entry["lambdas"], entry["deltas"], entry.get("p", 2.0), cfg
-        )
-    if kind == "sharpness":
-        mu = _suite_measure(entry, base)
-        t0 = time.perf_counter()
-        sweep = harness.run_sharpness_sweep(
-            mu, entry["p"], entry.get("epsilons", harness.DEFAULT_EPSILONS),
-            cfg, truncation=entry.get("delta"),
-        )
-        ms = int(round(1000 * (time.perf_counter() - t0)))
-        return [harness.sweep_to_report(sweep, cfg, ms)]
-    if kind == "truncated":
-        mu = _suite_measure(entry, base)
-        return [harness.run_truncated_norm_experiment(
-            mu, entry["p"], entry["delta"],
-            entry.get("epsilons", harness.DEFAULT_EPSILONS), cfg,
-        )]
-    if kind == "sector":
-        return [harness.run_sector_experiment(
-            entry["case"], entry["p"], entry["eps"],
-            entry.get("samples", 10_000), theta0=entry.get("theta0"),
-            seed=entry.get("seed", 20240801),
-        )]
-    if kind == "boundedness":
-        measures = [measure_from_json(m) if not isinstance(m, str)
-                    else load_measure(base / m) for m in entry["measures"]]
-        return harness.run_boundedness_matrix(measures, entry["ps"], cfg)
-    if kind == "growth":
-        f = parse_function_spec(entry["function"])
-        return [harness.run_growth_decay_check(f, entry["p"], cfg)]
-    if kind == "lower_bound":
-        mu = (_suite_measure(entry, base) if "measure" in entry
-              else Measure.from_atoms((1.0, 1.0)))
-        return [harness.run_lower_bound_experiment(
-            mu, entry["p"], entry["eps"], theta0=entry.get("theta0"), cfg=cfg
-        )]
-    if kind == "feps_norm":
-        return harness.run_feps_norm_experiment(
-            entry["p"], entry.get("epsilons", (0.2, 0.1, 0.05)), cfg
-        )
-    if kind == "quasi":
-        return [harness.run_quasi_equivalence(entry.get("n_samples", 100),
-                                              entry.get("seed", 20240801))]
-    if kind == "minkowski":
-        return [harness.run_minkowski_samples(entry.get("n_samples", 50),
-                                              entry.get("seed", 20240801), cfg)]
-    raise ValueError(f"unknown experiment kind {kind!r}")
-
-
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     if args.suite:
@@ -355,31 +252,17 @@ def cmd_verify(args) -> int:
         except (OSError, KeyError, json.JSONDecodeError) as exc:
             return _usage_error(f"cannot read suite config {args.suite}: {exc}")
     else:
-        suite = _BUILTIN_SUITE
-        experiments = suite["experiments"]
+        experiments = harness.BUILTIN_SUITE["experiments"]
         base = Path(".")
 
     reports = []
     for entry in experiments:
-        t0 = time.perf_counter()
         try:
-            reports.extend(_run_suite_entry(entry, base, cfg))
+            reports.extend(harness.run_suite_entry(entry, base, cfg))
         except ParameterOutOfRange as exc:
             return _usage_error(f"experiment parameters out of range: {exc}")
         except (KeyError, ValueError, TypeError) as exc:
             return _usage_error(f"bad experiment entry {entry!r}: {exc}")
-        except NumericsError as exc:
-            # a numerically impossible experiment is a failed report, not a crash
-            reports.append(harness.VerificationReport(
-                experiment=str(entry.get("kind", "unknown")),
-                parameters={k: v for k, v in entry.items()
-                            if k not in ("measure", "measures")},
-                computed=f"error: {exc}",
-                expected="experiment completes",
-                tolerance=0.0,
-                passed=False,
-                runtime_ms=int(round(1000 * (time.perf_counter() - t0))),
-            ))
 
     reports.sort(key=lambda r: (r.experiment, json.dumps(r.to_dict()["parameters"],
                                                          sort_keys=True)))
@@ -455,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sharpness sweep against the exact norm")
     sp.add_argument("-m", "--measure", required=True)
     sp.add_argument("-p", type=float, default=2.0)
-    sp.add_argument("--epsilons", default="0.2,0.1,0.05,0.025")
+    sp.add_argument("--epsilons", default=",".join(map(str, harness.DEFAULT_EPSILONS)))
     sp.add_argument("--delta", type=float, default=None)
     _add_common_flags(sp)
     sp.set_defaults(func=cmd_sweep)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ParameterOutOfRange
 
 __all__ = [
-    "HalfPlanePoint",
     "Sector",
     "TestFunction",
     "ModulusFunction",
@@ -29,25 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """A point x + iy with y > 0."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (self.y > 0):
-            raise ValueError(f"imaginary part must be positive, got {self.y}")
-
-    def __complex__(self) -> complex:
-        return complex(self.x, self.y)
-
-
 def _as_z(z):
-    """Accept HalfPlanePoint, complex scalars, or array-likes of complex."""
-    if isinstance(z, HalfPlanePoint):
-        return complex(z)
+    """Accept complex scalars or array-likes of complex."""
     arr = np.asarray(z)
     return complex(arr) if arr.ndim == 0 else arr
 

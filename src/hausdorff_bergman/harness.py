@@ -3,23 +3,32 @@
 Each experiment returns one or more VerificationReport records; reports are
 self-contained (parameters, computed and expected values, tolerance,
 pass/fail, runtime) and serialize to JSON/CSV for the CLI front end.
+
+This module is the one home of the suite format that `hausdorff-bergman
+verify` reads: SUITE maps each experiment kind to its runner, whose keyword
+parameters are the kind's keys and hold their defaults, run_suite_entry
+converts and runs one entry, and BUILTIN_SUITE is the suite run without
+--suite.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergentIntegral, ParameterOutOfRange, QuadratureFailure
+from .errors import DivergentIntegral, NumericsError, ParameterOutOfRange, QuadratureFailure
 from .halfplane import (
     HalfPlaneFunction,
     ModulusFunction,
     TestFunction,
     case_constant,
     check_sector_inequality,
+    parse_function_spec,
     rational_power,
     sample_sector,
     sector_for_case,
@@ -29,6 +38,8 @@ from .measure import (
     Boundedness,
     Measure,
     classify_boundedness,
+    load_measure,
+    measure_from_json,
     moment,
     restrict,
     theoretical_norm,
@@ -41,8 +52,12 @@ __all__ = [
     "SharpnessSweep",
     "DEFAULT_EPSILONS",
     "default_config",
+    "SUITE",
+    "BUILTIN_SUITE",
+    "run_suite_entry",
     "run_gnorm_experiment",
     "run_sharpness_sweep",
+    "run_sharpness_experiment",
     "run_truncated_norm_experiment",
     "run_sector_experiment",
     "run_boundedness_matrix",
@@ -258,7 +273,18 @@ def sweep_to_report(sweep: SharpnessSweep, cfg: QuadratureConfig,
     )
 
 
-def run_truncated_norm_experiment(mu: Measure, p: float, delta: float,
+def run_sharpness_experiment(measure: Measure, p: float, epsilons=DEFAULT_EPSILONS,
+                             delta: float | None = None,
+                             cfg: QuadratureConfig | None = None) -> VerificationReport:
+    """The sharpness sweep of measure as a report, with the operator
+    truncated to [delta, 1/delta] when delta is set."""
+    cfg = cfg or default_config()
+    with _Timer() as tm:
+        sweep = run_sharpness_sweep(measure, p, epsilons, cfg, truncation=delta)
+    return sweep_to_report(sweep, cfg, tm.ms)
+
+
+def run_truncated_norm_experiment(measure: Measure, p: float, delta: float,
                                   epsilons=DEFAULT_EPSILONS,
                                   cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Truncated-operator norm via the unit-shift family (z+i)^-(2/p+eps).
@@ -272,9 +298,9 @@ def run_truncated_norm_experiment(mu: Measure, p: float, delta: float,
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     epsilons = tuple(float(e) for e in epsilons)
-    clipped = truncate(mu, delta)
+    clipped = truncate(measure, delta)
     target = theoretical_norm(clipped, p, cfg).value
-    op = HausdorffOperator(mu, p=p, truncation=delta)
+    op = HausdorffOperator(measure, p=p, truncation=delta)
 
     with _Timer() as tm:
         ratios = []
@@ -315,8 +341,8 @@ def run_truncated_norm_experiment(mu: Measure, p: float, delta: float,
     )
 
 
-def run_sector_experiment(case: str, p: float, epsilon: float,
-                          n_samples: int = 10_000,
+def run_sector_experiment(case: str, p: float, eps: float,
+                          samples: int = 10_000,
                           theta0: float | None = None,
                           seed: int = 20240801) -> VerificationReport:
     """Sample the case sector and count inequality violations (expect 0).
@@ -324,23 +350,23 @@ def run_sector_experiment(case: str, p: float, epsilon: float,
     Ties within 1e-14 are compliant; closed angular endpoints contribute
     explicit boundary rays whose violations (if any) are reported separately.
     """
-    tf = TestFunction(p, epsilon)
+    tf = TestFunction(p, eps)
     sector = sector_for_case(case, theta0)
     rng = np.random.default_rng(seed)
     with _Timer() as tm:
-        z = sample_sector(sector, n_samples, rng)
+        z = sample_sector(sector, samples, rng)
         ok = check_sector_inequality(case, tf, z, theta0=theta0)
         violations = int(np.sum(~ok))
-        n_edge = len(z) - n_samples
-        edge_violations = int(np.sum(~ok[n_samples:])) if n_edge else 0
+        n_edge = len(z) - samples
+        edge_violations = int(np.sum(~ok[samples:])) if n_edge else 0
     details = {"n_points": int(len(z)), "boundary_points": int(n_edge),
                "boundary_violations": edge_violations}
     if case == "II":
-        details["comparison_constant"] = case_constant(p, epsilon)
+        details["comparison_constant"] = case_constant(p, eps)
     return VerificationReport(
         experiment=f"sector_case_{case}",
-        parameters={"p": p, "eps": epsilon, "theta0": theta0,
-                    "n_samples": n_samples, "seed": seed},
+        parameters={"p": p, "eps": eps, "theta0": theta0,
+                    "n_samples": samples, "seed": seed},
         computed=violations,
         expected=0,
         tolerance=0.0,
@@ -404,7 +430,7 @@ def run_boundedness_matrix(measures, ps, cfg: QuadratureConfig | None = None,
     return reports
 
 
-def run_growth_decay_check(f, p: float,
+def run_growth_decay_check(function, p: float,
                            cfg: QuadratureConfig | None = None,
                            n_steps: int = 24) -> VerificationReport:
     """Boundary decay of (Im z)^2 |f(z)|^p along z -> real axis and z -> inf.
@@ -412,7 +438,7 @@ def run_growth_decay_check(f, p: float,
     Checks finiteness on a sample grid and eventual monotone decrease along
     geometric sequences approaching the boundary and infinity.
     """
-    func = f.as_function() if hasattr(f, "as_function") else f
+    func = function.as_function() if hasattr(function, "as_function") else function
 
     def quantity(z):
         return np.imag(z) ** 2 * np.abs(np.asarray(func(z))) ** p
@@ -440,7 +466,7 @@ def run_growth_decay_check(f, p: float,
         passed = math.isfinite(sup_grid) and all(seq_ok.values())
     return VerificationReport(
         experiment="growth_decay",
-        parameters={"p": p, "family": type(f).__name__},
+        parameters={"p": p, "family": type(function).__name__},
         computed={"sup_on_grid": sup_grid, "sequences_ok": seq_ok},
         expected="finite sup; decay to 0 along boundary sequences",
         tolerance=0.0,
@@ -485,7 +511,7 @@ def lower_bound_constant(p: float, eps: float, theta0: float | None,
     return case, float(k)
 
 
-def run_lower_bound_experiment(mu: Measure, p: float, epsilon: float,
+def run_lower_bound_experiment(measure: Measure, p: float, eps: float,
                                theta0: float | None = None,
                                cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Guaranteed lower bound on the operator-norm p-th power:
@@ -496,19 +522,19 @@ def run_lower_bound_experiment(mu: Measure, p: float, epsilon: float,
     but must hold outright.
     """
     cfg = cfg or default_config()
-    case, k = lower_bound_constant(p, epsilon, theta0, cfg)
+    case, k = lower_bound_constant(p, eps, theta0, cfg)
     # hypotheses of the sector inequality backing each case
     probe = math.pi / 4.0 if case != "III" else math.pi / 2.0 + (theta0 or 0.0) / 2.0
-    check_sector_inequality(case, TestFunction(p, epsilon),
+    check_sector_inequality(case, TestFunction(p, eps),
                             2.0 * np.exp(1j * probe), theta0=theta0)
     with _Timer() as tm:
-        op = HausdorffOperator(mu, p=p)
-        f = TestFunction(p, epsilon).as_function()
+        op = HausdorffOperator(measure, p=p)
+        f = TestFunction(p, eps).as_function()
         hf = as_function(op, f, cfg.tighter())
         lhs = float(np.real(bergman_norm_p_power(hf, p, cfg).value))
-        clipped = restrict(mu, 0.0, 1.0 / epsilon)
-        m = moment(clipped, 2.0 / p + epsilon - 1.0, cfg).value
-        rhs = k * m**p / (p * epsilon)
+        clipped = restrict(measure, 0.0, 1.0 / eps)
+        m = moment(clipped, 2.0 / p + eps - 1.0, cfg).value
+        rhs = k * m**p / (p * eps)
         passed = lhs >= rhs * (1.0 - 100.0 * cfg.rel_tol)
     details = {"case": case, "k": k, "moment": m}
     if case == "II":
@@ -518,7 +544,7 @@ def run_lower_bound_experiment(mu: Measure, p: float, epsilon: float,
         )
     return VerificationReport(
         experiment="lower_bound",
-        parameters={"p": p, "eps": epsilon, "theta0": theta0},
+        parameters={"p": p, "eps": eps, "theta0": theta0},
         computed=lhs,
         expected={"at_least": rhs},
         tolerance=100.0 * cfg.rel_tol,
@@ -698,3 +724,126 @@ def run_quasi_equivalence(n_samples: int = 100, seed: int = 20240801,
         runtime_ms=tm.ms,
         details={},
     )
+
+
+# ---------------------------------------------------------------------------
+# the suite format
+# ---------------------------------------------------------------------------
+
+# kind -> runner.  An entry's keys, "kind" aside, are its runner's keyword
+# arguments, so the runner's signature lists the kind's keys and holds their
+# defaults; cfg comes from the command line, never from the entry.
+SUITE = {
+    "gnorm": run_gnorm_experiment,
+    "sharpness": run_sharpness_experiment,
+    "truncated": run_truncated_norm_experiment,
+    "sector": run_sector_experiment,
+    "boundedness": run_boundedness_matrix,
+    "growth": run_growth_decay_check,
+    "lower_bound": run_lower_bound_experiment,
+    "feps_norm": run_feps_norm_experiment,
+    "quasi": run_quasi_equivalence,
+    "minkowski": run_minkowski_samples,
+}
+
+# keys an entry may leave out that its runner requires, as suite JSON
+_SUITE_DEFAULTS = {"lower_bound": {"measure": {"atoms": [{"t": 1.0, "w": 1.0}]}}}
+
+
+def _suite_measure(spec, base: Path) -> Measure:
+    """Inline measure JSON, or the path of a measure file relative to base."""
+    if not isinstance(spec, str):
+        return measure_from_json(spec)
+    try:
+        return load_measure(base / spec)
+    except OSError as exc:
+        raise ValueError(f"cannot load measure {spec}: {exc}") from exc
+
+
+_SUITE_CONVERSIONS = {
+    "measure": _suite_measure,
+    "measures": lambda specs, base: [_suite_measure(s, base) for s in specs],
+    "function": lambda spec, base: parse_function_spec(spec),
+}
+
+
+def run_suite_entry(entry: dict, base: Path,
+                    cfg: QuadratureConfig) -> list[VerificationReport]:
+    """The reports of one suite entry, its runner called with the entry's
+    keys and cfg; measure paths resolve against base, the suite file's
+    directory.
+
+    A malformed entry (unknown kind, unknown or missing key, unreadable
+    measure) raises KeyError, TypeError or ValueError; a numerical failure
+    is returned as a failed report."""
+    t0 = time.perf_counter()
+    kind = entry["kind"]
+    if kind not in SUITE:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    params = inspect.signature(SUITE[kind]).parameters
+    accepted = set(params) - {"cfg"}
+    args = {**_SUITE_DEFAULTS.get(kind, {}), **entry}
+    del args["kind"]
+    unknown = sorted(set(args) - accepted)
+    if unknown:
+        raise ValueError(f"{kind} takes no key {', '.join(map(repr, unknown))} "
+                         f"(its keys: {', '.join(sorted(accepted))})")
+    # called through the module attribute, not the SUITE entry, so that a
+    # wrapper installed there (a tracer's) sees the call
+    runner = globals()[SUITE[kind].__name__]
+    try:
+        for key, convert in _SUITE_CONVERSIONS.items():
+            if key in args:
+                args[key] = convert(args[key], base)
+        if "cfg" in params:
+            args["cfg"] = cfg
+        out = runner(**args)
+    except NumericsError as exc:
+        # a numerically impossible experiment is a failed report, not a crash
+        return [VerificationReport(
+            experiment=kind,
+            parameters={k: v for k, v in entry.items()
+                        if k not in ("measure", "measures")},
+            computed=f"error: {exc}",
+            expected="experiment completes",
+            tolerance=0.0,
+            passed=False,
+            runtime_ms=int(round(1000 * (time.perf_counter() - t0))),
+        )]
+    return out if isinstance(out, list) else [out]
+
+
+BUILTIN_SUITE = {
+    "experiments": [
+        {"kind": "gnorm", "lambdas": [1.0], "deltas": [1.0, 2.0], "p": 2.0},
+        {"kind": "sharpness", "p": 2.0, "epsilons": [0.2, 0.1, 0.05],
+         "measure": {"atoms": [], "segments": [
+             {"lo": 1.0, "hi": 2.0,
+              "density": {"kind": "const", "params": [1.0]}}]}},
+        {"kind": "truncated", "p": 1.0, "delta": 0.25,
+         "epsilons": [0.2, 0.1, 0.05],
+         "measure": {"atoms": [], "segments": [
+             {"lo": 0.0, "hi": "inf",
+              "density": {"kind": "exp", "params": [1.0, 1.0]},
+              "exp_lo": 0.0, "exp_hi": "-inf"}]}},
+        {"kind": "sector", "case": "I", "p": 6.0, "eps": 0.05, "samples": 4000},
+        {"kind": "sector", "case": "II", "p": 2.0, "eps": 0.4, "samples": 4000},
+        {"kind": "sector", "case": "III", "p": 1.0, "eps": 0.05,
+         "theta0": math.pi / 32.0, "samples": 4000},
+        {"kind": "boundedness", "ps": [1.0, 2.0], "measures": [
+            {"atoms": [], "segments": [
+                {"lo": 0.0, "hi": "inf",
+                 "density": {"kind": "const", "params": [1.0]},
+                 "exp_lo": 0.0, "exp_hi": 0.0}]},
+            {"atoms": [{"t": 2.0, "w": 0.5}], "segments": []},
+        ]},
+        {"kind": "growth", "function": "test:p=2,eps=0.5", "p": 2.0},
+        {"kind": "lower_bound", "p": 4.0, "eps": 0.25},
+        {"kind": "lower_bound", "p": 2.0, "eps": 0.3},
+        {"kind": "lower_bound", "p": 1.0, "eps": 0.2,
+         "theta0": math.pi / 32.0},
+        {"kind": "feps_norm", "p": 2.0, "epsilons": [0.2, 0.1, 0.05]},
+        {"kind": "quasi", "n_samples": 25},
+        {"kind": "minkowski", "n_samples": 10},
+    ]
+}

@@ -391,8 +391,8 @@ class _LogPolarNorm:
 
     sides holds (mu, source, decay hint) per side.  Levels halve h and
     double the theta nodes until successive values agree and their
-    differences contract.  Free window edges (no inner or truncation
-    radius) grow until the majorant |F|^p, or |F||G| for a pairing, closes
+    differences contract.  The left window edge, and the right one when
+    there is no truncation radius, grow until the majorant |F|^p, or |F||G| for a pairing, closes
     there with a geometric tail below an eighth of the tolerance.  A norm's
     value includes those tails; a pairing's error alone counts them.
 
@@ -409,7 +409,6 @@ class _LogPolarNorm:
         self.p, self.cfg = p, cfg
         self.pair = len(sides) == 2
         self.radius = cfg.halfplane_truncation_radius
-        self.inner = cfg.halfplane_inner_radius
         eta = max(1e-3 * cfg.rel_tol, 1e-16)  # kernel tail / kernel mass
         self.sides = [_Side(mu, source, hint, p, eta) for mu, source, hint in sides]
         # the majorant is the product of |F_k|^(p/n) over the n sides: its
@@ -481,8 +480,8 @@ class _LogPolarNorm:
     # -- refinement ------------------------------------------------------
 
     def _initial_window(self) -> None:
-        """Window [v_lo, v_hi] and level-0 step h0: fixed edges at the inner
-        and truncation radii, free edges around the scales the sides' shifts
+        """Window [v_lo, v_hi] and level-0 step h0: a fixed right edge at the
+        truncation radius, free edges around the scales the sides' shifts
         and measures' supports set; free edges grow in _sums."""
         lo, hi = math.inf, -math.inf
         for side in self.sides:
@@ -494,23 +493,13 @@ class _LogPolarNorm:
             hi = max(hi, s_hi + math.log(sigma) + 8.0)
         cap = _W_CAP - _S_CAP
         lo, hi = max(lo, -cap), min(hi, cap)
-        self.left_free = self.inner == 0.0
         self.right_free = self.radius is None
-        h0 = _H0
-        if not (self.left_free or self.right_free):
-            v_lo, v_hi = math.log(self.inner), math.log(self.radius)
-            if v_lo >= v_hi:
-                raise ValueError("inner radius must be smaller than the truncation radius")
-            h0 = (v_hi - v_lo) / math.ceil((v_hi - v_lo) / _H0)
-        elif not self.left_free:
-            v_lo = math.log(self.inner)
-            v_hi = v_lo + h0 * max(2, math.ceil((hi - v_lo) / h0))
-        elif not self.right_free:
-            v_hi = math.log(self.radius)
-            v_lo = v_hi - h0 * max(2, math.ceil((v_hi - lo) / h0))
-        else:
+        if self.right_free:
             v_lo, v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
-        self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, h0
+        else:
+            v_hi = math.log(self.radius)
+            v_lo = v_hi - _H0 * max(2, math.ceil((v_hi - lo) / _H0))
+        self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, _H0
         self.v_cap = math.inf  # bound on v_hi set by _cut
 
     def _grow(self, left: bool, sums: _LevelSums) -> bool:
@@ -543,17 +532,16 @@ class _LogPolarNorm:
         return True
 
     def _outer_weights(self, n_v: int) -> np.ndarray:
-        """Trapezoid weights in v, with Gregory corrections at fixed edges."""
+        """Trapezoid weights in v, with Gregory corrections at a fixed right
+        edge."""
         c = np.ones(n_v)
         order = min(_ORDER, n_v // 2 - 1)
-        if not self.left_free:
-            c[: order + 1] = _gregory_weights(order)
         if not self.right_free:
             c[n_v - 1 - order:] = _gregory_weights(order)[::-1]
         return c
 
     def _sums(self, lvl: int, rule: int, h: float):
-        """One level on a window grown until both free edges close with a
+        """One level on a window grown until its free edges close with a
         geometric tail below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower, sum with both inner
         rules one lower), left tail, right tail, whether both edges closed),
@@ -578,9 +566,8 @@ class _LogPolarNorm:
             if not all(map(cmath.isfinite, cores)):
                 return "tail"
             tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
-            t_lo = t_hi = 0.0
-            if self.left_free:
-                t_lo = _geometric_tail(sums.major[m::-1], h, m, self.rate_lo)
+            t_lo = _geometric_tail(sums.major[m::-1], h, m, self.rate_lo)
+            t_hi = 0.0
             if self.right_free:
                 t_hi = _geometric_tail(sums.major[-(m + 1):], h, m, self.rate_hi)
             open_lo = t_lo is None or t_lo > tau

@@ -249,18 +249,6 @@ class Measure:
         highs = [a.location for a in self.atoms] + [s.upper for s in self.segments]
         return max(highs) if highs else 0.0
 
-    def check_finite_on_compacts(self, delta: float = 1e-3,
-                                 cfg: QuadratureConfig | None = None) -> float:
-        """Total mass on [delta, 1/delta]; finiteness check for sigma-finiteness."""
-        clipped = truncate(self, delta)
-        total = sum(a.weight for a in clipped.atoms)
-        for seg in clipped.segments:
-            res = integrate_segment(seg.density, seg.lower, seg.upper, cfg)
-            total += float(np.real(res.value))
-        if not math.isfinite(total):
-            raise ValueError("measure is not finite on compact subsets of (0, inf)")
-        return total
-
 
 @dataclass(frozen=True)
 class MomentResult:

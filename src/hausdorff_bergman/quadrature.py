@@ -99,22 +99,18 @@ class QuadratureConfig:
     the half-plane integrals at |z| = R instead of closing the far field
     numerically; the reported error then includes an analytic tail bound
     from the integrand's values on that circle and its decay hint.
-    halfplane_inner_radius excludes a central disk.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
     halfplane_truncation_radius: float | None = None
-    halfplane_inner_radius: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.halfplane_inner_radius < 0:
-            raise ValueError("halfplane_inner_radius must be >= 0")
 
     def tighter(self, factor: float = 1e-2) -> "QuadratureConfig":
         """Derived config for inner (nested) quadratures."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hausdorff_bergman import DensitySegment, Measure, measure_to_json, pushforward_inverse
+from hausdorff_bergman import harness
 from hausdorff_bergman.cli import format_complex, main, parse_complex
 
 ATOM1 = {"atoms": [{"t": 1.0, "w": 1.0}], "segments": []}
@@ -365,6 +366,55 @@ def test_verify_bad_config(tmp_path, capsys):
     assert main(["verify", "--suite", str(suite)]) == 2
     suite.write_text(json.dumps({"experiments": [{"kind": "bogus"}]}))
     assert main(["verify", "--suite", str(suite)]) == 2
+
+
+def test_verify_builtin_suite_passes(tmp_path, capsys):
+    out = tmp_path / "reports"
+    code = main(["verify", "-o", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads((out / "reports.json").read_text())
+    assert len(doc["reports"]) == 20
+    assert all(r["passed"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "sharpness", "p": 2.0, "epsilons": [0.2, 0.1, 0.05], "measure": "missing.json"},
+    {"kind": "boundedness", "ps": [2.0], "measures": ["nope.json"]},
+])
+def test_verify_unreadable_suite_measure_is_usage_error(tmp_path, capsys, entry):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"experiments": [entry]}))
+    assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load measure" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_mistyped_key_is_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"experiments": [
+        {"kind": "sector", "case": "I", "p": 6.0, "eps": 0.05, "sample": 50}]}))
+    assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
+    assert "'sample'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_calls_runners_through_the_harness_module(tmp_path, capsys, monkeypatch):
+    # a tracer times each experiment kind by replacing harness.<runner>
+    calls = []
+    original = harness.run_gnorm_experiment
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_gnorm_experiment", spy)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(small_suite()))
+    assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert calls == [1]
 
 
 def test_unknown_flag_exits_2(measures):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hausdorff_bergman import (
-    HalfPlanePoint,
     ParameterOutOfRange,
     Sector,
     check_sector_inequality,
@@ -25,15 +24,6 @@ def random_upper_halfplane(rng, n, r_lo=1e-2, r_hi=1e3):
 # ---------------------------------------------------------------------------
 # points and sectors
 # ---------------------------------------------------------------------------
-
-
-def test_halfplane_point():
-    z = HalfPlanePoint(0.3, 1.2)
-    assert complex(z) == 0.3 + 1.2j
-    with pytest.raises(ValueError):
-        HalfPlanePoint(0.0, 0.0)
-    with pytest.raises(ValueError):
-        HalfPlanePoint(1.0, -1.0)
 
 
 def test_truncated_sector_membership():

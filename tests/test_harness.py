@@ -304,6 +304,10 @@ def test_quasi_equivalence_small():
     assert rep.computed["worst_route_difference"] <= 1e-10
 
 
+def test_builtin_suite_uses_every_registered_kind():
+    assert {e["kind"] for e in harness.BUILTIN_SUITE["experiments"]} == set(harness.SUITE)
+
+
 def test_reports_are_jsonable():
     rep = harness.run_sector_experiment("I", 6.0, 0.05, 100)
     doc = rep.to_dict()

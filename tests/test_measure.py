@@ -64,11 +64,6 @@ def test_distinct_atom_locations():
         Measure(atoms=(Atom(1.0, 1.0), Atom(1.0, 2.0)))
 
 
-def test_sigma_finiteness_check():
-    mu = exp_tail()
-    assert mu.check_finite_on_compacts() < 1.0
-
-
 # ---------------------------------------------------------------------------
 # moment
 # ---------------------------------------------------------------------------

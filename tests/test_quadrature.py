@@ -225,16 +225,6 @@ def test_converged_certifies_error_estimate():
                                          cfg.rel_tol * abs(res.value))
 
 
-def test_inner_radius_excludes_central_disk():
-    f = rational_power(1.0, 2.0)
-    full = bergman_norm_p_power(f, 2.0, CFG).value
-    outer = bergman_norm_p_power(
-        f, 2.0, QuadratureConfig(halfplane_inner_radius=1.0,
-                                 halfplane_truncation_radius=200.0)
-    ).value
-    assert 0.0 < outer < full
-
-
 def test_deterministic_results():
     f = TestFunction(2.0, 0.3).as_function()
     a = bergman_norm_p(f, 2.0, CFG)
