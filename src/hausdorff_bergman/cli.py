@@ -86,7 +86,7 @@ def _add_common_flags(sp) -> None:
 def _load_measure_arg(path: str) -> Measure:
     try:
         return load_measure(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot load measure {path}: {exc}") from exc
 
 

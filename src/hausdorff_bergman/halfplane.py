@@ -353,6 +353,8 @@ def parse_function_spec(spec: str) -> HalfPlaneFunction:
     and "ratpow:shift=<d>,exp=<s>" for (z + i*d)^-s.
     """
     try:
+        if not isinstance(spec, str):
+            raise TypeError(spec)
         name, _, args = spec.partition(":")
         kv = {}
         for part in args.split(","):
@@ -360,7 +362,7 @@ def parse_function_spec(spec: str) -> HalfPlaneFunction:
             kv[key.strip()] = float(val)
         if set(kv) != set(_SPEC_KEYS[name]):
             raise KeyError(name)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"bad function spec {spec!r}; expected one of "
             '"test:p=..,eps=..", "gmod:lambda=..,delta=..,p=..", '

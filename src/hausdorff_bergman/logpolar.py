@@ -14,6 +14,19 @@ over one side, a pairing F conj(G) over two, on one uniform v-lattice and
 one set of Gauss-Legendre theta nodes.  The trapezoid rule in v converges
 exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 
+The lattice is finite; the sum beyond each free edge of the window is
+closed as a geometric series.  Where the decay data fix the profile's
+exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
+rate = p power - 2 for a norm and the sides' rates added for a pairing; near
+0, rate 2 where the source's shift is positive), the closure uses that rate
+and the error counts only how far c varies beyond the edge, read from the
+mismatch between the last step ratios and e^(-rate h).  A window then
+stops at tens of units of v even where |F|^p decays like e^(-0.0125 v).
+Where a kernel decays within a margin of the source's rate, or the ratios
+do not approach the rate (a cancelling sum, whose decay hint only bounds
+its decay), the measured rule closes the edge: the slowest measured step
+ratio, with the tail counted in full in the error.
+
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
 """
@@ -46,6 +59,8 @@ _EVALS_PER_SUBDIVISION = 10000  # family evaluations per run per max_subdivision
 _W_CAP = 700.0     # |w| <= _W_CAP for every w = v - s, so that e^w and the
                    # factor e^(2w/p) stay finite
 _S_CAP = 250.0     # a kernel reaches at most this far from its anchor
+_MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
+                   # unit of v) at one end leaves that end's rate to be measured
 _BLOCK = 1 << 12  # complex entries per theta-block temporary (64 KiB)
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -107,6 +122,34 @@ def _geometric_tail(vals, h: float, m: int, rate: float | None) -> float | None:
     return h * edge * rho / (1.0 - rho)
 
 
+def _rate_tail(prof, edge_major: float, h: float, m: int, rate: float):
+    """Close a profile P(v) = C e^(-rate v) (1 + c(v)) with c -> 0 beyond
+    its last lattice value: returns (h times the sum of the values beyond
+    it, as a geometric series with rho = e^(-rate h); a bound on the error
+    of that closure), or None.
+
+    prof runs towards the edge and may be complex (a pairing).  A constant
+    c leaves the closure exact; only the variation of c beyond the edge
+    counts, and the last m step ratios measure it: each is rho (1 + delta).
+    Were every ratio beyond the edge rho (1 + delta), the closure would miss
+    delta / (1 - rho (1 + delta)) of itself, for a correction c = k e^(-g v)
+    of any g > 0 as much as for a constant ratio.  Twice that with the
+    largest |delta| seen is the bound, taken of the closure of the majorant
+    edge_major (|F|^p itself for a norm, |F||G| for a pairing).  None when
+    the profile vanishes before the edge or a ratio is too far above rho for
+    the bound to be finite."""
+    last = np.asarray(prof[-(m + 1):])
+    if last.size < 2 or not np.all(last[:-1] != 0.0):
+        return None
+    rho = math.exp(-rate * h)
+    delta = float(np.max(np.abs(last[1:] / (rho * last[:-1]) - 1.0)))
+    gap = -math.expm1(-rate * h) - rho * delta  # 1 - rho (1 + delta)
+    if not gap > 0.0:
+        return None
+    k = h * rho / -math.expm1(-rate * h)
+    return k * last[-1].item(), k * edge_major * 2.0 * delta / gap
+
+
 def _slowest(rates) -> float | None:
     """The smallest of some decay rates; None if one is unknown (None) or
     none is finite."""
@@ -115,6 +158,14 @@ def _slowest(rates) -> float | None:
         return None
     finite = [r for r in rates if math.isfinite(r)]
     return min(finite) if finite and min(finite) > 0.0 else None
+
+
+def _exact_rate(own: float | None, kernels) -> float | None:
+    """own, the source's decay rate at one end, if every kernel rate there is
+    known and at least _MARGIN faster; else None."""
+    if own is None or any(r is None or r < own + _MARGIN for r in kernels):
+        return None
+    return own
 
 
 def _scaled_family(ev, w: np.ndarray, eith: np.ndarray, q: float):
@@ -211,15 +262,18 @@ class _Side:
                        if s.lower > 0.0 and not math.isinf(s.upper)]
         self.touching = [s for s in mu.segments
                          if s.lower == 0.0 or math.isinf(s.upper)]
-        # the slowest decay of |F| per unit of v the decay data allow at each
-        # end: the source is bounded near 0 when its shift is positive and Hf
-        # decays like |z|^-power; kernels decay like their endpoint
-        # exponents say
-        lo = [q if source.decay_hint[1] > 0.0 else None]
-        lo += [self._kernel_rate(s.exp_lo, +1) for s in self.touching if s.lower == 0.0]
-        hi = [self.power - q]
-        hi += [self._kernel_rate(s.exp_hi, -1) for s in self.touching if math.isinf(s.upper)]
-        self.rate_lo, self.rate_hi = _slowest(lo), _slowest(hi)
+        # the decay of |F| per unit of v at each end: the source's own rate
+        # (q near 0 when its shift is positive, as Hf(0) is then finite;
+        # power - q far out, as Hf decays like |z|^-power) and the kernels'
+        # rates, which their endpoint exponents give.  The slowest of them
+        # floors the measured rule; the source's rate is the exact one
+        # unless a kernel decays within _MARGIN of it (or says nothing)
+        near = q if source.decay_hint[1] > 0.0 else None
+        far = self.power - q
+        lo = [self._kernel_rate(s.exp_lo, +1) for s in self.touching if s.lower == 0.0]
+        hi = [self._kernel_rate(s.exp_hi, -1) for s in self.touching if math.isinf(s.upper)]
+        self.rate_lo, self.rate_hi = _slowest([near] + lo), _slowest([far] + hi)
+        self.exact_lo, self.exact_hi = _exact_rate(near, lo), _exact_rate(far, hi)
 
     def _kernel_rate(self, exponent: float | None, sign: int) -> float | None:
         """Decay rate of K(s) = rho(e^s) e^(qs) towards s -> -inf (sign +1,
@@ -392,9 +446,14 @@ class _LogPolarNorm:
     sides holds (mu, source, decay hint) per side.  Levels halve h and
     double the theta nodes until successive values agree and their
     differences contract.  The left window edge, and the right one when
-    there is no truncation radius, grow until the majorant |F|^p, or |F||G| for a pairing, closes
-    there with a geometric tail below an eighth of the tolerance.  A norm's
-    value includes those tails; a pairing's error alone counts them.
+    there is no truncation radius, grow until the error counted for closing
+    them is below an eighth of the tolerance (_edge).  With the exact rate
+    the profile (|F|^p, or the complex F conj(G) of a pairing) is closed
+    with it, the closure goes into the value and only its uncertainty into
+    the error, for a norm and a pairing alike.  With the measured rule the
+    majorant (|F|^p, or |F||G|) is closed: a norm's value includes that
+    tail and its error counts it in full; a pairing's error alone counts
+    it.
 
     The Gauss rule of the finite segments has its own index.  Every level
     also sums with the rule one index lower, a profile of values already
@@ -418,6 +477,10 @@ class _LogPolarNorm:
         r_hi = [s.rate_hi for s in self.sides]
         self.rate_lo = None if None in r_lo else share * sum(r_lo)
         self.rate_hi = None if None in r_hi else share * sum(r_hi)
+        e_lo = [s.exact_lo for s in self.sides]
+        e_hi = [s.exact_hi for s in self.sides]
+        self.exact_lo = None if None in e_lo else share * sum(e_lo)
+        self.exact_hi = None if None in e_hi or sum(e_hi) <= 0.0 else share * sum(e_hi)
         self.tail_power = share * sum(s.power for s in self.sides)
         self.tail_shift = min(s.shift for s in self.sides)
 
@@ -540,13 +603,29 @@ class _LogPolarNorm:
             c[n_v - 1 - order:] = _gregory_weights(order)[::-1]
         return c
 
+    def _edge(self, prof, major, h: float, m: int, floor, exact):
+        """Close one free edge; prof (the profile) and major (the majorant)
+        run towards it.  Returns (the amount added to the value, the amount
+        counted in the error); (0, inf) if the edge does not close.
+
+        The measured rule closes the majorant with the slowest of its last m
+        step ratios, floored at e^(-floor h): a norm adds that tail and
+        counts it in full, a pairing counts it only.  Where the exact rate
+        is known, the profile closes with it (_rate_tail), the value takes
+        that closure and the error only its bound; whichever rule counts
+        less in the error is used."""
+        tail = _geometric_tail(major, h, m, floor)
+        best = (0.0, math.inf) if tail is None else (0.0 if self.pair else tail, tail)
+        fit = None if exact is None else _rate_tail(prof, float(major[-1]), h, m, exact)
+        return fit if fit is not None and fit[1] < best[1] else best
+
     def _sums(self, lvl: int, rule: int, h: float):
-        """One level on a window grown until its free edges close with a
-        geometric tail below an eighth of the tolerance.  Returns
+        """One level on a window grown until the error counted for its free
+        edges (_edge) is below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower, sum with both inner
-        rules one lower), left tail, right tail, whether both edges closed),
-        with a tail None where the majorant was not seen to decay, or a
-        failure reason."""
+        rules one lower), (edge amounts added to the value, edge amounts
+        counted in the error), whether both edges closed), or a failure
+        reason."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         while True:
@@ -566,17 +645,20 @@ class _LogPolarNorm:
             if not all(map(cmath.isfinite, cores)):
                 return "tail"
             tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
-            t_lo = _geometric_tail(sums.major[m::-1], h, m, self.rate_lo)
-            t_hi = 0.0
+            prof = sums.profs[0]
+            add_lo, err_lo = self._edge(prof[m::-1], sums.major[m::-1], h, m,
+                                        self.rate_lo, self.exact_lo)
+            add_hi = err_hi = 0.0
             if self.right_free:
-                t_hi = _geometric_tail(sums.major[-(m + 1):], h, m, self.rate_hi)
-            open_lo = t_lo is None or t_lo > tau
-            open_hi = t_hi is None or t_hi > tau
+                add_hi, err_hi = self._edge(prof[-(m + 1):], sums.major[-(m + 1):], h, m,
+                                            self.rate_hi, self.exact_hi)
+            open_lo, open_hi = err_lo > tau, err_hi > tau
+            edges = (add_lo + add_hi, err_lo + err_hi)
             if not (open_lo or open_hi):
-                return sums, cores, t_lo, t_hi, True
+                return sums, cores, edges, True
             if (open_lo and not self._grow(True, sums)) or (
                     open_hi and not self._grow(False, sums)):
-                return sums, cores, t_lo, t_hi, False
+                return sums, cores, edges, False
 
     def run(self) -> IntegralResult:
         """Refine level by level; converged once the error budget (lattice
@@ -599,21 +681,18 @@ class _LogPolarNorm:
             if isinstance(out, str):
                 reason = out
                 break
-            sums, (core, core_g, core_j), t_lo, t_hi, closed = out
+            sums, (core, core_g, core_j), (add, edge_err), closed = out
+            value, value_j = core + add, core_j + add
             if not closed:  # an edge stayed open at the cap
-                value, err, reason = core, math.inf, "tail"
-                if not self.pair:
-                    value += (t_lo or 0.0) + (t_hi or 0.0)
+                err, reason = math.inf, "tail"
                 break
             if self.pair:
-                value, value_j = core, core_j
                 # a kernel cut off with tail mass T moves its side by at most
                 # T ||G||_2 (Minkowski), hence the pairing by that times the
                 # other side's ||F||_2 (Cauchy-Schwarz)
                 fixed = sum(t * math.sqrt(g * sums.own[1 - i])
                             for i, t, g in sums.kernel_tails)
             else:
-                value, value_j = core + t_lo + t_hi, core_j + t_lo + t_hi
                 # ... and a norm's p-th power by p ||F||_p^(p-1) T ||G||_p
                 fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
                             for _, t, g in sums.kernel_tails)
@@ -626,7 +705,7 @@ class _LogPolarNorm:
             # level's own if the rule was held, the one-lower rule (which the
             # last level used) if it advanced
             d = abs(value - value_j) + abs((value if held else value_j) - prev_value)
-            err = d + t_lo + t_hi + fixed
+            err = d + edge_err + fixed
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
             if fixed > tol:  # no refinement can shrink these
                 reason = "tail"

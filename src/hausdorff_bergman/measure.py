@@ -56,6 +56,9 @@ class Atom:
             raise ValueError(f"atom weight must be >= 0, got {self.weight}")
 
 
+_SLOPE_TOL = 0.25  # a finite endpoint exponent against the density's log-slope
+_TINY = np.finfo(float).tiny
+
 # serialized density kinds: ("const", [c]) -> c, ("power", [c, a]) -> c*t^a,
 # ("exp", [c, b]) -> c*exp(-b*t), ("expr", [source]) -> arithmetic expression
 # in t over the names below
@@ -179,6 +182,7 @@ class DensitySegment:
                   exp_hi: float | None = None) -> "DensitySegment":
         seg = cls(lower, upper, _density_from_spec(spec), exp_lo, exp_hi, spec)
         seg._check_nonnegative()
+        seg._check_exponents()
         return seg
 
     def _check_nonnegative(self) -> None:
@@ -196,6 +200,42 @@ class DensitySegment:
         if not ok:
             raise ValueError(f"density {kind} {list(params)!r} on "
                              f"({self.lower}, {self.upper}) takes negative values")
+
+    def _check_exponents(self) -> None:
+        """Raise ValueError if a declared endpoint exponent contradicts the
+        density.  Towards the endpoint the density is sampled at log-steps
+        of 4, from e^8 to e^40 times the segment's scale there (1, or its
+        other endpoint if nearer), and its log-slope d log(density) / d log t
+        read between neighbours.  A finite exponent must match the farthest
+        slope within _SLOPE_TOL, and the density may not vanish where t^a is
+        still a normal double.  An infinite one (faster than any power) needs
+        slopes that keep moving towards it, by 1 or more over the samples,
+        or, where fewer than two slopes are finite, a density that leaves the
+        doubles (0 or inf) on the way."""
+        for name, exponent, touches, scale, sign in (
+                ("exp_lo", self.exp_lo, self.touches_zero, min(1.0, self.upper), -1.0),
+                ("exp_hi", self.exp_hi, self.touches_infinity, max(1.0, self.lower), 1.0)):
+            if exponent is None or not touches:
+                continue
+            log_t = math.log(scale) + sign * np.arange(8.0, 41.0, 4.0)
+            with np.errstate(all="ignore"):
+                log_d = np.log(np.asarray(self.density(np.exp(log_t)), dtype=float))
+                slopes = np.diff(log_d) / np.diff(log_t)
+            slopes = slopes[np.isfinite(log_d[1:]) & np.isfinite(log_d[:-1])]
+            if math.isfinite(exponent):
+                vanished = np.isneginf(log_d) & (exponent * log_t > math.log(_TINY))
+                ok = not vanished.any() and (
+                    not slopes.size or abs(slopes[-1] - exponent) <= _SLOPE_TOL)
+            elif slopes.size > 1:
+                ok = (slopes[-1] - slopes[0]) * math.copysign(1.0, exponent) >= 1.0
+            else:
+                ok = bool(np.isinf(log_d).any())
+            if not ok:
+                seen = f"{slopes[-1]:.3g}" if slopes.size else "not finite"
+                raise ValueError(
+                    f"{name} = {_num_to_json(exponent)} contradicts the density "
+                    f"{self.spec[0]} {list(self.spec[1])!r} on ({self.lower}, {self.upper}): "
+                    f"its log-slope towards {'0' if sign < 0 else 'infinity'} is {seen}")
 
     @property
     def touches_zero(self) -> bool:
@@ -501,6 +541,8 @@ def measure_to_json(mu: Measure) -> dict:
 
 
 def measure_from_json(doc: dict) -> Measure:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a measure must be a JSON object, got {type(doc).__name__}")
     atoms = tuple(Atom(float(a["t"]), float(a["w"])) for a in doc.get("atoms", []))
     segments = []
     for s in doc.get("segments", []):

@@ -235,6 +235,23 @@ def test_negative_density_is_usage_error(tmp_path, capsys, lo, hi, density):
     assert "takes negative values" in err
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ([], "must be a JSON object"),
+    # t^-3 on [1, inf) does not decay faster than every power
+    ({"atoms": [], "segments": [{"lo": 1.0, "hi": "inf",
+                                 "density": {"kind": "power", "params": [1.0, -3.0]},
+                                 "exp_hi": "-inf"}]}, "exp_hi = -inf contradicts the density"),
+])
+def test_untrusted_measure_document_is_usage_error(tmp_path, capsys, doc, reason):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(doc))
+    code = main(["classify", "-m", str(path), "-p", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load measure") and err.count("\n") == 1
+    assert reason in err
+
+
 # ---------------------------------------------------------------------------
 # sweep + plotdata
 # ---------------------------------------------------------------------------
@@ -270,6 +287,16 @@ def test_sweep_unconverged_norm_exits_1(measures, tmp_path, capsys):
     assert code == 1
     assert "did not converge" in capsys.readouterr().err
     assert not (tmp_path / "sweepdir" / "sweep.json").exists()
+
+
+def test_sweep_at_p1_with_default_epsilons(measures, tmp_path, capsys):
+    # at eps = 0.025 |F| decays like e^(-0.025 v): the image norm's far edge
+    # closes with that exact rate
+    code = main(["sweep", "-m", measures["seg12"], "-p", "1", "-o", str(tmp_path / "sw")])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+    assert doc["passed"] is True and len(doc["ratios"]) == len(harness.DEFAULT_EPSILONS)
 
 
 def test_plotdata_missing_report(tmp_path, capsys):
@@ -388,6 +415,16 @@ def test_verify_unreadable_suite_measure_is_usage_error(tmp_path, capsys, entry)
     assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "cannot load measure" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_function_that_is_not_a_string_is_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"experiments": [
+        {"kind": "growth", "function": 5, "p": 2.0}]}))
+    assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad function spec 5" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -375,3 +375,54 @@ def test_pushforward_specs_survive_roundtrip(tmp_path):
     np.testing.assert_allclose(
         moment(back, 0.5, CFG).value, moment(nu, 0.5, CFG).value, rtol=1e-10
     )
+
+
+# ---------------------------------------------------------------------------
+# declared endpoint exponents against the density
+# ---------------------------------------------------------------------------
+
+
+def test_library_measures_pass_the_exponent_check():
+    # random measures of the harness (power_at_zero, exp tails), their
+    # push-forwards, and the reference measures all load from JSON
+    from hausdorff_bergman.harness import _random_bounded_measure
+
+    rng = np.random.default_rng(7)
+    measures = [exp_tail(), uniform_12(), Measure(segments=(DensitySegment.from_spec(
+        0.0, 1.0, ("power", (1.0, -0.5)), exp_lo=-0.5),))]
+    for _ in range(40):
+        measures.append(_random_bounded_measure(rng, float(rng.choice([1.0, 2.0, 4.0]))))
+    for mu in measures:
+        for nu in (mu, pushforward_inverse(mu)):
+            back = measure_from_json(measure_to_json(nu))
+            assert len(back.segments) == len(nu.segments)
+
+
+@pytest.mark.parametrize("lo, hi, spec, exps", [
+    (1.0, math.inf, ("power", (1.0, -3.0)), {"exp_hi": -math.inf}),
+    # underflows before e^40, but at a constant log-slope
+    (1.0, math.inf, ("power", (1.0, -20.0)), {"exp_hi": -math.inf}),
+    (1.0, math.inf, ("exp", (1.0, 1.0)), {"exp_hi": -2.0}),
+    (0.0, 1.0, ("power", (1.0, -0.5)), {"exp_lo": 0.0}),
+    (0.0, math.inf, ("const", (1.0,)), {"exp_lo": 0.0, "exp_hi": -1.5}),
+    (0.0, 2.0, ("expr", ("exp(-1/t)",)), {"exp_lo": 1.0}),
+])
+def test_contradicting_exponent_is_refused(lo, hi, spec, exps):
+    with pytest.raises(ValueError, match="contradicts the density"):
+        DensitySegment.from_spec(lo, hi, spec, **exps)
+
+
+@pytest.mark.parametrize("lo, hi, spec, exps", [
+    (0.0, math.inf, ("expr", ("t**2 * exp(-t)",)), {"exp_lo": 2.0, "exp_hi": -math.inf}),
+    (0.0, 2.0, ("expr", ("exp(-1/t)",)), {"exp_lo": math.inf}),
+    (1.0, math.inf, ("exp", (1.0, 1e-3)), {"exp_hi": -math.inf}),
+    (1.0, math.inf, ("expr", ("log(1 + t) / (1 + t)**3",)), {"exp_hi": -3.0}),
+    (0.0, 1.0, ("power", (1.0, 30.0)), {"exp_lo": 30.0}),
+])
+def test_consistent_exponent_is_accepted(lo, hi, spec, exps):
+    DensitySegment.from_spec(lo, hi, spec, **exps)
+
+
+def test_measure_document_must_be_an_object():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        measure_from_json([])
