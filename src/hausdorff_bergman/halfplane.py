@@ -1,18 +1,28 @@
 """Geometry and function families on the upper half-plane.
 
+A HalfPlaneFunction is a tuple of terms (see Term); a plain function is
+its own image under the unit atom.  Sums concatenate terms, multiples scale
+coefficients, and a dilation by s maps each term to (coef s^exponent,
+s shift), images included, as H commutes with dilations.  The decay hint,
+the point evaluator and the log-space lattice values are derived from the
+terms, each in one place.
+
 Complex powers are always taken through the principal logarithm (argument
 in (-pi, pi]); no other branch is used anywhere in the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterOutOfRange
+from .measure import Measure
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "Sector",
@@ -26,6 +36,8 @@ __all__ = [
     "sample_sector",
     "parse_function_spec",
 ]
+
+UNIT = Measure.from_atoms((1.0, 1.0))  # the measure of the identity operator
 
 
 def _as_z(z):
@@ -86,19 +98,111 @@ class Sector:
 
 
 @dataclass(frozen=True)
+class Term:
+    """coef * H g, with g = (z + i shift)^-exponent (family "ratpow") or
+    |z + i shift|^-exponent ("gmod") and H the dilation average against
+    measure; plain under the unit atom."""
+
+    coef: complex
+    measure: Measure
+    family: str
+    shift: float
+    exponent: float
+
+    def __post_init__(self) -> None:
+        if self.family not in ("ratpow", "gmod"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if not (cmath.isfinite(self.coef) and math.isfinite(self.exponent)):
+            raise ValueError(f"coefficient {self.coef!r} and exponent {self.exponent!r} "
+                             "must be finite")
+        if not 0.0 < self.shift < math.inf:
+            raise ValueError(f"shift must be positive and finite, got {self.shift!r}")
+
+    @property
+    def plain(self) -> bool:
+        return self.measure == UNIT
+
+    def family_values(self, z):
+        """g(z): the family member alone, without coefficient or measure."""
+        w = np.asarray(z, dtype=complex) + 1j * self.shift
+        if self.family == "gmod":
+            return np.abs(w) ** -self.exponent
+        return _principal_power(w, -self.exponent)
+
+    def log_base(self, z):
+        """log(z + i shift) for ratpow, log|z + i shift| for gmod: g is
+        e^(-exponent log_base) either way."""
+        w = z + 1j * self.shift
+        return np.log(np.abs(w)) if self.family == "gmod" else np.log(w)
+
+
+def _weighted_sum(terms, values):
+    """The sum of coef * value over the terms and their values; a
+    coefficient of 1 costs no product."""
+    total = None
+    for t, g in zip(terms, values):
+        g = g if t.coef == 1.0 else t.coef * g
+        total = g if total is None else total + g
+    return total
+
+
+@dataclass(frozen=True)
 class HalfPlaneFunction:
-    """An evaluable function on the upper half-plane.
+    """A sum of terms (see Term) on the upper half-plane.
 
     decay_hint = (power, shift) encodes |f(z)| <~ C * |z + i*shift|^-power
-    at infinity and steers the half-plane lattice.  image_of, when set, is
-    (operator, source): the function is the operator's image of the source,
-    and Bergman norms and pairings are then computed from that structure
-    (see logpolar.py) without calling the evaluator.
+    at infinity and steers the half-plane lattice.  inner_cfg is the inner
+    quadrature of the point values of image terms.  evaluator, the point
+    evaluator, defaults to the one derived from the terms; norms and
+    pairings never call it (logpolar.py sums lattice_values instead).
     """
 
-    evaluator: Callable = field(compare=False)
-    decay_hint: tuple[float, float]
-    image_of: tuple[object, "HalfPlaneFunction"] | None = None
+    terms: tuple[Term, ...]
+    inner_cfg: QuadratureConfig | None = field(default=None, compare=False)
+    evaluator: Callable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # derived here, never copied from another record by dataclasses.replace
+        if getattr(self.evaluator, "__func__", None) in (None, HalfPlaneFunction._values):
+            object.__setattr__(self, "evaluator", self._values)
+
+    @property
+    def decay_hint(self) -> tuple[float, float]:
+        """Each term counts with its exponent, except that plain terms of
+        one family and exponent whose coefficients sum to exactly 0 count
+        with exponent + 1: their leading terms at infinity cancel.  An
+        image's shift is scaled by its measure's support infimum below 1."""
+        powers, shifts, plain = [], [], {}
+        for t in self.terms:
+            t_min = t.measure.support_infimum()  # inf for the zero measure
+            shifts.append(t.shift * min(t_min, 1.0) if t_min > 0.0 else 0.0)
+            if t.plain:
+                plain[t.family, t.exponent] = plain.get((t.family, t.exponent), 0.0) + t.coef
+            else:
+                powers.append(t.exponent)
+        powers += [a + 1.0 if c == 0.0 else a for (_, a), c in plain.items()]
+        return min(powers), min(shifts)
+
+    def _values(self, z):
+        """The point evaluator: a plain term from its closed form, an image
+        term by the operator's inner quadrature at every point."""
+        from .hausdorff import image_values  # hausdorff builds on this module
+
+        z = np.asarray(z, dtype=complex)
+        return _weighted_sum(self.terms, (
+            t.family_values(z) if t.plain else image_values(
+                t.measure, t.family_values, z, self.inner_cfg or QuadratureConfig())[0]
+            for t in self.terms))
+
+    def lattice_values(self, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
+        """G(w, theta) = e^(q w) f(e^(w + i theta)) of a plain function on
+        the grid w x theta, in log space: each term is
+        coef e^(q w - a log(e^w e^(i theta) + i shift)) (log|...| for gmod),
+        so G stays accurate where f itself underflows."""
+        z = np.exp(w)[:, None] * eith
+        qw = (q * w)[:, None]
+        return _weighted_sum(self.terms, (np.exp(qw - t.exponent * t.log_base(z))
+                                          for t in self.terms))
 
     def __call__(self, z):
         return self.evaluator(_as_z(z))
@@ -106,27 +210,13 @@ class HalfPlaneFunction:
     def __add__(self, other: "HalfPlaneFunction") -> "HalfPlaneFunction":
         if not isinstance(other, HalfPlaneFunction):
             return NotImplemented
-        p1, s1 = self.decay_hint
-        p2, s2 = other.decay_hint
-        f, g = self.evaluator, other.evaluator
-        return HalfPlaneFunction(
-            evaluator=lambda z: f(z) + g(z),
-            decay_hint=(min(p1, p2), min(s1, s2)),
-        )
+        return HalfPlaneFunction(self.terms + other.terms, self.inner_cfg or other.inner_cfg)
 
     def __mul__(self, c):
         if not np.isscalar(c):
             return NotImplemented
-        f = self.evaluator
-        image = None
-        if self.image_of is not None:
-            op, source = self.image_of
-            image = (op, source * c)  # the operator is linear
-        return HalfPlaneFunction(
-            evaluator=lambda z: c * f(z),
-            decay_hint=self.decay_hint,
-            image_of=image,
-        )
+        return HalfPlaneFunction(tuple(replace(t, coef=c * t.coef) for t in self.terms),
+                                 self.inner_cfg)
 
     __rmul__ = __mul__
 
@@ -139,25 +229,15 @@ class HalfPlaneFunction:
 
 def rational_power(shift: float, exponent: float) -> HalfPlaneFunction:
     """The family (z + i*shift)^-exponent with shift > 0."""
-    if shift <= 0:
-        raise ValueError("shift must be positive")
-
-    def ev(z):
-        return _principal_power(np.asarray(z, dtype=complex) + 1j * shift, -exponent)
-
-    return HalfPlaneFunction(ev, decay_hint=(exponent, shift))
+    return HalfPlaneFunction((Term(1.0, UNIT, "ratpow", shift, exponent),))
 
 
 def dilate(f: HalfPlaneFunction, s: float) -> HalfPlaneFunction:
     """z -> f(z/s); the Bergman p-norm scales by s^(2/p)."""
-    if s <= 0:
+    if not 0.0 < s < math.inf:
         raise ValueError("dilation factor must be positive")
-    power, shift = f.decay_hint
-    ev = f.evaluator
-    return HalfPlaneFunction(
-        evaluator=lambda z: ev(np.asarray(z, dtype=complex) / s),
-        decay_hint=(power, s * shift),
-    )
+    return HalfPlaneFunction(tuple(replace(t, coef=t.coef * s ** t.exponent, shift=s * t.shift)
+                                   for t in f.terms), f.inner_cfg)
 
 
 @dataclass(frozen=True)
@@ -176,19 +256,17 @@ class TestFunction:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p!r}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
     @property
     def exponent(self) -> float:
         return 2.0 / self.p + self.epsilon
 
     def __call__(self, z):
-        w = np.asarray(_as_z(z), dtype=complex) + 1j * self.epsilon
-        out = _principal_power(w, -self.exponent)
-        return out if np.ndim(out) else complex(out)
+        return self.as_function()(z)
 
     def phase(self, z):
         """Unit-modulus factor conj(z + i*eps)/|z + i*eps|, argument in (-pi, 0)."""
@@ -200,10 +278,7 @@ class TestFunction:
         return ModulusFunction(self.p * self.epsilon, self.epsilon, self.p)
 
     def as_function(self) -> HalfPlaneFunction:
-        return HalfPlaneFunction(
-            evaluator=lambda z: self(z),
-            decay_hint=(self.exponent, self.epsilon),
-        )
+        return rational_power(self.epsilon, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -216,19 +291,18 @@ class ModulusFunction:
     p: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.delta <= 0:
-            raise ValueError("lam and delta must be positive")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.delta < math.inf):
+            raise ValueError(f"lam and delta must be positive and finite, got "
+                             f"{self.lam!r} and {self.delta!r}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p!r}")
 
     @property
     def exponent(self) -> float:
         return (2.0 + self.lam) / self.p
 
     def __call__(self, z):
-        w = np.asarray(_as_z(z), dtype=complex) + 1j * self.delta
-        out = np.abs(w) ** (-self.exponent)
-        return out if np.ndim(out) else float(out)
+        return self.as_function()(z)
 
     def norm_bounds(self) -> tuple[float, float]:
         """Closed-form sandwich for the p-th power of the Bergman norm:
@@ -239,10 +313,7 @@ class ModulusFunction:
         return lower, upper
 
     def as_function(self) -> HalfPlaneFunction:
-        return HalfPlaneFunction(
-            evaluator=lambda z: self(z),
-            decay_hint=((2.0 + self.lam) / self.p, self.delta),
-        )
+        return HalfPlaneFunction((Term(1.0, UNIT, "gmod", self.delta, self.exponent),))
 
 
 def sector_for_case(case: str, theta0: float | None = None) -> Sector:

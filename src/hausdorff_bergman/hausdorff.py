@@ -7,21 +7,21 @@ evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
 quadrature available as an independent cross-check route.
 
-Point values are one thing, norms and pairings another: as_function
-records (operator, f) on its result, and Bergman norms and pairings of the
-result are computed from that record on the log-polar lattice
-(logpolar.py), the same engine that serves plain functions.  In
-z = e^(v + i theta) the operator is a convolution in v, and scaling by
-e^(2v/p) makes both the area element (r dr dtheta = e^(2v) dv dtheta) and
-the kernel's integral (the moment of t^(2/p - 1), the operator norm) come
-out exactly.  Each side of the adjoint identity pairs an image with a
-plain function on that lattice.
+Point values are one thing, norms and pairings another: as_function puts
+the operator's measure on every term of f (halfplane.py), and Bergman norms
+and pairings of the result are computed from those terms on the log-polar
+lattice (logpolar.py), the same engine that serves plain functions, with
+sums, multiples and dilations of images included.  In z = e^(v + i theta)
+the operator is a convolution in v, and scaling by e^(2v/p) makes both the
+area element (r dr dtheta = e^(2v) dv dtheta) and the kernel's integral
+(the moment of t^(2/p - 1), the operator norm) come out exactly.  Each side
+of the adjoint identity pairs an image with a plain function on that
+lattice.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,17 +109,16 @@ def _density_sum(mu: Measure, kernel, cfg: QuadratureConfig, what: str):
     return total, err
 
 
-def _eval_array(op: HausdorffOperator, f: HalfPlaneFunction, z: np.ndarray,
-                cfg: QuadratureConfig) -> tuple[np.ndarray, float]:
-    """Vectorized operator application over a flat complex array z."""
-    mu = op.effective_measure()
+def image_values(mu: Measure, ev, z: np.ndarray,
+                 cfg: QuadratureConfig) -> tuple[np.ndarray, float]:
+    """H g over a complex array z, for H the dilation average against mu
+    and ev the evaluator of g, with the inner quadrature's error."""
+    shape, z = z.shape, z.ravel()
     out = np.zeros(z.shape, dtype=complex)
-    if mu.atoms:
-        for a in mu.atoms:
-            out = out + (a.weight / a.location) * np.asarray(f(z / a.location))
+    for a in mu.atoms:
+        out = out + (a.weight / a.location) * np.asarray(ev(z / a.location))
     err = 0.0
     if mu.segments:
-        ev = f.evaluator
 
         def kernel(t):
             tt = np.asarray(t, dtype=float)
@@ -128,7 +127,7 @@ def _eval_array(op: HausdorffOperator, f: HalfPlaneFunction, z: np.ndarray,
         dens_val, err = _density_sum(mu, kernel, cfg, "operator integral")
         if dens_val is not None:
             out = out + dens_val
-    return out, err
+    return out.reshape(shape), err
 
 
 def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
@@ -137,8 +136,7 @@ def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
     cfg = cfg or QuadratureConfig()
     op._guard()
     zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex))
-    vals, err = _eval_array(op, f, zz.ravel(), cfg)
-    vals = vals.reshape(zz.shape)
+    vals, err = image_values(op.effective_measure(), f.evaluator, zz, cfg)
     value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
     return ApplyResult(value=value, error_estimate=err, converged=True)
 
@@ -186,36 +184,15 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
 
 def as_function(op: HausdorffOperator, f: HalfPlaneFunction,
                 cfg: QuadratureConfig | None = None) -> HalfPlaneFunction:
-    """Package the operator output as an evaluable half-plane function.
-
-    The decay hint keeps the power of f; the reference shift scales with
-    the infimum of the (effective) measure support, falling back to 0 when
-    the support reaches down to 0.  The result carries image_of = (op, f),
-    so its Bergman norms and pairings go to the log-polar engine as the
-    side (op's measure, f), which evaluates f on a lattice instead of
-    calling the evaluator; the evaluator (one inner quadrature per point,
-    with cfg) serves point values.
-    """
-    cfg = cfg or QuadratureConfig()
+    """The operator output as a half-plane function: f's terms with op's
+    (effective) measure put on each.  Its Bergman norms and pairings are
+    computed from those terms; cfg is the inner quadrature of its point
+    values.  f must be plain: an image of an image is not a term."""
     op._guard()
-    power, shift = f.decay_hint
+    if not all(t.plain for t in f.terms):
+        raise ValueError("as_function takes a plain function, not an operator image")
     mu = op.effective_measure()
-    t_min = mu.support_infimum()
-    if mu.is_zero:
-        new_shift = shift
-    elif t_min > 0.0 and math.isfinite(t_min):
-        new_shift = shift * min(t_min, 1.0)
-    else:
-        new_shift = 0.0
-
-    def ev(z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals, _ = _eval_array(op, f, zz.ravel(), cfg)
-        vals = vals.reshape(zz.shape)
-        return vals if np.ndim(z) else complex(vals[0])
-
-    return HalfPlaneFunction(evaluator=ev, decay_hint=(power, new_shift),
-                             image_of=(op, f))
+    return HalfPlaneFunction(tuple(replace(t, measure=mu) for t in f.terms), cfg)
 
 
 def quasi_as_function(mu: Measure, f: HalfPlaneFunction, p: float = 2.0,

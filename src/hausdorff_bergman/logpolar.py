@@ -2,22 +2,23 @@
 half-plane engine.
 
 `bergman_norm_p_power` and `pairing` (quadrature.py) send every function
-here.  The engine works on sides.  A side is a measure mu and a source f,
-standing for Hf(z) = integral of (1/t) f(z/t) dmu(t):
-  - an operator image (a function carrying image_of = (H, f), as
-    `as_function` returns it) is the side (H's measure, f), and its own
-    evaluator is never called;
-  - any other function g is the side (unit atom, g).
+here.  The engine works on sides.  A side is a measure mu and a plain
+source f, standing for Hf(z) = integral of (1/t) f(z/t) dmu(t).  Each
+factor of the integrand is the sum of one side per distinct measure among
+its terms (halfplane.py), so a plain function is one side under the unit
+atom and sums, multiples and dilations of images stay on the lattice.  A
+source enters only through its log-space lattice values
+G(w, theta) = e^(q w) f(e^(w + i theta)), accurate where f underflows.
 In z = e^(v + i theta) and t = e^s, H is a convolution in v along every
 ray, so every evaluation of f serves all output points.  A norm sums |F|^p
-over one side, a pairing F conj(G) over two, on one uniform v-lattice and
+over one factor, a pairing F conj(G) over two, on one uniform v-lattice and
 one set of Gauss-Legendre theta nodes.  The trapezoid rule in v converges
 exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 
 The lattice is finite; the sum beyond each free edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
 exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
-rate = p power - 2 for a norm and the sides' rates added for a pairing; near
+rate = p power - 2 for a norm and the factors' rates added for a pairing; near
 0, rate 2 where the source's shift is positive), the closure uses that rate
 and the error counts only how far c varies beyond the edge, read from the
 mismatch between the last step ratios and e^(-rate h).  A window then
@@ -36,11 +37,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import Measure
+from .halfplane import UNIT, HalfPlaneFunction
 from .quadrature import IntegralResult, QuadratureConfig, _nodes_dot
 
 
@@ -62,7 +63,6 @@ _S_CAP = 250.0     # a kernel reaches at most this far from its anchor
 _MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
                    # unit of v) at one end leaves that end's rate to be measured
 _BLOCK = 1 << 12  # complex entries per theta-block temporary (64 KiB)
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,9 +105,8 @@ def _geometric_tail(vals, h: float, m: int, rate: float | None) -> float | None:
     been seen to decay geometrically there.  rate, the slowest decay the
     decay data allow there (per unit of v), floors the ratio at e^(-rate h)
     so that a slower asymptotic decay is not missed.  An edge value of
-    exactly 0 needs no closure: _sums keeps no lattice row that used an
-    underflowed value of f, so such a zero is |F|^p below the range of
-    doubles."""
+    exactly 0 needs no closure: lattice values are computed in log space,
+    so such a zero is |F|^p below the range of doubles."""
     edge = float(vals[-1])
     if edge == 0.0:
         return 0.0
@@ -168,25 +167,6 @@ def _exact_rate(own: float | None, kernels) -> float | None:
     return own
 
 
-def _scaled_family(ev, w: np.ndarray, eith: np.ndarray, q: float):
-    """G(w, theta) = e^(q w) f(e^(w + i theta)) on the grid w x theta, and the
-    smallest w > 0 at which f left the normal range of doubles (inf if none).
-
-    The factor is applied in two halves so that neither it nor the product
-    overflows where f decays.  Where f decays it can still underflow: |f|
-    ~ e^(-a w) falls below 2.2e-308 at a w ~ 708 while G ~ e^((q-a) w) is
-    still large, and the factor then turns f's rounding to 0 (or to a
-    subnormal) into an error as large as G itself.  A source that is zero
-    on the whole grid is exact and is not reported."""
-    half = np.exp(0.5 * q * w)[:, None]
-    z = np.exp(w)[:, None] * eith[None, :]
-    fz = np.asarray(ev(z))
-    small = np.abs(fz) < _TINY
-    lost = (w > 0.0) & np.any(small, axis=1)
-    w_lost = float(w[lost].min()) if lost.any() and not small.all() else math.inf
-    return (fz * half) * half, w_lost
-
-
 class _Stop(Exception):
     """The run cannot go on: args[0] is the failure reason, "tail" (a window
     edge or a kernel end cannot be closed within the caps) or "budget"."""
@@ -224,6 +204,7 @@ class _SideLevel:
     kernels: list          # a _ConvKernel per segment touching 0 or infinity
     ffts: list             # the FFT length of each kernel
     kernel_hat: list       # the FFT of each kernel
+    g_mass: list           # ||G||_p^p seen by each kernel, added up by block
     evals: int             # family evaluations per theta node
     s_lo: float            # range of the shifts s in G(v - s)
     s_hi: float
@@ -378,28 +359,20 @@ class _Side:
         shifts = [atoms[0], *(t[0] for t in (gauss, gauss_j) if t is not None)]
         shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
         shifts = np.concatenate([np.ravel(s) for s in shifts])
-        return _SideLevel(atoms, gauss, gauss_j, kernels, ffts, kernel_hat, evals,
-                          float(shifts.min()), float(shifts.max()))
+        return _SideLevel(atoms, gauss, gauss_j, kernels, ffts, kernel_hat,
+                          [0.0] * len(kernels), evals, float(shifts.min()), float(shifts.max()))
 
     def block(self, lv: _SideLevel, v: np.ndarray, h: float, eb: np.ndarray,
-              wb: np.ndarray, g_mass: list):
+              wb: np.ndarray):
         """F on the rows v at the theta nodes eb (weights wb): with the
         level's inner rules, with its Gauss rule one lower, and with both
         inner rules one lower.  Adds each kernel's ||G||_p^p seen here to
-        g_mass; also returns the smallest w > 0 at which the source
-        underflowed (inf if none)."""
+        lv.g_mass."""
         n_v = len(v)
-        w_lost = math.inf
-
-        def family(w):
-            nonlocal w_lost
-            g, lost = _scaled_family(self.source.evaluator, w, eb, self.q)
-            w_lost = min(w_lost, lost)
-            return g
 
         def add_direct(out, terms):
             for shift, c in zip(*terms):
-                out += c * family(v - shift)
+                out += c * self.source.lattice_values(v - shift, eb, self.q)
 
         common = np.zeros((n_v, len(eb)), dtype=complex)
         fix = np.zeros_like(common)
@@ -407,8 +380,8 @@ class _Side:
         for i, (kr, n_fft, k_hat) in enumerate(zip(lv.kernels, lv.ffts, lv.kernel_hat)):
             m_k = len(kr.a)
             u = v[0] - kr.s_max + h * np.arange(n_v + m_k - 1)
-            g = family(u)
-            g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
+            g = self.source.lattice_values(u, eb, self.q)
+            lv.g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
             conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None], axis=0)
             common += conv[m_k - 1:m_k - 1 + n_v]
             for k, dk in zip(kr.fix_idx, kr.fix_delta):
@@ -420,7 +393,7 @@ class _Side:
             common = full
         else:
             add_direct(common, lv.gauss_j)
-        return (full, common, common + fix), w_lost
+        return full, common, common + fix
 
 
 @dataclass
@@ -430,24 +403,24 @@ class _LevelSums:
                            # and Gregory order one lower (rows 0, 1, 2)
     major: np.ndarray      # the majorant profile: P itself for a norm,
                            # (1/pi) int |F||G| dtheta for a pairing
-    kernel_tails: list     # (side, geometric tail of a kernel, ||G||_p^p seen by it)
-    own: np.ndarray        # ||F||_2^2 of each side of a pairing
+    kernel_tails: list     # (factor, geometric tail of a kernel, ||G||_p^p seen by it)
+    own: np.ndarray        # ||F||_2^2 of each factor of a pairing
     edge: np.ndarray       # the majorant on the last lattice row, when R is fixed
     eith: np.ndarray       # e^(i theta) at the theta nodes
     s_lo: float            # range of the shifts s in G(v - s)
     s_hi: float
-    w_lost: float          # smallest w > 0 at which a source underflowed (or inf)
 
 
 class _LogPolarNorm:
-    """||Hf||_p^p of one side, or the pairing (1/pi) int Hf conj(Kg) dA of
+    """||F||_p^p of one factor, or the pairing (1/pi) int F conj(G) dA of
     two (at p = 2, where q = 1), on a log-polar lattice (see _Side).
 
-    sides holds (mu, source, decay hint) per side.  Levels halve h and
-    double the theta nodes until successive values agree and their
-    differences contract.  The left window edge, and the right one when
-    there is no truncation radius, grow until the error counted for closing
-    them is below an eighth of the tolerance (_edge).  With the exact rate
+    A factor is a list of sides, each given as (mu, source, decay hint),
+    and stands for their sum.  Levels halve h and double the theta nodes
+    until successive values agree and their differences contract.  The
+    left window edge, and the right one when there is no truncation radius,
+    grow until the error counted for closing them is below an eighth of the
+    tolerance (_edge).  With the exact rate
     the profile (|F|^p, or the complex F conj(G) of a pairing) is closed
     with it, the closure goes into the value and only its uncertainty into
     the error, for a norm and a pairing alike.  With the measured rule the
@@ -464,24 +437,28 @@ class _LogPolarNorm:
     between this level and the last on the same Gauss rule.
     """
 
-    def __init__(self, sides, p: float, cfg: QuadratureConfig):
+    def __init__(self, factors, p: float, cfg: QuadratureConfig):
         self.p, self.cfg = p, cfg
-        self.pair = len(sides) == 2
+        self.pair = len(factors) == 2
         self.radius = cfg.halfplane_truncation_radius
         eta = max(1e-3 * cfg.rel_tol, 1e-16)  # kernel tail / kernel mass
-        self.sides = [_Side(mu, source, hint, p, eta) for mu, source, hint in sides]
-        # the majorant is the product of |F_k|^(p/n) over the n sides: its
-        # decay rates and far-field power add up accordingly
-        share = p / len(self.sides)
-        r_lo = [s.rate_lo for s in self.sides]
-        r_hi = [s.rate_hi for s in self.sides]
-        self.rate_lo = None if None in r_lo else share * sum(r_lo)
-        self.rate_hi = None if None in r_hi else share * sum(r_hi)
-        e_lo = [s.exact_lo for s in self.sides]
-        e_hi = [s.exact_hi for s in self.sides]
-        self.exact_lo = None if None in e_lo else share * sum(e_lo)
-        self.exact_hi = None if None in e_hi or sum(e_hi) <= 0.0 else share * sum(e_hi)
-        self.tail_power = share * sum(s.power for s in self.sides)
+        self.factors = [[_Side(mu, source, hint, p, eta) for mu, source, hint in factor]
+                        for factor in factors]
+        self.sides = [side for factor in self.factors for side in factor]
+        # a factor decays at its slowest side's rate, exactly so if every
+        # side's rate is exact; the majorant is the product of |F_k|^(p/n)
+        # over the n factors, so its rates and far-field power add up
+        share = p / len(factors)
+
+        def total(attr):
+            rates = [[getattr(s, attr) for s in f] for f in self.factors]
+            rates = [None if None in r else min(r) for r in rates]
+            return None if None in rates else share * sum(rates)
+
+        self.rate_lo, self.rate_hi = total("rate_lo"), total("rate_hi")
+        self.exact_lo, exact_hi = total("exact_lo"), total("exact_hi")
+        self.exact_hi = exact_hi if exact_hi is not None and exact_hi > 0.0 else None
+        self.tail_power = share * sum(min(s.power for s in f) for f in self.factors)
         self.tail_shift = min(s.shift for s in self.sides)
 
     def _integrand(self, x, y):
@@ -497,31 +474,29 @@ class _LogPolarNorm:
         eith = np.exp(0.5j * math.pi * (x + 1.0))
         w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
         v = v_lo + h * np.arange(n_v)
-        levels = [side.level(rule, h, n_v) for side in self.sides]
-        evals = len(eith) * sum(lv.evals for lv in levels)
+        levels = [[side.level(rule, h, n_v) for side in factor] for factor in self.factors]
+        flat = [lv for factor in levels for lv in factor]
+        evals = len(eith) * sum(lv.evals for lv in flat)
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
-        nb = max(1, _BLOCK // max([n_v] + [n for lv in levels for n in lv.ffts]))
+        nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
         # with no lower Gauss rule anywhere, P with it is P itself
-        same_g = all(lv.gauss_j is lv.gauss for lv in levels)
+        same_g = all(lv.gauss_j is lv.gauss for lv in flat)
         rows = (0, 2) if same_g else (0, 1, 2)
 
         profs = np.zeros((3, n_v), dtype=complex if self.pair else float)
         major = np.zeros(n_v)
-        own = np.zeros(len(self.sides))
-        g_mass = [[0.0] * len(lv.kernels) for lv in levels]
+        own = np.zeros(len(self.factors))
         edge = []
-        w_lost = math.inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
             for b0 in range(0, len(eith), nb):
                 eb, wb = eith[b0:b0 + nb], w_th[b0:b0 + nb]
-                vals = []
-                for side, lv, gm in zip(self.sides, levels, g_mass):
-                    val, lost = side.block(lv, v, h, eb, wb, gm)
-                    vals.append(val)
-                    w_lost = min(w_lost, lost)
+                # each factor's three values, summed over its sides
+                vals = [[sum(parts) for parts in zip(*(
+                    side.block(lv, v, h, eb, wb) for side, lv in zip(factor, lvs)))]
+                    for factor, lvs in zip(self.factors, levels)]
                 fx, gx = vals[0], vals[-1]
                 for k in rows:
                     profs[k] += _nodes_dot(wb, self._integrand(fx[k], gx[k]).T)
@@ -533,12 +508,11 @@ class _LogPolarNorm:
                     edge.append((np.abs(fx[0][-1]) * np.abs(gx[0][-1])) ** (0.5 * self.p))
         if same_g:
             profs[1] = profs[0]
-        tails = [(i, kr.tail, gm) for i, (lv, gms) in enumerate(zip(levels, g_mass))
-                 for kr, gm in zip(lv.kernels, gms)]
+        tails = [(i, kr.tail, gm) for i, factor in enumerate(levels) for lv in factor
+                 for kr, gm in zip(lv.kernels, lv.g_mass)]
         return _LevelSums(profs, major if self.pair else profs[0], tails, own,
                           np.concatenate(edge) if edge else np.zeros(0), eith,
-                          min(lv.s_lo for lv in levels), max(lv.s_hi for lv in levels),
-                          w_lost)
+                          min(lv.s_lo for lv in flat), max(lv.s_hi for lv in flat))
 
     # -- refinement ------------------------------------------------------
 
@@ -563,7 +537,6 @@ class _LogPolarNorm:
             v_hi = math.log(self.radius)
             v_lo = v_hi - _H0 * max(2, math.ceil((v_hi - lo) / _H0))
         self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, _H0
-        self.v_cap = math.inf  # bound on v_hi set by _cut
 
     def _grow(self, left: bool, sums: _LevelSums) -> bool:
         """Move a free edge out by half the window (at least 4, a multiple of
@@ -574,7 +547,7 @@ class _LogPolarNorm:
         if left:
             room = self.v_lo - sums.s_hi + _W_CAP
         else:
-            room = min(_W_CAP + sums.s_lo, self.v_cap) - self.v_hi
+            room = _W_CAP + sums.s_lo - self.v_hi
         step = min(step, h0 * math.floor(room / h0))
         if step <= 0.0:
             return False
@@ -582,16 +555,6 @@ class _LogPolarNorm:
             self.v_lo -= step
         else:
             self.v_hi += step
-        return True
-
-    def _cut(self, cut: float) -> bool:
-        """Pull a free right edge below cut onto the h0-grid and keep it
-        there; False if the edge is fixed or under two steps of window would
-        be left."""
-        steps = math.ceil((cut - self.v_lo) / self.h0) - 1
-        if not self.right_free or steps < 2:
-            return False
-        self.v_hi = self.v_cap = self.v_lo + self.h0 * steps
         return True
 
     def _outer_weights(self, n_v: int) -> np.ndarray:
@@ -634,12 +597,6 @@ class _LogPolarNorm:
                 sums = self._level(lvl, rule, self.v_lo, n_v, h)
             except _Stop as stop:
                 return stop.args[0]
-            cut = sums.w_lost + sums.s_lo  # rows from here on used an underflowed f
-            if self.v_hi >= cut:
-                if not self._cut(cut):
-                    return "tail"
-                n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-                sums.profs, sums.major = sums.profs[:, :n_v], sums.major[:n_v]
             c = self._outer_weights(n_v)
             cores = tuple(h * (c @ pr).item() for pr in sums.profs)
             if not all(map(cmath.isfinite, cores)):
@@ -668,8 +625,6 @@ class _LogPolarNorm:
         so it advances at least once."""
         cfg, p = self.cfg, self.p
         levels = "lattice levels"
-        if any(side.mu.is_zero for side in self.sides):
-            return IntegralResult(0j if self.pair else 0.0, 0.0, 1, True, unit=levels)
         self._initial_window()
         self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
         self.evals = 0
@@ -687,9 +642,9 @@ class _LogPolarNorm:
                 err, reason = math.inf, "tail"
                 break
             if self.pair:
-                # a kernel cut off with tail mass T moves its side by at most
+                # a kernel cut off with tail mass T moves its factor by at most
                 # T ||G||_2 (Minkowski), hence the pairing by that times the
-                # other side's ||F||_2 (Cauchy-Schwarz)
+                # other factor's ||F||_2 (Cauchy-Schwarz)
                 fixed = sum(t * math.sqrt(g * sums.own[1 - i])
                             for i, t, g in sums.kernel_tails)
             else:
@@ -731,24 +686,29 @@ class _LogPolarNorm:
         return _analytic_tail_bound(coeff, radius, power, shift)
 
 
-_UNIT = Measure.from_atoms((1.0, 1.0))
+def _factor(f: HalfPlaneFunction) -> list:
+    """f as (measure, source, decay hint) per distinct nonzero measure among
+    its terms: the source holds those terms made plain, the hint is that of
+    the terms themselves."""
+    groups = {}
+    for term in f.terms:  # by identity: segments compare without their densities
+        groups.setdefault(id(term.measure), (term.measure, []))[1].append(term)
+    return [(mu, HalfPlaneFunction(tuple(replace(t, measure=UNIT) for t in terms)),
+             HalfPlaneFunction(tuple(terms)).decay_hint)
+            for mu, terms in groups.values() if not mu.is_zero]
 
 
-def _side(f) -> tuple:
-    """f as (measure, source, decay hint): an operator image as its
-    operator's measure and its source, any other function as its own image
-    under the unit atom."""
-    if f.image_of is None:
-        return _UNIT, f, f.decay_hint
-    op, source = f.image_of
-    return op.effective_measure(), source, f.decay_hint
+def _run(factors, p: float, cfg: QuadratureConfig) -> IntegralResult:
+    if all(factors):
+        return _LogPolarNorm(factors, p, cfg).run()
+    return IntegralResult(0j if len(factors) == 2 else 0.0, 0.0, 1, True, unit="lattice levels")
 
 
 def norm_power(f, p: float, cfg: QuadratureConfig) -> IntegralResult:
     """||f||_p^p = (1/pi) int |f|^p dA on the lattice."""
-    return _LogPolarNorm([_side(f)], p, cfg).run()
+    return _run([_factor(f)], p, cfg)
 
 
 def pairing(f, g, cfg: QuadratureConfig) -> IntegralResult:
-    """(1/pi) int f conj(g) dA on the lattice, with q = 1 on both sides."""
-    return _LogPolarNorm([_side(f), _side(g)], 2.0, cfg).run()
+    """(1/pi) int f conj(g) dA on the lattice, with q = 1 on both factors."""
+    return _run([_factor(f), _factor(g)], 2.0, cfg)

@@ -409,11 +409,12 @@ def bergman_norm_p_power(f, p: float,
                          cfg: QuadratureConfig | None = None) -> IntegralResult:
     """The p-th power of the Bergman norm: (1/pi) * integral of |f|^p dA.
 
-    f must expose decay_hint = (power at infinity, reference shift) and be
-    callable on complex arrays.  The norm is computed on the log-polar
-    lattice of logpolar.py: an operator image (image_of set, as
-    `as_function` returns it) from its source, any other function from its
-    own values.
+    f is a HalfPlaneFunction, a sum of terms; its decay_hint = (power at
+    infinity, reference shift) decides integrability.  The norm is computed
+    on the log-polar lattice of logpolar.py from the terms: one side per
+    distinct measure among them, each from its plain family members'
+    log-space values, so that images and their sums, multiples and
+    dilations never call a point evaluator.
     """
     cfg = cfg or QuadratureConfig()
     if p < 1:

@@ -141,6 +141,22 @@ def test_norm_of_rational(capsys):
     np.testing.assert_allclose(float(out[0]), 0.5, rtol=1e-6)
 
 
+@pytest.mark.parametrize("spec", [
+    "ratpow:shift=nan,exp=2", "ratpow:shift=1,exp=inf", "ratpow:shift=inf,exp=2",
+    "ratpow:shift=1,exp=nan", "gmod:lambda=inf,delta=1,p=2", "gmod:lambda=1,delta=nan,p=2",
+    "test:p=2,eps=nan", "test:p=inf,eps=0.1",
+])
+def test_non_finite_family_parameter_is_usage_error(spec, capsys):
+    # these once printed a norm of 0 (exit 0), ended in a traceback or
+    # printed "error inf" (exit 1)
+    code = main(["norm", "-f", spec, "-p", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "finite" in captured.err
+
+
 def test_moment_alpha(measures, capsys):
     code = main(["moment", "-m", measures["seg12"], "--alpha", "0"])
     out = capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -248,6 +249,12 @@ def test_parse_function_spec_errors():
             parse_function_spec(bad)
 
 
+def test_replaced_terms_get_their_own_evaluator():
+    f = rational_power(1.0, 2.0)
+    g = rational_power(2.0, 2.0)
+    np.testing.assert_allclose(dataclasses.replace(f, terms=g.terms)(1j), g(1j), rtol=1e-15)
+
+
 def test_dilate_decay_hint():
     f = rational_power(0.5, 2.0)
     g = dilate(f, 4.0)
@@ -263,3 +270,12 @@ def test_function_arithmetic():
     np.testing.assert_allclose(h(z), f(z) + 2.0 * g(z), rtol=1e-15)
     assert h.decay_hint == (2.0, 1.0)
     np.testing.assert_allclose((f - f)(z), 0.0, atol=1e-18)
+
+
+def test_family_parameters_must_be_finite():
+    for build in (lambda: rational_power(math.nan, 2.0), lambda: rational_power(1.0, math.inf),
+                  lambda: TestFunction(2.0, math.nan), lambda: ModulusFunction(math.inf, 1.0, 2.0),
+                  lambda: dilate(rational_power(1.0, 2.0), math.inf),
+                  lambda: math.nan * rational_power(1.0, 2.0)):
+        with pytest.raises(ValueError, match="finite|positive"):
+            build()

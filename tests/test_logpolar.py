@@ -5,7 +5,7 @@ logpolar.py.  These tests hold it to closed forms and to quadratures
 independent of it (each checks |value - exact| <= error_estimate whenever
 the result is converged), check its inner convolution against the nested
 point evaluator, and pin the ways an operator image can be built and
-changed.
+changed: sums, multiples and dilations of images stay term records.
 
 Notation: f_{eps,a}(z) = (z + i eps)^-a and, for t > 0,
 (1/t) f_{eps,a}(z/t) = t^(a-1) (z + i eps t)^-a.  At p = 2 the pairing
@@ -23,6 +23,7 @@ import pytest
 
 from hausdorff_bergman import (
     DensitySegment,
+    HalfPlaneFunction,
     HausdorffOperator,
     Measure,
     ModulusFunction,
@@ -32,18 +33,20 @@ from hausdorff_bergman import (
     as_function,
     bergman_norm_p,
     bergman_norm_p_power,
+    dilate,
     pairing,
     quasi_as_function,
     rational_power,
 )
 from hausdorff_bergman import cli, harness
+from hausdorff_bergman.halfplane import UNIT
 from hausdorff_bergman.logpolar import (
     _LogPolarNorm,
+    _factor,
     _gauss_legendre,
     _geometric_tail,
     _gregory_weights,
     _rate_tail,
-    _scaled_family,
 )
 
 CFG = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
@@ -150,7 +153,7 @@ def test_lattice_on_one_atom_at_slow_decay(p, eps):
     t, w = 2.5, 0.7
     a = 2.0 / p + eps
     f = rational_power(eps, a)
-    res = _LogPolarNorm([(Measure.from_atoms((t, w)), f, f.decay_hint)], p, CFG).run()
+    res = _LogPolarNorm([[(Measure.from_atoms((t, w)), f, f.decay_hint)]], p, CFG).run()
     exact = (w * t ** (2.0 / p - 1.0)) ** p * ratpow_norm_power(p, a, eps)
     assert_within(res, exact)
 
@@ -302,14 +305,48 @@ def test_plain_feps_norms_against_gamma_closed_form():
 @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
 def test_cancelling_sum_against_pairing_formula(a, rel_tol):
-    # f - g = (z + i)^-a - (z + 2i)^-a decays like |z|^-(a+1), faster than
-    # its decay hint's power a says: the far edge's ratios stay away from
-    # the hint's rate, so the measured rule must close it.
+    # f - g = (z + i)^-a - (z + 2i)^-a decays like |z|^-(a+1): its two plain
+    # terms share family and exponent and their coefficients sum to 0, so
+    # its decay hint has power a + 1 and the exact rule closes the far edge.
     # ||f - g||_2^2 = ||f||^2 + ||g||^2 - 2 Re <f, g>
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
     res = bergman_norm_p_power(rational_power(1.0, a) - rational_power(2.0, a), 2.0, cfg)
     exact = (ratpow_pairing(a, 1.0, 1.0) + ratpow_pairing(a, 2.0, 2.0)
              - 2.0 * ratpow_pairing(a, 1.0, 2.0))
+    assert res.converged, res
+    assert within_rounding(res, exact), (res, exact)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_cancelling_sum_of_first_powers_is_log_nine_eighths(rel_tol):
+    # (z + i)^-1 - (z + 2i)^-1 = i / ((z + i)(z + 2i)) decays like |z|^-2,
+    # so it is in A^2 though each term is not.  On each line y = const,
+    # (x + i d)^-1 has Fourier transform of modulus 2 pi e^(-d xi) on
+    # xi > 0; Plancherel and the y-integral leave
+    # int_0^inf (e^(-2 xi) - 2 e^(-3 xi) + e^(-4 xi)) / xi d xi, which is
+    # ln(3/2) - ln(4/3) = ln(9/8) by Frullani's integral
+    f = rational_power(1.0, 1.0) - rational_power(2.0, 1.0)
+    assert f.decay_hint == (2.0, 1.0)
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(f, 2.0, cfg)
+    assert res.converged, res
+    assert within_rounding(res, math.log(9.0 / 8.0)), res
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_second_difference_closes_by_the_measured_rule(a, rel_tol):
+    # (z + i)^-a - 2 (z + 2i)^-a + (z + 3i)^-a decays like |z|^-(a+2); its
+    # hint counts the cancelled group as a + 1 only, one power too slow, so
+    # the ratios miss the hint's rate and the measured rule closes the edge
+    coefs, shifts = (1.0, -2.0, 1.0), (1.0, 2.0, 3.0)
+    f = sum((c * rational_power(d, a) for c, d in zip(coefs[1:], shifts[1:])),
+            rational_power(shifts[0], a))
+    assert f.decay_hint == (a + 1.0, 1.0)
+    exact = sum(cj * ck * ratpow_pairing(a, dj, dk)
+                for cj, dj in zip(coefs, shifts) for ck, dk in zip(coefs, shifts))
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(f, 2.0, cfg)
     assert res.converged, res
     assert within_rounding(res, exact), (res, exact)
 
@@ -382,12 +419,37 @@ def test_lattice_failure_message_counts_levels():
 # ---------------------------------------------------------------------------
 
 
+class NestedSource:
+    """hf as a plain source whose lattice values come from its point values
+    (one 1-D inner adaptive quadrature per lattice point) instead of the
+    lattice's own convolution.  It reaches the engine through
+    lattice_values, as a term record does, so both share the outer lattice
+    and these tests check that convolution and its inner rules."""
+
+    def __init__(self, hf):
+        self.hf, self.decay_hint = hf, hf.decay_hint
+
+    def lattice_values(self, w, eith, q):
+        half = np.exp(0.5 * q * w)[:, None]
+        return (self.hf(np.exp(w)[:, None] * eith) * half) * half
+
+
 def nested(hf):
-    """hf without its image record: both share the outer lattice, but the
-    copy's values come from the nested point evaluator (one 1-D inner
-    quadrature per lattice point) instead of the lattice's own convolution,
-    so these tests check that convolution and its inner rules."""
-    return dataclasses.replace(hf, image_of=None)
+    """hf on the nested path: one factor, one side under the unit atom."""
+    return [(UNIT, NestedSource(hf), hf.decay_hint)]
+
+
+def nested_norm_power(hf, p, cfg):
+    return _LogPolarNorm([nested(hf)], p, cfg).run()
+
+
+def nested_norm(hf, p, cfg):
+    """||hf||_p on the nested path, the error carried through the root as
+    bergman_norm_p carries it."""
+    res = nested_norm_power(hf, p, cfg)
+    value = res.value ** (1.0 / p)
+    return dataclasses.replace(res, value=value,
+                               error_estimate=res.error_estimate * value / (p * res.value))
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_PANEL))
@@ -397,7 +459,7 @@ def test_multi_panel_segments_agree_with_nested_path(name, p):
     mu = Measure(segments=(MULTI_PANEL[name][0],))
     hf = as_function(HausdorffOperator(mu, p), rational_power(eps, 2.0 / p + eps), CFG.tighter())
     fast = bergman_norm_p_power(hf, p, CFG)
-    slow = bergman_norm_p_power(nested(hf), p, CFG)
+    slow = nested_norm_power(hf, p, CFG)
     assert fast.converged and slow.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
@@ -410,7 +472,7 @@ def test_random_measures_agree_with_nested_path(seed):
     f = harness._random_function(rng, p)
     hf = as_function(HausdorffOperator(mu, p), f, CFG.tighter())
     fast = bergman_norm_p_power(hf, p, CFG)
-    slow = bergman_norm_p_power(nested(hf), p, CFG)
+    slow = nested_norm_power(hf, p, CFG)
     assert fast.converged and slow.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
@@ -424,7 +486,7 @@ def test_underflowed_source_ends_in_a_tail_failure():
     hf = as_function(HausdorffOperator(uniform_12(), p), rational_power(eps, 2.0 / p + eps),
                      CFG.tighter())
     fast = bergman_norm_p_power(hf, p, CFG)
-    slow = bergman_norm_p_power(nested(hf), p, CFG)
+    slow = nested_norm_power(hf, p, CFG)
     assert fast.converged and slow.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
@@ -432,9 +494,9 @@ def test_underflowed_source_ends_in_a_tail_failure():
 def test_quasi_image_agrees_with_nested_path():
     f = rational_power(1.0, 2.0)
     hf = quasi_as_function(exp_measure(), f, p=2.0, cfg=CFG.tighter())
-    assert hf.image_of is not None
+    assert not any(t.plain for t in hf.terms)
     fast = bergman_norm_p_power(hf, 2.0, CFG)
-    slow = bergman_norm_p_power(nested(hf), 2.0, CFG)
+    slow = nested_norm_power(hf, 2.0, CFG)
     assert fast.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
@@ -446,7 +508,7 @@ def test_truncation_radius_agrees_with_nested_path():
     hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 3.0),
                      cfg.tighter())
     fast = bergman_norm_p_power(hf, 2.0, cfg)
-    slow = bergman_norm_p_power(nested(hf), 2.0, cfg)
+    slow = nested_norm_power(hf, 2.0, cfg)
     assert fast.converged and slow.converged
     assert abs(fast.value - slow.value) <= fast.error_estimate + slow.error_estimate
 
@@ -456,20 +518,90 @@ def test_truncation_radius_agrees_with_nested_path():
 # ---------------------------------------------------------------------------
 
 
-def test_wrapped_evaluator_gives_bitwise_identical_norm():
-    hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(0.1, 1.1),
+def test_wrapped_evaluator_gives_bitwise_identical_norm(monkeypatch):
+    f = rational_power(0.1, 1.1)
+    mu, nu = exp_measure(), uniform_12()
+    hf = as_function(HausdorffOperator(mu, 2.0), f, CFG.tighter())
+    hg = as_function(HausdorffOperator(nu, 2.0), rational_power(1.0, 2.0), CFG.tighter())
+    cases = ((hf, [mu]), (hf + hg, [mu, nu]), ((2.0 - 3.0j) * hf, [mu]),
+             (dilate(hf, 2.0), [mu]))
+    # nor is the point evaluator of any record the engine builds called
+    monkeypatch.setattr(HalfPlaneFunction, "_values",
+                        lambda self, z: pytest.fail("a point evaluator was called"))
+    for fn, measures in cases:
+        assert [t.measure for t in fn.terms] == measures  # the images stay images
+        calls = []
+
+        def wrapped(z, fn=fn):
+            calls.append(np.size(z))
+            return fn.evaluator(z)
+
+        traced = dataclasses.replace(fn, evaluator=wrapped)
+        a = bergman_norm_p(fn, 2.0, CFG)
+        b = bergman_norm_p(traced, 2.0, CFG)
+        assert a.converged
+        assert (a.value, a.error_estimate, a.converged) == (b.value, b.error_estimate, b.converged)
+        assert calls == []  # the engine evaluates the sources, never the image
+
+
+def test_sum_of_images_against_double_moment():
+    # H_mu f + H_nu f = H_(mu + nu) f: one factor of two sides, whose norm is
+    # the double moment over both pieces of mu + nu
+    eps = 0.1
+    a = 1.0 + eps
+    seg, weight = MULTI_PANEL["power[0.5,3]"]
+    f = rational_power(eps, a)
+    total = (as_function(HausdorffOperator(uniform_12(), 2.0), f, CFG.tighter())
+             + as_function(HausdorffOperator(Measure(segments=(seg,)), 2.0), f, CFG.tighter()))
+    assert len(_factor(total)) == 2
+    d = panel_double_moment(((1.0, 2.0, lambda t: np.ones_like(t)),
+                             (seg.lower, seg.upper, weight)), a)
+    assert_within(bergman_norm_p_power(total, 2.0, CFG),
+                  pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
+
+
+def test_images_under_equal_looking_measures_stay_apart():
+    # segments compare without their densities: 1 and t on [1, 2], given as
+    # callables, make two sides, and the norm is that of H_(1 + t) f
+    eps = 0.1
+    a = 1.0 + eps
+    f = rational_power(eps, a)
+    one, t = (Measure(segments=(DensitySegment(1.0, 2.0, d),))
+              for d in (np.ones_like, lambda t: t))
+    assert one == t
+    total = (as_function(HausdorffOperator(one, 2.0), f, CFG.tighter())
+             + as_function(HausdorffOperator(t, 2.0), f, CFG.tighter()))
+    d = panel_double_moment(((1.0, 2.0, lambda t: 1.0 + t),), a)
+    assert_within(bergman_norm_p_power(total, 2.0, CFG),
+                  pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_dilated_image_obeys_the_dilation_law(p):
+    # ||Hf(./s)||_p^p = s^2 ||Hf||_p^p; the dilation moves every term's shift,
+    # so the two norms run on different lattices
+    s = 3.0
+    hf = as_function(HausdorffOperator(uniform_12(), p), rational_power(0.5, 2.0 / p + 0.5),
                      CFG.tighter())
-    calls = []
+    base = bergman_norm_p_power(hf, p, CFG)
+    res = bergman_norm_p_power(dilate(hf, s), p, CFG)
+    assert base.converged and res.converged
+    assert abs(res.value - s ** 2 * base.value) <= res.error_estimate + s ** 2 * base.error_estimate
 
-    def wrapped(z):
-        calls.append(np.size(z))
-        return hf.evaluator(z)
 
-    traced = dataclasses.replace(hf, evaluator=wrapped)
-    a = bergman_norm_p(hf, 2.0, CFG)
-    b = bergman_norm_p(traced, 2.0, CFG)
-    assert (a.value, a.error_estimate, a.converged) == (b.value, b.error_estimate, b.converged)
-    assert calls == []  # the engine evaluates the source, never the image
+def test_complex_multiple_of_an_image_against_double_moment():
+    c, eps = 2.0 - 3.0j, 0.2
+    a = 1.0 + eps
+    hf = as_function(HausdorffOperator(uniform_12(), 2.0), rational_power(eps, a), CFG.tighter())
+    exact = (abs(c) ** 2 * pairing_constant(a) * eps ** (2.0 - 2.0 * a)
+             * gauss_double_moment(1.0, 2.0, a))
+    assert_within(bergman_norm_p_power(c * hf, 2.0, CFG), exact)
+
+
+def test_image_of_an_image_is_refused():
+    hf = as_function(HausdorffOperator(uniform_12(), 2.0), rational_power(1.0, 2.0))
+    with pytest.raises(ValueError, match="^as_function takes a plain function"):
+        as_function(HausdorffOperator(exp_measure(), 2.0), hf)
 
 
 def test_scalar_multiple_scales_the_norm():
@@ -477,7 +609,7 @@ def test_scalar_multiple_scales_the_norm():
     hf = as_function(HausdorffOperator(uniform_12(), p), rational_power(1.0, 2.0 / p + 1.0),
                      CFG.tighter())
     scaled = -2.5 * hf
-    assert scaled.image_of is not None
+    assert [t.measure for t in scaled.terms] == [uniform_12()]
     np.testing.assert_allclose(scaled(1j), -2.5 * hf(1j), rtol=1e-12)
     base = bergman_norm_p_power(hf, p, CFG)
     res = bergman_norm_p_power(scaled, p, CFG)
@@ -507,7 +639,7 @@ def test_budget_counts_direct_gauss_terms():
     runs = {}
     for subdivisions in (20, 2000):
         cfg = dataclasses.replace(CFG, max_subdivisions=subdivisions)
-        engine = _LogPolarNorm([(mu, f, f.decay_hint)], 2.0, cfg)
+        engine = _LogPolarNorm([[(mu, f, f.decay_hint)]], 2.0, cfg)
         runs[subdivisions] = engine.run()
         assert 0 < engine.evals <= engine.budget
     assert runs[20].failure_reason == "budget"
@@ -547,7 +679,7 @@ def test_tail_failure_is_reported():
     # rule closes the far edge.  bergman_norm_p_power refuses such an f
     # from its decay hint, so the engine is run directly
     f = rational_power(1.0, 1.0)
-    res = _LogPolarNorm([(uniform_12(), f, f.decay_hint)], 2.0, CFG).run()
+    res = _LogPolarNorm([[(uniform_12(), f, f.decay_hint)]], 2.0, CFG).run()
     assert not res.converged
     assert res.failure_reason == "tail"
 
@@ -564,7 +696,7 @@ def test_cli_norm_with_measure_and_radius(tmp_path, capsys):
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, halfplane_truncation_radius=100.0)
     hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 3.0),
                      cfg.tighter())
-    slow = bergman_norm_p(nested(hf), 2.0, cfg)
+    slow = nested_norm(hf, 2.0, cfg)
     assert abs(float(out[0]) - slow.value) <= float(out[2]) + slow.error_estimate
 
 
@@ -575,7 +707,7 @@ def test_radius_too_small_for_the_tail_bound_fails_fast():
     hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 2.0),
                      cfg.tighter())
     fast = bergman_norm_p_power(hf, 2.0, cfg)
-    slow = bergman_norm_p_power(nested(hf), 2.0, cfg)
+    slow = nested_norm_power(hf, 2.0, cfg)
     assert (fast.converged, fast.failure_reason) == (False, "tail")
     assert (slow.converged, slow.failure_reason) == (False, "tail")
     assert fast.subdivisions_used <= 2
@@ -610,20 +742,20 @@ def test_gregory_corrections_raise_the_order():
     assert errors[-1] < 1e-9
 
 
-def test_scaled_family_reports_where_the_source_underflows():
-    # |f| = |z + 0.025i|^-2.025 leaves the normal doubles at
-    # w = -log(2.2e-308) / 2.025 = 349.9; w <= 0 does not count
-    f = rational_power(0.025, 2.025)
-    w = np.arange(-400.0, 400.0, 0.5)
-    eith = np.exp(1j * np.array([0.1, 1.5, 3.0]))
-    g, w_lost = _scaled_family(f.evaluator, w, eith, 2.0)
-    assert 349.0 <= w_lost <= 351.0
-    assert np.all(np.abs(g[(w > 0.0) & (w < w_lost)]) > 1e-5)
-    # beyond, f is subnormal, then 0 from w = 745 / 2.025 = 368, while G
-    # itself is still about 1e-4
-    assert np.all(g[w > 370.0] == 0.0)
-    zero = 0.0 * f
-    assert _scaled_family(zero.evaluator, w, eith, 2.0)[1] == math.inf
+def test_lattice_values_stay_accurate_where_f_underflows():
+    # f = (z + 0.025i)^-2.025 underflows to 0 for |z| > e^368, while
+    # G = e^(2w) f(e^(w + i theta)) is still about e^-10 = 4.5e-5 at w = 400:
+    # G is computed in log space, never from f
+    delta, a, q = 0.025, 2.025, 2.0
+    f = rational_power(delta, a)
+    w = np.array([-400.0, -20.0, 0.0, 20.0, 350.0, 400.0])
+    theta = np.array([0.1, 1.5, 3.0])
+    g = f.lattice_values(w, np.exp(1j * theta), q)
+    assert np.all(f(np.exp(400.0 + 1j * theta)) == 0.0)
+    exact = (np.exp((q - a) * w)[:, None]
+             * np.abs(np.exp(1j * theta) + 1j * delta * np.exp(-w)[:, None]) ** -a)
+    np.testing.assert_allclose(np.abs(g), exact, rtol=1e-12)
+    assert np.all(np.abs(g[-1]) > 4e-5)
 
 
 def test_geometric_tail_closes_exact_geometric_decay():
