@@ -46,27 +46,6 @@ def _as_z(z):
     return complex(arr) if arr.ndim == 0 else arr
 
 
-def _principal_power(w, exponent: float):
-    """w^exponent through the principal log, exp(exponent*(ln|w| + i*Arg w)).
-
-    Non-finite inputs (from far-field overflow in z/t style arguments) map
-    to the correct limit instead of NaN: 0 for negative exponents.
-    """
-    w = np.asarray(w, dtype=complex)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        out = np.exp(exponent * np.log(w))
-        bad = ~np.isfinite(w.real) | ~np.isfinite(w.imag)
-        if np.any(bad):
-            if exponent < 0:
-                fill = 0.0
-            elif exponent == 0:
-                fill = 1.0
-            else:
-                fill = math.inf
-            out = np.where(bad, fill, out)
-    return out
-
-
 @dataclass(frozen=True)
 class Sector:
     """An angular sector of the upper half-plane, optionally truncated to
@@ -123,11 +102,17 @@ class Term:
         return self.measure == UNIT
 
     def family_values(self, z):
-        """g(z): the family member alone, without coefficient or measure."""
-        w = np.asarray(z, dtype=complex) + 1j * self.shift
-        if self.family == "gmod":
-            return np.abs(w) ** -self.exponent
-        return _principal_power(w, -self.exponent)
+        """g(z) = e^(-exponent log_base(z)): the family member alone, without
+        coefficient or measure.  A non-finite z (far-field overflow of z/t)
+        maps to the limit of g there instead of NaN."""
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            out = np.exp(-self.exponent * self.log_base(z))
+            bad = ~np.isfinite(z)
+            if np.any(bad):
+                a = self.exponent
+                out = np.where(bad, 0.0 if a > 0 else 1.0 if a == 0 else math.inf, out)
+        return out
 
     def log_base(self, z):
         """log(z + i shift) for ratpow, log|z + i shift| for gmod: g is
@@ -162,8 +147,10 @@ class HalfPlaneFunction:
     evaluator: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # derived here, never copied from another record by dataclasses.replace
-        if getattr(self.evaluator, "__func__", None) in (None, HalfPlaneFunction._values):
+        # derived here, never copied from another record by dataclasses.replace;
+        # an evaluator passed in (a tracing wrapper, say) is kept
+        if (self.evaluator is None
+                or getattr(self.evaluator, "__func__", None) is HalfPlaneFunction._values):
             object.__setattr__(self, "evaluator", self._values)
 
     @property
@@ -210,6 +197,8 @@ class HalfPlaneFunction:
     def __add__(self, other: "HalfPlaneFunction") -> "HalfPlaneFunction":
         if not isinstance(other, HalfPlaneFunction):
             return NotImplemented
+        if None not in (self.inner_cfg, other.inner_cfg) and self.inner_cfg != other.inner_cfg:
+            raise ValueError("cannot add images whose point values use different inner_cfg")
         return HalfPlaneFunction(self.terms + other.terms, self.inner_cfg or other.inner_cfg)
 
     def __mul__(self, c):
@@ -232,12 +221,22 @@ def rational_power(shift: float, exponent: float) -> HalfPlaneFunction:
     return HalfPlaneFunction((Term(1.0, UNIT, "ratpow", shift, exponent),))
 
 
+def _dilated(t: Term, s: float) -> Term:
+    try:
+        coef = t.coef * s ** t.exponent if t.coef else t.coef
+    except OverflowError:  # a float power out of range
+        coef = math.inf
+    if not (cmath.isfinite(coef) and (coef or not t.coef)):
+        raise ValueError(f"dilation by {s!r} takes a coefficient out of float range")
+    return replace(t, coef=coef, shift=s * t.shift)
+
+
 def dilate(f: HalfPlaneFunction, s: float) -> HalfPlaneFunction:
-    """z -> f(z/s); the Bergman p-norm scales by s^(2/p)."""
+    """z -> f(z/s); the Bergman p-norm scales by s^(2/p).  A dilation whose
+    term coefficient coef s^exponent over- or underflows is refused."""
     if not 0.0 < s < math.inf:
         raise ValueError("dilation factor must be positive")
-    return HalfPlaneFunction(tuple(replace(t, coef=t.coef * s ** t.exponent, shift=s * t.shift)
-                                   for t in f.terms), f.inner_cfg)
+    return HalfPlaneFunction(tuple(_dilated(t, s) for t in f.terms), f.inner_cfg)
 
 
 @dataclass(frozen=True)

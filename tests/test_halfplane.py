@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from hausdorff_bergman import (
+    DensitySegment,
+    HausdorffOperator,
+    Measure,
     ParameterOutOfRange,
+    QuadratureConfig,
     Sector,
+    apply_with_error,
+    as_function,
     check_sector_inequality,
     dilate,
     parse_function_spec,
@@ -253,6 +259,44 @@ def test_replaced_terms_get_their_own_evaluator():
     f = rational_power(1.0, 2.0)
     g = rational_power(2.0, 2.0)
     np.testing.assert_allclose(dataclasses.replace(f, terms=g.terms)(1j), g(1j), rtol=1e-15)
+
+
+def test_evaluator_passed_in_is_kept():
+    # a wrapper put in by dataclasses.replace (a tracer's, say) is what the
+    # record and apply call
+    f = rational_power(1.0, 2.0)
+    calls = []
+
+    def spy(z):
+        calls.append(np.size(z))
+        return f.evaluator(z)
+
+    np.testing.assert_allclose(dataclasses.replace(f, evaluator=spy)(1j), f(1j), rtol=0)
+    assert calls == [1]
+    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, np.ones_like),)), 2.0)
+    res = apply_with_error(op, dataclasses.replace(f, evaluator=spy), np.array([1j, 2j]))
+    assert len(calls) > 1
+    np.testing.assert_allclose(res.value, apply_with_error(op, f, np.array([1j, 2j])).value,
+                               rtol=0)
+
+
+def test_dilate_out_of_float_range_is_refused():
+    # coef s^exponent would overflow (10^400) or underflow to 0 (1e-400);
+    # neither may become a silent infinity or the zero function
+    for f, s in ((rational_power(1.0, 400.0), 10.0), (rational_power(1.0, 2.0), 1e-200)):
+        with pytest.raises(ValueError, match="float range"):
+            dilate(f, s)
+    assert dilate(0.0 * rational_power(1.0, 400.0), 10.0).terms[0].coef == 0.0
+
+
+def test_images_with_different_inner_configs_do_not_add():
+    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, np.ones_like),)), 2.0)
+    f = rational_power(1.0, 2.0)
+    loose, tight = QuadratureConfig(), QuadratureConfig().tighter()
+    with pytest.raises(ValueError, match="inner_cfg"):
+        as_function(op, f, loose) + as_function(op, f, tight)
+    both = as_function(op, f, tight) + as_function(op, f, tight) + f
+    assert both.inner_cfg == tight
 
 
 def test_dilate_decay_hint():

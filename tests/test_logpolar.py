@@ -537,6 +537,7 @@ def test_wrapped_evaluator_gives_bitwise_identical_norm(monkeypatch):
             return fn.evaluator(z)
 
         traced = dataclasses.replace(fn, evaluator=wrapped)
+        assert traced.evaluator is wrapped
         a = bergman_norm_p(fn, 2.0, CFG)
         b = bergman_norm_p(traced, 2.0, CFG)
         assert a.converged
