@@ -26,6 +26,7 @@ from .measure import (
     load_measure,
     moment,
     pushforward_inverse,
+    theoretical_norm,
 )
 from .quadrature import QuadratureConfig, bergman_norm_p
 
@@ -66,7 +67,6 @@ def _config_from_args(args) -> QuadratureConfig:
         rel_tol=args.rel_tol,
         abs_tol=args.abs_tol,
         max_subdivisions=args.max_subdiv,
-        halfplane_truncation_radius=args.radius,
     )
 
 
@@ -77,8 +77,6 @@ def _add_common_flags(sp) -> None:
                     help="budget: panel bisections of a one-dimensional integral; "
                          "for half-plane norms and pairings (log-polar lattice), "
                          "10,000 family evaluations per unit")
-    sp.add_argument("--radius", type=float, default=None,
-                    help="explicit half-plane truncation radius")
     sp.add_argument("-o", "--outdir", type=Path, default=None,
                     help="directory for output files")
 
@@ -177,8 +175,10 @@ def cmd_norm(args) -> int:
 def cmd_moment(args) -> int:
     mu = _load_measure_arg(args.measure)
     cfg = _config_from_args(args)
-    alpha = args.alpha if args.alpha is not None else 2.0 / args.p - 1.0
-    res = moment(mu, alpha, cfg)
+    if args.alpha is None:
+        res = theoretical_norm(mu, args.p, cfg)
+    else:
+        res = moment(mu, args.alpha, cfg)
     if res.diverged:
         print("inf")
         return 0

@@ -147,7 +147,6 @@ class SharpnessSweep:
     target: float
     extrapolated: float
     truncation: float | None = None
-    details: dict = field(default_factory=dict)
 
     def ceiling_ok(self, rel_tol: float) -> bool:
         lid = self.target * (1.0 + CEILING_NOISE_FACTOR * rel_tol)
@@ -269,7 +268,7 @@ def sweep_to_report(sweep: SharpnessSweep, cfg: QuadratureConfig,
         tolerance=SHARPNESS_REL_TOL,
         passed=bool(passed),
         runtime_ms=runtime_ms,
-        details={"ratios": list(sweep.ratios), **sweep.details},
+        details={"ratios": list(sweep.ratios)},
     )
 
 

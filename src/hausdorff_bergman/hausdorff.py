@@ -21,6 +21,7 @@ lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +58,8 @@ class HausdorffOperator:
     truncation: float | None = None
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p!r}")
         if self.truncation is not None and not (0.0 < self.truncation < 1.0):
             raise ValueError("truncation delta must lie in (0, 1)")
 
@@ -109,6 +110,15 @@ def _density_sum(mu: Measure, kernel, cfg: QuadratureConfig, what: str):
     return total, err
 
 
+def _half_plane_points(z) -> np.ndarray:
+    """z as an at least 1-D complex array; ValueError unless every point is
+    finite with Im z > 0."""
+    zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex))
+    if not np.all(np.isfinite(zz) & (zz.imag > 0.0)):
+        raise ValueError("evaluation points must be finite with Im z > 0")
+    return zz
+
+
 def image_values(mu: Measure, ev, z: np.ndarray,
                  cfg: QuadratureConfig) -> tuple[np.ndarray, float]:
     """H g over a complex array z, for H the dilation average against mu
@@ -135,7 +145,7 @@ def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
     """Operator value at z together with the quadrature error estimate."""
     cfg = cfg or QuadratureConfig()
     op._guard()
-    zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex))
+    zz = _half_plane_points(z)
     vals, err = image_values(op.effective_measure(), f.evaluator, zz, cfg)
     value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
     return ApplyResult(value=value, error_estimate=err, converged=True)
@@ -163,7 +173,7 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
 
-    zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex)).ravel()
+    zz = _half_plane_points(z).ravel()
     out = np.zeros(zz.shape, dtype=complex)
     for a in mu.atoms:
         out = out + a.weight * a.location * np.asarray(f(a.location * zz))

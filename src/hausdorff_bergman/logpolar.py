@@ -15,7 +15,7 @@ over one factor, a pairing F conj(G) over two, on one uniform v-lattice and
 one set of Gauss-Legendre theta nodes.  The trapezoid rule in v converges
 exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 
-The lattice is finite; the sum beyond each free edge of the window is
+The lattice is finite; the sum beyond each edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
 exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
 rate = p power - 2 for a norm and the factors' rates added for a pairing; near
@@ -182,16 +182,6 @@ class _ConvKernel:
     fix_idx: np.ndarray    # lattice indices of the Gregory-corrected nodes
     fix_delta: np.ndarray  # one-order-lower rule minus a, at fix_idx
     tail: float            # integral of K beyond the kept ends (geometric)
-
-
-def _analytic_tail_bound(coeff: float, radius: float, power: float,
-                         shift: float) -> float:
-    """Bound on (1/pi) * integral over |z| > radius of C|z + i*shift|^-power dA."""
-    if power <= 2.0 or radius <= shift:
-        return math.inf
-    u = radius - shift
-    return coeff * (u ** (2.0 - power) / (power - 2.0)
-                    + shift * u ** (1.0 - power) / (power - 1.0))
 
 
 @dataclass
@@ -405,8 +395,6 @@ class _LevelSums:
                            # (1/pi) int |F||G| dtheta for a pairing
     kernel_tails: list     # (factor, geometric tail of a kernel, ||G||_p^p seen by it)
     own: np.ndarray        # ||F||_2^2 of each factor of a pairing
-    edge: np.ndarray       # the majorant on the last lattice row, when R is fixed
-    eith: np.ndarray       # e^(i theta) at the theta nodes
     s_lo: float            # range of the shifts s in G(v - s)
     s_hi: float
 
@@ -417,10 +405,9 @@ class _LogPolarNorm:
 
     A factor is a list of sides, each given as (mu, source, decay hint),
     and stands for their sum.  Levels halve h and double the theta nodes
-    until successive values agree and their differences contract.  The
-    left window edge, and the right one when there is no truncation radius,
-    grow until the error counted for closing them is below an eighth of the
-    tolerance (_edge).  With the exact rate
+    until successive values agree and their differences contract.  Both
+    window edges grow until the error counted for closing them is below an
+    eighth of the tolerance (_edge).  With the exact rate
     the profile (|F|^p, or the complex F conj(G) of a pairing) is closed
     with it, the closure goes into the value and only its uncertainty into
     the error, for a norm and a pairing alike.  With the measured rule the
@@ -440,7 +427,6 @@ class _LogPolarNorm:
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
         self.p, self.cfg = p, cfg
         self.pair = len(factors) == 2
-        self.radius = cfg.halfplane_truncation_radius
         eta = max(1e-3 * cfg.rel_tol, 1e-16)  # kernel tail / kernel mass
         self.factors = [[_Side(mu, source, hint, p, eta) for mu, source, hint in factor]
                         for factor in factors]
@@ -458,8 +444,6 @@ class _LogPolarNorm:
         self.rate_lo, self.rate_hi = total("rate_lo"), total("rate_hi")
         self.exact_lo, exact_hi = total("exact_lo"), total("exact_hi")
         self.exact_hi = exact_hi if exact_hi is not None and exact_hi > 0.0 else None
-        self.tail_power = share * sum(min(s.power for s in f) for f in self.factors)
-        self.tail_shift = min(s.shift for s in self.sides)
 
     def _integrand(self, x, y):
         """|F|^p for a norm (y is x), F conj(G) for a pairing."""
@@ -488,7 +472,6 @@ class _LogPolarNorm:
         profs = np.zeros((3, n_v), dtype=complex if self.pair else float)
         major = np.zeros(n_v)
         own = np.zeros(len(self.factors))
-        edge = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
             for b0 in range(0, len(eith), nb):
@@ -504,22 +487,18 @@ class _LogPolarNorm:
                     major += _nodes_dot(wb, (np.abs(fx[0]) * np.abs(gx[0])).T)
                     own += [h * float(np.sum(_nodes_dot(wb, (np.abs(val[0]) ** 2).T)))
                             for val in vals]
-                if self.radius is not None:
-                    edge.append((np.abs(fx[0][-1]) * np.abs(gx[0][-1])) ** (0.5 * self.p))
         if same_g:
             profs[1] = profs[0]
         tails = [(i, kr.tail, gm) for i, factor in enumerate(levels) for lv in factor
                  for kr, gm in zip(lv.kernels, lv.g_mass)]
         return _LevelSums(profs, major if self.pair else profs[0], tails, own,
-                          np.concatenate(edge) if edge else np.zeros(0), eith,
                           min(lv.s_lo for lv in flat), max(lv.s_hi for lv in flat))
 
     # -- refinement ------------------------------------------------------
 
     def _initial_window(self) -> None:
-        """Window [v_lo, v_hi] and level-0 step h0: a fixed right edge at the
-        truncation radius, free edges around the scales the sides' shifts
-        and measures' supports set; free edges grow in _sums."""
+        """Window [v_lo, v_hi] and level-0 step h0: edges around the scales
+        the sides' shifts and measures' supports set; they grow in _sums."""
         lo, hi = math.inf, -math.inf
         for side in self.sides:
             sigma = side.shift if side.shift > 0.0 else 1.0
@@ -530,16 +509,11 @@ class _LogPolarNorm:
             hi = max(hi, s_hi + math.log(sigma) + 8.0)
         cap = _W_CAP - _S_CAP
         lo, hi = max(lo, -cap), min(hi, cap)
-        self.right_free = self.radius is None
-        if self.right_free:
-            v_lo, v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
-        else:
-            v_hi = math.log(self.radius)
-            v_lo = v_hi - _H0 * max(2, math.ceil((v_hi - lo) / _H0))
-        self.v_lo, self.v_hi, self.h0 = v_lo, v_hi, _H0
+        self.v_lo, self.v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
+        self.h0 = _H0
 
     def _grow(self, left: bool, sums: _LevelSums) -> bool:
-        """Move a free edge out by half the window (at least 4, a multiple of
+        """Move an edge out by half the window (at least 4, a multiple of
         h0), keeping every w = v - s of this level within the cap; False
         when there is no room left."""
         h0 = self.h0
@@ -557,17 +531,8 @@ class _LogPolarNorm:
             self.v_hi += step
         return True
 
-    def _outer_weights(self, n_v: int) -> np.ndarray:
-        """Trapezoid weights in v, with Gregory corrections at a fixed right
-        edge."""
-        c = np.ones(n_v)
-        order = min(_ORDER, n_v // 2 - 1)
-        if not self.right_free:
-            c[n_v - 1 - order:] = _gregory_weights(order)[::-1]
-        return c
-
     def _edge(self, prof, major, h: float, m: int, floor, exact):
-        """Close one free edge; prof (the profile) and major (the majorant)
+        """Close one edge; prof (the profile) and major (the majorant)
         run towards it.  Returns (the amount added to the value, the amount
         counted in the error); (0, inf) if the edge does not close.
 
@@ -583,7 +548,7 @@ class _LogPolarNorm:
         return fit if fit is not None and fit[1] < best[1] else best
 
     def _sums(self, lvl: int, rule: int, h: float):
-        """One level on a window grown until the error counted for its free
+        """One level on a window grown until the error counted for its
         edges (_edge) is below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower, sum with both inner
         rules one lower), (edge amounts added to the value, edge amounts
@@ -597,18 +562,15 @@ class _LogPolarNorm:
                 sums = self._level(lvl, rule, self.v_lo, n_v, h)
             except _Stop as stop:
                 return stop.args[0]
-            c = self._outer_weights(n_v)
-            cores = tuple(h * (c @ pr).item() for pr in sums.profs)
+            cores = tuple(h * np.sum(pr).item() for pr in sums.profs)
             if not all(map(cmath.isfinite, cores)):
                 return "tail"
             tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
             prof = sums.profs[0]
             add_lo, err_lo = self._edge(prof[m::-1], sums.major[m::-1], h, m,
                                         self.rate_lo, self.exact_lo)
-            add_hi = err_hi = 0.0
-            if self.right_free:
-                add_hi, err_hi = self._edge(prof[-(m + 1):], sums.major[-(m + 1):], h, m,
-                                            self.rate_hi, self.exact_hi)
+            add_hi, err_hi = self._edge(prof[-(m + 1):], sums.major[-(m + 1):], h, m,
+                                        self.rate_hi, self.exact_hi)
             open_lo, open_hi = err_lo > tau, err_hi > tau
             edges = (add_lo + add_hi, err_lo + err_hi)
             if not (open_lo or open_hi):
@@ -651,8 +613,6 @@ class _LogPolarNorm:
                 # ... and a norm's p-th power by p ||F||_p^(p-1) T ||G||_p
                 fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
                             for _, t, g in sums.kernel_tails)
-            if not self.right_free:
-                fixed += self._radius_tail(sums.edge, sums.eith)
             if prev_value is None:
                 prev_value, rule = value, 1
                 continue
@@ -673,17 +633,6 @@ class _LogPolarNorm:
             if not held:
                 rule += 1
         return IntegralResult(value, err, lvl + 1, False, reason, unit=levels)
-
-    def _radius_tail(self, edge, eith) -> float:
-        """Analytic bound beyond |z| = R from the majorant m (|Hf|^p, or
-        |Hf||Kg| for a pairing) on that circle: m <= C |z + i shift|^-P, with
-        C twice the largest sample per factor."""
-        radius, power, shift = self.radius, self.tail_power, self.tail_shift
-        if not (power > 2.0 and radius > shift):
-            return 0.0
-        w = np.abs(radius * eith + 1j * shift)
-        coeff = 2.0 ** self.p * float(np.max(edge * radius ** -2.0 * w ** power))
-        return _analytic_tail_bound(coeff, radius, power, shift)
 
 
 def _factor(f: HalfPlaneFunction) -> list:

@@ -344,6 +344,8 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> Mo
     improper endpoint without metadata and QuadratureFailure when the
     numeric part cannot reach tolerance.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     cfg = cfg or QuadratureConfig()
     for seg in mu.segments:
         seg.require_exponents()
@@ -386,8 +388,8 @@ def theoretical_norm(mu: Measure, p: float,
                      cfg: QuadratureConfig | None = None) -> MomentResult:
     """Operator norm of the dilation average on the p-Bergman space:
     the moment of t^(2/p - 1); infinite iff the operator is unbounded."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
     return moment(mu, 2.0 / p - 1.0, cfg)
 
 
@@ -472,8 +474,8 @@ def classify_boundedness(mu: Measure, p: float) -> Boundedness:
     from endpoint exponents (near 0 this needs exp_lo + 2/p > 0, near
     infinity exp_hi + 2/p < 0).  Missing metadata yields Inconclusive.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
     alpha = 2.0 / p - 1.0
     verdict = Boundedness.BOUNDED
     for seg in mu.segments:

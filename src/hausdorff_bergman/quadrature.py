@@ -95,20 +95,16 @@ class QuadratureConfig:
 
     max_subdivisions bounds the panel bisections of a one-dimensional
     integral; on the log-polar lattice it is a budget of 10,000 family
-    evaluations per unit.  halfplane_truncation_radius, when set, truncates
-    the half-plane integrals at |z| = R instead of closing the far field
-    numerically; the reported error then includes an analytic tail bound
-    from the integrand's values on that circle and its decay hint.
+    evaluations per unit.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    halfplane_truncation_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -209,16 +205,15 @@ def _gk_panel(f, a: float, b: float):
 
 
 class _Pool:
-    """Global worst-panel-first refinement over Kronrod panels; splitting
-    halves a panel.  Panels carry their own integrand, so log-substituted
-    blocks mix freely with direct ones.  Running sums are maintained
+    """Global worst-panel-first refinement of one integrand over Kronrod
+    panels; splitting halves a panel.  Running sums are maintained
     incrementally; the final value is re-summed over the surviving panels
     in a deterministic order.
     """
 
-    def __init__(self, cfg: QuadratureConfig):
-        self.cfg = cfg
-        self._heap: list[tuple[float, int, float, float, Callable, object]] = []
+    def __init__(self, cfg: QuadratureConfig, g: Callable):
+        self.cfg, self.g = cfg, g
+        self._heap: list[tuple[float, int, float, float, object]] = []
         self._final: list[object] = []
         self._counter = 0
         # running sum: a Python scalar for scalar payloads, an array for
@@ -233,11 +228,11 @@ class _Pool:
         with np.errstate(invalid="ignore"):
             self.value = self.value + sign * k
 
-    def add(self, g: Callable, lo: float, hi: float) -> tuple[object, float]:
-        k, err = _gk_panel(g, lo, hi)
+    def add(self, lo: float, hi: float) -> tuple[object, float]:
+        k, err = _gk_panel(self.g, lo, hi)
         self._acc(k, 1.0)
         self._err_sum += err
-        heapq.heappush(self._heap, (-err, self._counter, lo, hi, g, k))
+        heapq.heappush(self._heap, (-err, self._counter, lo, hi, k))
         self._counter += 1
         return k, err
 
@@ -252,7 +247,7 @@ class _Pool:
     def refine(self) -> None:
         """Refine until converged or the subdivision budget is spent."""
         while self._err_sum > self._target() and self._heap:
-            neg_err, _, lo, hi, g, k = self._heap[0]
+            neg_err, _, lo, hi, k = self._heap[0]
             err = -neg_err
             if err <= 0.0 or hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1.0):
                 heapq.heappop(self._heap)
@@ -265,8 +260,8 @@ class _Pool:
             self._acc(k, -1.0)
             self._err_sum -= err
             mid = 0.5 * (lo + hi)
-            self.add(g, lo, mid)
-            self.add(g, mid, hi)
+            self.add(lo, mid)
+            self.add(mid, hi)
             self.subdivisions += 1
 
     def final_value(self):
@@ -283,9 +278,9 @@ def _as_scalar(value):
     return value
 
 
-def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float,
-           g: Callable) -> tuple[float, str | None]:
-    """Integrate g over u in [0, inf) assuming eventual exponential decay.
+def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str | None]:
+    """Integrate the pool's integrand over u in [0, inf) assuming eventual
+    exponential decay.
 
     Doubling blocks [0,1], [1,2], [2,4], ... feed the shared pool as one
     panel each; the sweep ends once two consecutive blocks are negligible
@@ -298,7 +293,7 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float,
     prev_block = None
     while True:
         hi = min(lo + width, u_cap)
-        k, block_err = pool.add(g, lo, hi)
+        k, block_err = pool.add(lo, hi)
         block = _sup(k)
         pool.refine()
         if pool.exhausted:
@@ -378,7 +373,6 @@ def integrate_segment(f, lo: float, hi: float,
             converged=left.converged and right.converged,
             failure_reason=left.failure_reason or right.failure_reason,
         )
-    pool = _Pool(cfg)
     if math.isinf(hi):
         a = lo
         u_cap = min(_U_CAP, 700.0 - math.log(max(a, 1.0)) - 10.0)
@@ -394,9 +388,11 @@ def integrate_segment(f, lo: float, hi: float,
             t = b * np.exp(-u)
             return _jac_apply(f, t, t)
     else:
-        pool.add(f, lo, hi)
+        pool = _Pool(cfg, f)
+        pool.add(lo, hi)
         return _finish(pool, cfg)
-    tail_rem, reason = _sweep(pool, cfg, u_cap, g)
+    pool = _Pool(cfg, g)
+    tail_rem, reason = _sweep(pool, cfg, u_cap)
     return _finish(pool, cfg, tail_rem, reason)
 
 
@@ -410,20 +406,20 @@ def bergman_norm_p_power(f, p: float,
     """The p-th power of the Bergman norm: (1/pi) * integral of |f|^p dA.
 
     f is a HalfPlaneFunction, a sum of terms; its decay_hint = (power at
-    infinity, reference shift) decides integrability.  The norm is computed
-    on the log-polar lattice of logpolar.py from the terms: one side per
-    distinct measure among them, each from its plain family members'
-    log-space values, so that images and their sums, multiples and
-    dilations never call a point evaluator.
+    infinity, reference shift) decides integrability: p * power must exceed
+    2.  The norm is computed on the log-polar lattice of logpolar.py from
+    the terms: one side per distinct measure among them, each from its
+    plain family members' log-space values, so that images and their sums,
+    multiples and dilations never call a point evaluator.
     """
     cfg = cfg or QuadratureConfig()
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p!r}")
     power, _ = f.decay_hint
-    if p * power <= 2.0 and cfg.halfplane_truncation_radius is None:
+    if p * power <= 2.0:
         raise NonIntegrableAtInfinity(
             f"decay power {power} gives p*power = {p * power:.3g} <= 2; "
-            "supply an explicit truncation radius"
+            "f is not in A^p"
         )
     # imported here: logpolar builds on this module
     from .logpolar import norm_power
@@ -464,7 +460,7 @@ def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
     on the log-polar lattice; the value is complex."""
     cfg = cfg or QuadratureConfig()
     total_power = f.decay_hint[0] + g.decay_hint[0]
-    if total_power <= 2.0 and cfg.halfplane_truncation_radius is None:
+    if total_power <= 2.0:
         raise NonIntegrableAtInfinity(
             f"decay powers sum to {total_power:.3g} <= 2; pairing not integrable"
         )

@@ -129,6 +129,35 @@ def test_apply_quasi(measures, capsys):
     assert out[0] == "-0.25+0i"  # identity atom
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "-m", "{seg12}", "-p", "nan"],
+    ["classify", "-m", "{seg12}", "-p", "inf"],
+    ["apply", "-m", "{seg12}", "-f", "ratpow:shift=1,exp=3", "-z", "1+1i", "-p", "nan"],
+    ["norm", "-f", "ratpow:shift=1,exp=3", "-p", "nan"],
+    ["norm", "-f", "ratpow:shift=1,exp=3", "-p", "inf"],
+    ["moment", "-m", "{seg12}", "--alpha", "nan"],
+    ["moment", "-m", "{seg12}", "-p", "nan"],
+    ["moment", "-m", "{seg12}", "-p", "0"],
+    ["sweep", "-m", "{seg12}", "-p", "nan", "-o", "{out}"],
+    ["norm", "-f", "ratpow:shift=1,exp=3", "--rel-tol", "nan"],
+    ["norm", "-f", "ratpow:shift=1,exp=3", "--rel-tol", "inf"],
+    ["moment", "-m", "{seg12}", "--alpha", "0", "--abs-tol", "inf"],
+    # points outside the upper half-plane, or not finite
+    ["apply", "-m", "{seg12}", "-f", "ratpow:shift=1,exp=3", "-z", "1-0.5i"],
+    ["apply", "-m", "{seg12}", "-f", "ratpow:shift=1,exp=3", "-z", "0-1i"],
+    ["apply", "-m", "{seg12}", "-f", "ratpow:shift=1,exp=3", "-z", "1+0i"],
+    ["apply", "-m", "{seg12}", "-f", "ratpow:shift=1,exp=3", "-z", "1e999+1i"],
+    ["apply", "-m", "{atom1}", "-f", "ratpow:shift=1,exp=3", "-z", "1-1i", "--quasi"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_domain_input_is_a_usage_error(argv, measures, tmp_path, capsys):
+    code = main([a.format(out=tmp_path / "out", **measures) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # norm / moment / classify
 # ---------------------------------------------------------------------------

@@ -202,6 +202,17 @@ def test_quasi_unknown_route():
         apply_quasi(Measure.from_atoms((1.0, 1.0)), F, 1j, CFG, route="bogus")
 
 
+@pytest.mark.parametrize("route", ["pushforward", "direct"])
+@pytest.mark.parametrize("z", [1 - 0.5j, -1j, 2.0, complex(math.nan, 1.0),
+                               [1j, 1 + 1j, 1 - 1j]])
+def test_points_outside_the_half_plane_are_refused(route, z):
+    mu = uniform_12()
+    with pytest.raises(ValueError, match="Im z > 0"):
+        apply_quasi(mu, F, z, CFG, route=route)
+    with pytest.raises(ValueError, match="Im z > 0"):
+        apply_with_error(HausdorffOperator(mu), F, z, CFG)
+
+
 def test_quasi_norm_formula_on_atom():
     mu = Measure.from_atoms((2.0, 1.0))
     p = 4.0

@@ -502,9 +502,8 @@ def test_quasi_image_agrees_with_nested_path():
 
 
 def test_truncation_radius_agrees_with_nested_path():
-    # (z + i)^-3 at p = 2 decays fast enough for the analytic bound beyond
-    # R = 1000 to fit the tolerance
-    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, halfplane_truncation_radius=1000.0)
+    # (z + i)^-3 under e^-t at p = 2: the far field closes on the lattice
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
     hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 3.0),
                      cfg.tighter())
     fast = bergman_norm_p_power(hf, 2.0, cfg)
@@ -690,29 +689,18 @@ def test_cli_norm_with_measure_and_radius(tmp_path, capsys):
     mu_path.write_text('{"atoms": [], "segments": [{"lo": 0.0, "hi": "inf", '
                        '"density": {"kind": "exp", "params": [1.0, 1.0]}, '
                        '"exp_lo": 0.0, "exp_hi": "-inf"}]}', encoding="utf-8")
-    code = cli.main(["norm", "-f", "ratpow:shift=1,exp=3", "-m", str(mu_path),
-                     "-p", "2", "--radius", "100"])
+    code = cli.main(["norm", "-f", "ratpow:shift=1,exp=3", "-m", str(mu_path), "-p", "2"])
     out = capsys.readouterr().out.split()
     assert code == 0
-    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, halfplane_truncation_radius=100.0)
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
     hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 3.0),
                      cfg.tighter())
     slow = nested_norm(hf, 2.0, cfg)
     assert abs(float(out[0]) - slow.value) <= float(out[2]) + slow.error_estimate
-
-
-def test_radius_too_small_for_the_tail_bound_fails_fast():
-    # beyond R = 3 the analytic bound alone exceeds the tolerance: both
-    # paths report the tail, and the engine stops at its first levels
-    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, halfplane_truncation_radius=3.0)
-    hf = as_function(HausdorffOperator(exp_measure(), 2.0), rational_power(1.0, 2.0),
-                     cfg.tighter())
-    fast = bergman_norm_p_power(hf, 2.0, cfg)
-    slow = nested_norm_power(hf, 2.0, cfg)
-    assert (fast.converged, fast.failure_reason) == (False, "tail")
-    assert (slow.converged, slow.failure_reason) == (False, "tail")
-    assert fast.subdivisions_used <= 2
-    assert abs(fast.value - slow.value) <= fast.error_estimate
+    # the truncation radius is gone: the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "-f", "ratpow:shift=1,exp=3", "-p", "2", "--radius", "100"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -122,17 +122,9 @@ def test_test_function_power_inside_bounds():
 
 def test_non_integrable_raises():
     f = rational_power(1.0, 2.0)
-    with pytest.raises(NonIntegrableAtInfinity):
+    with pytest.raises(NonIntegrableAtInfinity) as exc:
         bergman_norm_p(f, 1.0, CFG)
-
-
-def test_explicit_radius_tail_soundness():
-    f = rational_power(1.0, 2.0)
-    base = QuadratureConfig(halfplane_truncation_radius=50.0)
-    doubled = QuadratureConfig(halfplane_truncation_radius=100.0)
-    r1 = bergman_norm_p_power(f, 2.0, base)
-    r2 = bergman_norm_p_power(f, 2.0, doubled)
-    assert abs(r2.value - r1.value) < r1.error_estimate
+    assert "radius" not in str(exc.value)
 
 
 def test_scaling_law():
@@ -193,11 +185,10 @@ def ratpow_pairing(a: float, alpha: float, beta: float) -> float:
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 2.0), (0.05, 0.2)])
-@pytest.mark.parametrize("a, radius", [(1.5, None), (2.0, None), (3.0, None),
-                                       (3.0, 200.0)])
-def test_pairing_against_closed_form(a, radius, alpha, beta):
-    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10,
-                           halfplane_truncation_radius=radius)
+# "-None" keeps the test ids stable: the pairing has no truncation radius
+@pytest.mark.parametrize("a", [1.5, 2.0, 3.0], ids=lambda a: f"{a}-None")
+def test_pairing_against_closed_form(a, alpha, beta):
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
     res = pairing(rational_power(alpha, a), rational_power(beta, a), cfg)
     assert isinstance(res.value, complex)
     assert res.converged
