@@ -70,13 +70,18 @@ def _config_from_args(args) -> QuadratureConfig:
     )
 
 
-def _add_common_flags(sp) -> None:
+def _add_quadrature_flags(sp) -> None:
+    """The tolerance and budget flags, for the commands that integrate."""
     sp.add_argument("--rel-tol", type=float, default=1e-6)
     sp.add_argument("--abs-tol", type=float, default=1e-10)
     sp.add_argument("--max-subdiv", type=int, default=2000,
                     help="budget: panel bisections of a one-dimensional integral; "
                          "for half-plane norms and pairings (log-polar lattice), "
                          "10,000 family evaluations per unit")
+
+
+def _add_outdir_flag(sp) -> None:
+    """-o, for the commands that write files."""
     sp.add_argument("-o", "--outdir", type=Path, default=None,
                     help="directory for output files")
 
@@ -309,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="truncate the measure to [delta, 1/delta]")
     sp.add_argument("--quasi", action="store_true",
                     help="evaluate the adjoint operator instead")
-    _add_common_flags(sp)
+    _add_quadrature_flags(sp)
+    _add_outdir_flag(sp)
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("norm", help="Bergman norm of a function or operator image")
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=float, default=2.0)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--quasi", action="store_true")
-    _add_common_flags(sp)
+    _add_quadrature_flags(sp)
     sp.set_defaults(func=cmd_norm)
 
     sp = sub.add_parser("moment", help="moment integral of a measure")
@@ -326,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("-p", type=float, default=2.0,
                     help="use the norm exponent 2/p - 1 when --alpha is absent")
-    _add_common_flags(sp)
+    _add_quadrature_flags(sp)
     sp.set_defaults(func=cmd_moment)
 
     sp = sub.add_parser("classify", help="boundedness classification")
     sp.add_argument("-m", "--measure", required=True)
     sp.add_argument("-p", type=float, default=2.0)
-    _add_common_flags(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("sweep", help="sharpness sweep against the exact norm")
@@ -340,18 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=float, default=2.0)
     sp.add_argument("--epsilons", default=",".join(map(str, harness.DEFAULT_EPSILONS)))
     sp.add_argument("--delta", type=float, default=None)
-    _add_common_flags(sp)
+    _add_quadrature_flags(sp)
+    _add_outdir_flag(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", default=None,
                     help="suite config JSON (default: built-in suite)")
-    _add_common_flags(sp)
+    _add_quadrature_flags(sp)
+    _add_outdir_flag(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("plotdata", help="plot-ready data from a sweep report")
     sp.add_argument("--report", required=True)
-    _add_common_flags(sp)
+    _add_outdir_flag(sp)
     sp.set_defaults(func=cmd_plotdata)
 
     return ap

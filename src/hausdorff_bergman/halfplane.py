@@ -4,8 +4,8 @@ A HalfPlaneFunction is a tuple of terms (see Term); a plain function is
 its own image under the unit atom.  Sums concatenate terms, multiples scale
 coefficients, and a dilation by s maps each term to (coef s^exponent,
 s shift), images included, as H commutes with dilations.  The decay hint,
-the point evaluator and the log-space lattice values are derived from the
-terms, each in one place.
+the mirror factor, the point evaluator and the log-space lattice values
+are derived from the terms, each in one place.
 
 Complex powers are always taken through the principal logarithm (argument
 in (-pi, pi]); no other branch is used anywhere in the package.
@@ -14,7 +14,9 @@ in (-pi, pi]); no other branch is used anywhere in the package.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -38,6 +40,8 @@ __all__ = [
 ]
 
 UNIT = Measure.from_atoms((1.0, 1.0))  # the measure of the identity operator
+_SERIES_RATIO = 0.25  # a group with vanishing moments is expanded at most
+                      # where its largest shift over |z| is below this
 
 
 def _as_z(z):
@@ -101,6 +105,20 @@ class Term:
     def plain(self) -> bool:
         return self.measure == UNIT
 
+    @property
+    def mirror(self) -> complex:
+        """lam with term(-conj z) = lam conj term(z), for a nonzero
+        coefficient c.  z -> -conj z maps z + i shift to -conj(z + i shift),
+        whose principal logarithm is i pi + conj log(z + i shift), so ratpow
+        gives (c / conj c) e^(-i pi a) and gmod c / conj c.  An image's
+        measure is real, so it gives the same.  a is reduced modulo 2 first,
+        exactly."""
+        c = complex(self.coef)
+        lam = c / c.conjugate()
+        if self.family == "ratpow":
+            lam *= cmath.exp(-1j * math.pi * math.fmod(self.exponent, 2.0))
+        return lam
+
     def family_values(self, z):
         """g(z) = e^(-exponent log_base(z)): the family member alone, without
         coefficient or measure.  A non-finite z (far-field overflow of z/t)
@@ -121,6 +139,111 @@ class Term:
         return np.log(np.abs(w)) if self.family == "gmod" else np.log(w)
 
 
+def common_mirror(lams) -> complex | None:
+    """The common value of some mirror factors, equal within a few ulps
+    (their ratios are rounded); None if one is None or two differ, and 1 for
+    none at all."""
+    common = None
+    for lam in lams:
+        if lam is None:
+            return None
+        if common is None:
+            common = lam
+        elif abs(lam - common) > 4.0 * sys.float_info.epsilon:
+            return None
+    return 1.0 if common is None else common
+
+
+def _moments(terms, scale: float = 1.0):
+    """The moments sum of coef (shift / scale)^j, j = 0, 1, ..., as exact
+    (real part, imaginary part) Fractions."""
+    # imported here: fractions loads decimal, some 0.3 MB of resident memory
+    # that only a sum of two or more terms of one family and exponent needs
+    from fractions import Fraction
+
+    data = [(Fraction(complex(t.coef).real), Fraction(complex(t.coef).imag),
+             Fraction(t.shift) / Fraction(scale)) for t in terms]
+    powers = [Fraction(1)] * len(data)
+    while True:
+        yield (sum(re * pw for (re, _, _), pw in zip(data, powers)),
+               sum(im * pw for (_, im, _), pw in zip(data, powers)))
+        powers = [pw * x for (_, _, x), pw in zip(data, powers)]
+
+
+def _vanishing_moments(terms) -> int:
+    """The number m of leading moments sum of coef shift^j of some terms
+    that vanish exactly; len(terms) if all of the first len(terms) do, as
+    the terms then cancel identically."""
+    if len(terms) == 1:  # the common case, without rational arithmetic
+        return 0 if terms[0].coef else 1
+    for j, moment in zip(range(len(terms)), _moments(terms)):
+        if any(moment):
+            return j
+    return len(terms)
+
+
+def _gegenbauer(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """C_n^lam(x) for n = 0 .. n_max (rows), by the three-term recurrence."""
+    c = np.empty((n_max + 1, len(x)))
+    c[0] = 1.0
+    if n_max:
+        c[1] = 2.0 * lam * x
+    for n in range(2, n_max + 1):
+        c[n] = (2.0 * x * (n + lam - 1.0) * c[n - 1] - (n + 2.0 * lam - 2.0) * c[n - 2]) / n
+    return c
+
+
+class _Expansion:
+    """The plain terms of one family and exponent a whose first m > 0
+    moments M_j = sum of coef shift^j vanish, summed from their expansion at
+    infinity.  With (z + i s)^-a = sum_n binom(-a, n) (i s)^n z^-(a+n) and
+    |z + i s|^-a = sum_n C_n^(a/2)(-sin theta) s^n r^-(a+n) (Gegenbauer),
+    their sum is sum over n >= m of M_n times the n-th basis function; term
+    by term, it would keep rounding of the size of each term, so far out
+    the cancelled orders would drown the rest.
+
+    Used where rho = (largest shift) / |z| is at most ratio, up to the order
+    where the tail is below the terms' own rounding.  Both bases are bounded
+    by binom(|a| + n - 1, n), whose series in rho sums to (1 - rho)^-|a|:
+    ratio keeps that at most 4, so the expansion's terms are never much
+    larger than its sum, and at most _SERIES_RATIO."""
+
+    def __init__(self, terms, m: int):
+        self.terms, self.m = terms, m
+        self.family, self.a = terms[0].family, terms[0].exponent
+        a = self.a
+        self.scale = max(t.shift for t in terms)
+        self.ratio = min(_SERIES_RATIO, -math.expm1(-math.log(4.0) / abs(a)) if a else 1.0)
+        bound, n_max = 1.0, 0  # binom(|a| + n - 1, n) ratio^n
+        while n_max < m or (bound > 1e-18 and n_max < 1000):
+            n_max += 1
+            bound *= (abs(a) + n_max - 1.0) / n_max * self.ratio
+        self.n = np.arange(m, n_max + 1)
+        # M_n / scale^n, rounded from the exact value: a moment rounded
+        # term by term would bring back the cancelled orders
+        self.moments = np.array([complex(float(re), float(im)) for _, (re, im) in
+                                 zip(range(n_max + 1), _moments(terms, self.scale))][m:])
+        if self.family == "ratpow":
+            k = np.arange(n_max)
+            binom = np.cumprod(np.concatenate([[1.0], (-a - k) / (1.0 + k)]))
+            self.moments = self.moments * binom[m:] * 1j ** self.n
+
+    def far(self, w: np.ndarray) -> np.ndarray:
+        return self.scale * np.exp(-w) <= self.ratio
+
+    def values(self, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
+        """e^(q w) times the terms' sum at z = e^(w) eith, in log space."""
+        a, m, n = self.a, self.m, self.n
+        theta = np.angle(eith)
+        if self.family == "ratpow":  # z^-(a+n) = e^(-(a+n)(w + i theta))
+            basis = np.exp(-1j * (a + n)[:, None] * theta)
+        else:
+            basis = _gegenbauer(int(n[-1]), 0.5 * a, -np.sin(theta))[m:]
+        rho = self.scale * np.exp(-w)
+        lead = np.exp((q - a - m) * w + m * math.log(self.scale))
+        return lead[:, None] * ((rho[:, None] ** (n - m)) @ (self.moments[:, None] * basis))
+
+
 def _weighted_sum(terms, values):
     """The sum of coef * value over the terms and their values; a
     coefficient of 1 costs no product."""
@@ -136,7 +259,8 @@ class HalfPlaneFunction:
     """A sum of terms (see Term) on the upper half-plane.
 
     decay_hint = (power, shift) encodes |f(z)| <~ C * |z + i*shift|^-power
-    at infinity and steers the half-plane lattice.  inner_cfg is the inner
+    at infinity and steers the half-plane lattice; mirror, lam with
+    f(-conj z) = lam conj f(z) or None, lets it evaluate half the angles.  inner_cfg is the inner
     quadrature of the point values of image terms.  evaluator, the point
     evaluator, defaults to the one derived from the terms; norms and
     pairings never call it (logpolar.py sums lattice_values instead).
@@ -153,22 +277,43 @@ class HalfPlaneFunction:
                 or getattr(self.evaluator, "__func__", None) is HalfPlaneFunction._values):
             object.__setattr__(self, "evaluator", self._values)
 
+    @functools.cached_property
+    def _groups(self) -> list:
+        """The plain terms by family and exponent, each group with its
+        number of vanishing moments (_vanishing_moments)."""
+        groups = {}
+        for t in self.terms:
+            if t.plain:
+                groups.setdefault((t.family, t.exponent), []).append(t)
+        return [(tuple(g), _vanishing_moments(g)) for g in groups.values()]
+
+    @functools.cached_property
+    def _expansions(self) -> list:
+        return [_Expansion(g, m) for g, m in self._groups if m]
+
     @property
     def decay_hint(self) -> tuple[float, float]:
-        """Each term counts with its exponent, except that plain terms of
-        one family and exponent whose coefficients sum to exactly 0 count
-        with exponent + 1: their leading terms at infinity cancel.  An
-        image's shift is scaled by its measure's support infimum below 1."""
-        powers, shifts, plain = [], [], {}
+        """Each term counts with its exponent, except that the plain terms of
+        one family and exponent a count together with a + m, m their number
+        of vanishing moments: at infinity each term's |z|^-(a+j) coefficient
+        is homogeneous of degree j in its shift (see _Expansion), so the
+        group's first m cancel.  An image's shift is scaled by its measure's
+        support infimum below 1."""
+        shifts = []
         for t in self.terms:
             t_min = t.measure.support_infimum()  # inf for the zero measure
             shifts.append(t.shift * min(t_min, 1.0) if t_min > 0.0 else 0.0)
-            if t.plain:
-                plain[t.family, t.exponent] = plain.get((t.family, t.exponent), 0.0) + t.coef
-            else:
-                powers.append(t.exponent)
-        powers += [a + 1.0 if c == 0.0 else a for (_, a), c in plain.items()]
+        powers = [t.exponent for t in self.terms if not t.plain]
+        powers += [g[0].exponent + m for g, m in self._groups]
         return min(powers), min(shifts)
+
+    @property
+    def mirror(self) -> complex | None:
+        """lam with f(-conj z) = lam conj f(z) on the upper half-plane: the
+        common mirror factor of the terms with a nonzero coefficient
+        (Term.mirror), or None where two differ (mixed exponents or
+        families, coefficients of different phase)."""
+        return common_mirror(t.mirror for t in self.terms if t.coef)
 
     def _values(self, z):
         """The point evaluator: a plain term from its closed form, an image
@@ -185,11 +330,25 @@ class HalfPlaneFunction:
         """G(w, theta) = e^(q w) f(e^(w + i theta)) of a plain function on
         the grid w x theta, in log space: each term is
         coef e^(q w - a log(e^w e^(i theta) + i shift)) (log|...| for gmod),
-        so G stays accurate where f itself underflows."""
+        so G stays accurate where f itself underflows.  A group of terms
+        with vanishing moments is summed from its expansion (_Expansion) on
+        the rows far from its shifts."""
         z = np.exp(w)[:, None] * eith
         qw = (q * w)[:, None]
-        return _weighted_sum(self.terms, (np.exp(qw - t.exponent * t.log_base(z))
-                                          for t in self.terms))
+
+        def direct(terms):
+            return _weighted_sum(terms, (np.exp(qw - t.exponent * t.log_base(z))
+                                         for t in terms))
+
+        expanded = {(ex.family, ex.a) for ex in self._expansions}
+        total = direct([t for t in self.terms if (t.family, t.exponent) not in expanded])
+        for ex in self._expansions:
+            vals = np.asarray(direct(ex.terms), dtype=complex)
+            far = ex.far(w)
+            if np.any(far):
+                vals[far] = ex.values(w[far], eith, q)
+            total = vals if total is None else total + vals
+        return total
 
     def __call__(self, z):
         return self.evaluator(_as_z(z))

@@ -15,6 +15,16 @@ over one factor, a pairing F conj(G) over two, on one uniform v-lattice and
 one set of Gauss-Legendre theta nodes.  The trapezoid rule in v converges
 exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 
+The reflection z -> -conj z maps the half-plane onto itself, and a measure
+is real, so where f(-conj z) = lam conj f(z) (HalfPlaneFunction.mirror),
+F(v, pi - theta) = lam conj F(v, theta).  The theta nodes come in pairs
+theta, pi - theta with one weight, and each level evaluates the sources
+only at the half with theta < pi/2.  Where every factor has a mirror, the
+sums over the other half follow from those over this half; a factor
+without one (mixed exponents, coefficients of different phase) is also
+evaluated at -conj(e^(i theta)), in the same loop.  The budget counts the
+evaluations made.
+
 The lattice is finite; the sum beyond each edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
 exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
@@ -41,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .halfplane import UNIT, HalfPlaneFunction
+from .halfplane import UNIT, HalfPlaneFunction, common_mirror
 from .quadrature import IntegralResult, QuadratureConfig, _nodes_dot
 
 
@@ -354,10 +364,10 @@ class _Side:
 
     def block(self, lv: _SideLevel, v: np.ndarray, h: float, eb: np.ndarray,
               wb: np.ndarray):
-        """F on the rows v at the theta nodes eb (weights wb): with the
-        level's inner rules, with its Gauss rule one lower, and with both
-        inner rules one lower.  Adds each kernel's ||G||_p^p seen here to
-        lv.g_mass."""
+        """F on the rows v at the theta nodes eb: with the level's inner
+        rules, with its Gauss rule one lower, and with both inner rules one
+        lower.  Adds each kernel's ||G||_p^p seen here to lv.g_mass, each
+        node counted with its weight in wb."""
         n_v = len(v)
 
         def add_direct(out, terms):
@@ -415,6 +425,11 @@ class _LogPolarNorm:
     tail and its error counts it in full; a pairing's error alone counts
     it.
 
+    Each level evaluates the factors at the theta nodes below pi/2 only,
+    and those without a mirror also at their mirror nodes (see the module
+    docstring); the rule, and so the values, estimates and levels, are
+    those of the full Gauss-Legendre rule up to rounding.
+
     The Gauss rule of the finite segments has its own index.  Every level
     also sums with the rule one index lower, a profile of values already
     evaluated; the index advances while that difference is above an eighth
@@ -444,10 +459,35 @@ class _LogPolarNorm:
         self.rate_lo, self.rate_hi = total("rate_lo"), total("rate_hi")
         self.exact_lo, exact_hi = total("exact_lo"), total("exact_hi")
         self.exact_hi = exact_hi if exact_hi is not None and exact_hi > 0.0 else None
+        # F(v, pi - theta) = lam conj F(v, theta) for a factor whose sides'
+        # sources share the mirror lam, the kernels being real.  With every
+        # factor's, each sum over the mirror nodes is mirror * conj of the
+        # sum over the half nodes: lam_F conj(lam_G) for a pairing, 1 for a norm
+        self.lams = [common_mirror(getattr(side.source, "mirror", None) for side in factor)
+                     for factor in self.factors]
+        self.mirror = (None if None in self.lams else
+                       self.lams[0] * self.lams[-1].conjugate() if self.pair else 1.0)
 
     def _integrand(self, x, y):
         """|F|^p for a norm (y is x), F conj(G) for a pairing."""
         return x * np.conj(y) if self.pair else np.abs(x) ** self.p
+
+    def _values(self, i: int, lvs, v: np.ndarray, h: float, eb: np.ndarray,
+                wb: np.ndarray):
+        """Factor i's three values (_Side.block) at the half nodes eb; where
+        some factor has no mirror, also at their mirror nodes -conj(eb) as
+        further columns: lam conj(F) where factor i has the mirror lam, else
+        evaluated there.  With lam, g_mass counts each node twice."""
+        lam = self.lams[i]
+        if lam is None:
+            eb, wb = np.concatenate([eb, -np.conj(eb)]), np.concatenate([wb, wb])
+        else:
+            wb = 2.0 * wb
+        vals = [sum(parts) for parts in zip(*(
+            side.block(lv, v, h, eb, wb) for side, lv in zip(self.factors[i], lvs)))]
+        if lam is None or self.mirror is not None:
+            return vals
+        return [np.concatenate([x, lam * np.conj(x)], axis=1) for x in vals]
 
     def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
                h: float) -> _LevelSums:
@@ -455,16 +495,20 @@ class _LogPolarNorm:
         Gauss rule of index rule, with the rule one lower, and with both
         inner rules one lower, plus the side data."""
         x, wx = _gauss_legendre(_THETA0 << lvl)
-        eith = np.exp(0.5j * math.pi * (x + 1.0))
-        w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
+        # the nodes with theta < pi/2; pi - theta are the others, same weights
+        half = len(x) // 2
+        eith = np.exp(0.5j * math.pi * (x[:half] + 1.0))
+        w_th = 0.5 * wx[:half]  # (1/pi) * (pi/2) * wx
         v = v_lo + h * np.arange(n_v)
         levels = [[side.level(rule, h, n_v) for side in factor] for factor in self.factors]
         flat = [lv for factor in levels for lv in factor]
-        evals = len(eith) * sum(lv.evals for lv in flat)
+        evals = half * sum((1 if lam is not None else 2) * lv.evals
+                           for lam, lvs in zip(self.lams, levels) for lv in lvs)
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
-        nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
+        cols = 1 if self.mirror is not None else 2  # value columns per half node
+        nb = max(1, _BLOCK // (cols * max([n_v] + [n for lv in flat for n in lv.ffts])))
         # with no lower Gauss rule anywhere, P with it is P itself
         same_g = all(lv.gauss_j is lv.gauss for lv in flat)
         rows = (0, 2) if same_g else (0, 1, 2)
@@ -474,18 +518,19 @@ class _LogPolarNorm:
         own = np.zeros(len(self.factors))
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            for b0 in range(0, len(eith), nb):
+            for b0 in range(0, half, nb):
                 eb, wb = eith[b0:b0 + nb], w_th[b0:b0 + nb]
-                # each factor's three values, summed over its sides
-                vals = [[sum(parts) for parts in zip(*(
-                    side.block(lv, v, h, eb, wb) for side, lv in zip(factor, lvs)))]
-                    for factor, lvs in zip(self.factors, levels)]
+                vals = [self._values(i, lvs, v, h, eb, wb) for i, lvs in enumerate(levels)]
                 fx, gx = vals[0], vals[-1]
+                # weights of the columns, and of sums even in theta -> pi - theta
+                wc = np.concatenate([wb, wb]) if self.mirror is None else wb
+                w_even = wc if self.mirror is None else 2.0 * wb
                 for k in rows:
-                    profs[k] += _nodes_dot(wb, self._integrand(fx[k], gx[k]).T)
+                    r = _nodes_dot(wc, self._integrand(fx[k], gx[k]).T)
+                    profs[k] += r if self.mirror is None else r + self.mirror * np.conj(r)
                 if self.pair:
-                    major += _nodes_dot(wb, (np.abs(fx[0]) * np.abs(gx[0])).T)
-                    own += [h * float(np.sum(_nodes_dot(wb, (np.abs(val[0]) ** 2).T)))
+                    major += _nodes_dot(w_even, (np.abs(fx[0]) * np.abs(gx[0])).T)
+                    own += [h * float(np.sum(_nodes_dot(w_even, (np.abs(val[0]) ** 2).T)))
                             for val in vals]
         if same_g:
             profs[1] = profs[0]

@@ -505,6 +505,22 @@ def test_unknown_flag_exits_2(measures):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "-m", "{seg12}", "--rel-tol", "1e-6"],
+    ["classify", "-m", "{seg12}", "--rel-tol", "nan"],
+    ["classify", "-m", "{seg12}", "-o", "{out}"],
+    ["plotdata", "--report", "{out}/sweep.json", "--max-subdiv", "5"],
+    ["norm", "-f", "ratpow:shift=1,exp=3", "-o", "{out}"],
+    ["moment", "-m", "{seg12}", "-o", "{out}"],
+], ids=lambda argv: " ".join(argv))
+def test_flags_a_command_would_ignore_exit_2(argv, measures, tmp_path):
+    # each command is offered only the flags it reads: quadrature flags
+    # where it integrates, -o where it writes files
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=tmp_path / "out", **measures) for a in argv])
+    assert exc.value.code == 2
+
+
 def test_cli_deterministic(measures, capsys):
     main(["apply", "-m", measures["seg12"], "-f", "test:p=2,eps=0.1",
           "-z", "0.3+1.2i"])

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -19,7 +20,14 @@ from hausdorff_bergman import (
     rational_power,
     sample_sector,
 )
-from hausdorff_bergman.halfplane import ModulusFunction, TestFunction, case_constant
+from hausdorff_bergman.halfplane import (
+    UNIT,
+    HalfPlaneFunction,
+    ModulusFunction,
+    Term,
+    TestFunction,
+    case_constant,
+)
 
 
 def random_upper_halfplane(rng, n, r_lo=1e-2, r_hi=1e3):
@@ -323,3 +331,58 @@ def test_family_parameters_must_be_finite():
                   lambda: math.nan * rational_power(1.0, 2.0)):
         with pytest.raises(ValueError, match="finite|positive"):
             build()
+
+
+# ---------------------------------------------------------------------------
+# the mirror z -> -conj z
+# ---------------------------------------------------------------------------
+
+
+def test_mirror_factors():
+    f = rational_power(1.0, 2.5)
+    g = ModulusFunction(0.5, 2.0, 2.0).as_function()
+    op = HausdorffOperator(Measure(segments=(DensitySegment.from_spec(1.0, 2.0, ("const", (1.0,))),)), 2.0)
+    cases = [
+        (f, -1j),                                  # e^(-5 i pi / 2)
+        (g, 1.0),
+        (-2.5 * f, -1j),
+        (1j * f, 1j),                              # (i / -i) (-i)
+        (dilate(f, 3.0), -1j),
+        (as_function(op, f), -1j),                 # the measure is real
+        (rational_power(1.0, 1.0) - rational_power(2.0, 1.0), -1.0),
+        (rational_power(1.0, 1.0) + rational_power(2.0, 3.0), -1.0),  # a mod 2 agrees
+        (rational_power(1.0, 2.0) + g, 1.0),
+    ]
+    for h, lam in cases:
+        assert abs(h.mirror - lam) <= 1e-15, (h, h.mirror, lam)
+    for h in (rational_power(1.0, 2.5) + rational_power(2.0, 3.0), f + 1j * f, f + g):
+        assert h.mirror is None, h
+
+
+def test_lattice_values_obey_the_mirror():
+    # for random term sums with a mirror factor lam, G(w, pi - theta)
+    # = lam conj G(w, theta), up to the rounding of the terms: a few ulps of
+    # their size, more for larger exponents, whose phases a theta round more
+    rng = np.random.default_rng(7)
+    w = np.linspace(-6.0, 30.0, 37)
+    eith = np.exp(1j * rng.uniform(1e-3, math.pi - 1e-3, 16))
+    second_difference = (rational_power(1.0, 0.5) - 2.0 * rational_power(2.0, 0.5)
+                         + rational_power(3.0, 0.5))
+    functions = [second_difference]
+    for _ in range(20):
+        family = rng.choice(["ratpow", "gmod"])
+        a = rng.integers(4, 32) / 8.0  # so that a + 2 is exact
+        phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        exponents = [a + 2.0 * rng.integers(0, 2) if family == "ratpow" else a
+                     for _ in range(rng.integers(1, 5))]
+        functions.append(HalfPlaneFunction(tuple(
+            Term(rng.uniform(-2.0, 2.0) * phase, UNIT, family, rng.uniform(0.05, 5.0), e)
+            for e in exponents)))
+    for f in functions:
+        lam = f.mirror
+        assert lam is not None
+        for q in (0.5, 2.0):
+            here = f.lattice_values(w, eith, q)
+            there = f.lattice_values(w, -np.conj(eith), q)
+            size = sum(np.abs(HalfPlaneFunction((t,)).lattice_values(w, eith, q)) for t in f.terms)
+            assert np.all(np.abs(there - lam * np.conj(here)) <= 4e-15 * size), f

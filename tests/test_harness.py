@@ -12,7 +12,7 @@ from hausdorff_bergman import (
     QuadratureConfig,
     QuadratureFailure,
 )
-from hausdorff_bergman import harness
+from hausdorff_bergman import harness, logpolar
 from hausdorff_bergman.halfplane import ModulusFunction, TestFunction
 
 CFG = harness.default_config()
@@ -288,9 +288,12 @@ def test_minkowski_samples_small():
     assert rep.computed["breaches"] == 0
 
 
-def test_minkowski_unconverged_samples_are_counted_apart():
-    # with two subdivisions no sample's norm converges: none is a breach,
-    # none feeds the worst ratio, and a report that checked nothing fails
+def test_minkowski_unconverged_samples_are_counted_apart(monkeypatch):
+    # with a lattice budget of 10,000 family evaluations no sample's norm
+    # converges: none is a breach, none feeds the worst ratio, and a report
+    # that checked nothing fails.  Only the lattice is starved: with one
+    # subdivision the moment's Kronrod pool would fail first
+    monkeypatch.setattr(logpolar, "_EVALS_PER_SUBDIVISION", 5000)
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10, max_subdivisions=2)
     rep = harness.run_minkowski_samples(n_samples=6, seed=2, cfg=cfg)
     assert rep.computed == {"breaches": 0, "worst_ratio_over_norm": 0.0,

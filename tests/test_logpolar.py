@@ -15,7 +15,9 @@ C_a eps^(2-2a) D, where D is the double moment
 integral of (ts)^(a-1) (t+s)^(2-2a) dmu(t) dmu(s).
 """
 
+import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -333,22 +335,146 @@ def test_cancelling_sum_of_first_powers_is_log_nine_eighths(rel_tol):
     assert within_rounding(res, math.log(9.0 / 8.0)), res
 
 
+def ratpow_cross_pairing(a: float, alpha: float, b: float, beta: float) -> complex:
+    """<(z + i alpha)^-a, (z + i beta)^-b> in closed form (a + b > 2): with
+    (z + i d)^-a = e^(-i pi a/2) / Gamma(a) int_0^inf x^(a-1) e^(i x (z + i d)) dx,
+    Plancherel on each line y = const and the y-integral leave
+    e^(-i pi (a-b)/2) Gamma(a+b-2) / (Gamma(a) Gamma(b) (alpha+beta)^(a+b-2))."""
+    return (cmath.exp(-0.5j * math.pi * (a - b)) * math.gamma(a + b - 2.0)
+            / (math.gamma(a) * math.gamma(b) * (alpha + beta) ** (a + b - 2.0)))
+
+
+def sum_norm_power_2(terms) -> float:
+    """||sum of c (z + i d)^-a||_2^2 over terms (c, d, a), pair by pair."""
+    return sum(cj * ck.conjugate() * ratpow_cross_pairing(aj, dj, ak, dk)
+               for cj, dj, aj in terms for ck, dk, ak in terms).real
+
+
 @pytest.mark.parametrize("a", [1.5, 2.0])
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
-def test_second_difference_closes_by_the_measured_rule(a, rel_tol):
-    # (z + i)^-a - 2 (z + 2i)^-a + (z + 3i)^-a decays like |z|^-(a+2); its
-    # hint counts the cancelled group as a + 1 only, one power too slow, so
-    # the ratios miss the hint's rate and the measured rule closes the edge
+def test_second_difference_counts_both_vanishing_moments(a, rel_tol):
+    # (z + i)^-a - 2 (z + 2i)^-a + (z + 3i)^-a decays like |z|^-(a+2): the
+    # moments sum of c d^j vanish for j = 0 and 1, and its hint counts both
     coefs, shifts = (1.0, -2.0, 1.0), (1.0, 2.0, 3.0)
     f = sum((c * rational_power(d, a) for c, d in zip(coefs[1:], shifts[1:])),
             rational_power(shifts[0], a))
-    assert f.decay_hint == (a + 1.0, 1.0)
+    assert f.decay_hint == (a + 2.0, 1.0)
     exact = sum(cj * ck * ratpow_pairing(a, dj, dk)
                 for cj, dj in zip(coefs, shifts) for ck, dk in zip(coefs, shifts))
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
     res = bergman_norm_p_power(f, 2.0, cfg)
     assert res.converged, res
     assert within_rounding(res, exact), (res, exact)
+
+
+def second_difference_of_rsqrt():
+    """(z + i)^-1/2 - 2 (z + 2i)^-1/2 + (z + 3i)^-1/2: each term decays like
+    |z|^-1/2, the sum like |z|^-5/2, so it is in A^1."""
+    return rational_power(1.0, 0.5) - 2.0 * rational_power(2.0, 0.5) + rational_power(3.0, 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def second_difference_of_rsqrt_norm_1() -> float:
+    """(1/pi) int_U |f| dA for second_difference_of_rsqrt, by scipy's quad in
+    r on [0, 12] and, beyond, in s = r^-1/2 on the binomial series
+    f = sum over n >= 2 of binom(-1/2, n) i^n M_n z^-(1/2+n), M_n = 1 - 2^(n+1) + 3^n,
+    whose first two terms vanish; r dr |f| is then 2 ds times a smooth
+    function of s.  The angle integral is a 128-point Gauss-Legendre rule:
+    |f| is analytic in theta on [0, pi], f having no zero there."""
+    integrate = pytest.importorskip("scipy.integrate")
+    x, w = np.polynomial.legendre.leggauss(128)
+    theta, w_theta = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
+    f = second_difference_of_rsqrt()
+    n = np.arange(2, 60)
+    binom = np.array([math.prod((-0.5 - k) / (k + 1.0) for k in range(j)) for j in n])
+    coef = binom * 1j ** n * (1.0 - 2.0 ** (n + 1) + 3.0 ** n)
+
+    def near(r):
+        return r * (w_theta @ np.abs(f(r * np.exp(1j * theta))))
+
+    def far(s):
+        terms = coef[:, None] * np.exp(-1j * (0.5 + n)[:, None] * theta) * (s * s) ** (n - 2)[:, None]
+        return 2.0 * (w_theta @ np.abs(terms.sum(axis=0)))
+
+    tol = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+    return (integrate.quad(near, 0.0, 12.0, **tol)[0]
+            + integrate.quad(far, 0.0, 12.0 ** -0.5, **tol)[0]) / math.pi
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_second_difference_of_rsqrt_is_in_a1(rel_tol):
+    # the hint counts both vanishing moments, so p power = 5/2 > 2 admits it,
+    # and the lattice sums the terms from their expansion far out, where
+    # term by term they would leave rounding e^(2v) times larger than F
+    f = second_difference_of_rsqrt()
+    assert f.decay_hint == (2.5, 1.0)
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(f, 1.0, cfg)
+    assert res.converged, res
+    assert within_rounding(res, second_difference_of_rsqrt_norm_1()), res
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_second_difference_of_rsqrt_against_pairing_formula(rel_tol):
+    # at a = 1/2 each pairing C_a (d_j + d_k)^(2-2a) has a pole, Gamma(2a-2)
+    # at -1, and the sum over the pairs a double zero; their limit as
+    # a -> 1/2 is (1/pi) sum of c_j c_k (d_j + d_k) ln(d_j + d_k)
+    coefs, shifts = (1.0, -2.0, 1.0), (1.0, 2.0, 3.0)
+    exact = sum(cj * ck * (dj + dk) * math.log(dj + dk)
+                for cj, dj in zip(coefs, shifts) for ck, dk in zip(coefs, shifts)) / math.pi
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(second_difference_of_rsqrt(), 2.0, cfg)
+    assert res.converged, res
+    assert within_rounding(res, exact), (res, exact)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_cancellation_across_exponents_closes_by_the_measured_rule(a, rel_tol):
+    # (z + i)^-a - (z + 2i)^-a = i a z^-(a+1) + O(z^-(a+2)), so subtracting
+    # i a (z + i)^-(a+1) leaves a sum decaying like |z|^-(a+2).  The hint
+    # counts vanishing moments within one exponent only and says a + 1, so
+    # the ratios miss the hint's rate and the measured rule closes the edge
+    terms = ((1.0, 1.0, a), (-1.0, 2.0, a), (-1j * a, 1.0, a + 1.0))
+    f = sum((c * rational_power(d, e) for c, d, e in terms[1:]),
+            rational_power(terms[0][1], terms[0][2]))
+    assert f.decay_hint == (a + 1.0, 1.0)
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(f, 2.0, cfg)
+    assert res.converged, res
+    assert within_rounding(res, sum_norm_power_2(terms)), res
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_factor_without_mirror_against_pairing_formula(rel_tol):
+    # (z + i)^-5/2 and (z + 2i)^-3 have mirror factors -i and -1: their sum
+    # has none, so the lattice evaluates its mirror half
+    terms = ((1.0, 1.0, 2.5), (1.0, 2.0, 3.0))
+    f = rational_power(1.0, 2.5) + rational_power(2.0, 3.0)
+    assert f.mirror is None
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = bergman_norm_p_power(f, 2.0, cfg)
+    assert res.converged, res
+    assert within_rounding(res, sum_norm_power_2(terms)), res
+    # a pairing of a factor with a mirror and one without, either way round
+    g = rational_power(0.5, 2.0)
+    exact = sum(ratpow_cross_pairing(2.0, 0.5, e, d) for _, d, e in terms)
+    for res, ref in ((pairing(g, f, cfg), exact), (pairing(f, g, cfg), exact.conjugate())):
+        assert res.converged, res
+        assert within_rounding(res, ref), (res, ref)
+
+
+def test_mirror_halves_the_evaluations():
+    # the same plain function with and without a mirror: NestedSource has
+    # none, so its lattice evaluates every angle node; both end at the same
+    # level, and the budget counts only the evaluations made
+    f = rational_power(0.5, 1.5)
+    fast = _LogPolarNorm([_factor(f)], 2.0, CFG)
+    slow = _LogPolarNorm([nested(f)], 2.0, CFG)
+    fast_res, slow_res = fast.run(), slow.run()
+    assert fast_res.subdivisions_used == slow_res.subdivisions_used
+    assert 2 * fast.evals == slow.evals
+    assert abs(fast_res.value - slow_res.value) <= fast_res.error_estimate + slow_res.error_estimate
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
@@ -424,7 +550,11 @@ class NestedSource:
     (one 1-D inner adaptive quadrature per lattice point) instead of the
     lattice's own convolution.  It reaches the engine through
     lattice_values, as a term record does, so both share the outer lattice
-    and these tests check that convolution and its inner rules."""
+    and these tests check that convolution and its inner rules.
+
+    It has no mirror, so its lattice evaluates the mirror half of the angle
+    rule as well: the nested path sums the full Gauss-Legendre rule, and
+    these tests also check the mirrored lattice against it."""
 
     def __init__(self, hf):
         self.hf, self.decay_hint = hf, hf.decay_hint
