@@ -128,28 +128,22 @@ def cmd_apply(args) -> int:
         return res.value, res.error_estimate
 
     if args.points:
-        rows = []
-        with open(args.points, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                z = parse_complex(line)
-                v, e = one(z)
-                rows.append((z.real, z.imag, v.real, v.imag, e))
-        out = sys.stdout
-        close = False
-        if args.outdir:
-            args.outdir.mkdir(parents=True, exist_ok=True)
-            out = open(args.outdir / "apply.csv", "w", encoding="utf-8", newline="")
-            close = True
-        writer = csv.writer(out)
-        writer.writerow(["x", "y", "re", "im", "err"])
-        for row in rows:
-            writer.writerow([f"{v:.12g}" for v in row])
-        if close:
-            out.close()
-            print(args.outdir / "apply.csv")
+        try:
+            with open(args.points, "r", encoding="utf-8") as fh:
+                lines = [line.strip() for line in fh]
+        except OSError as exc:
+            raise _UsageError(f"cannot read points file {args.points}: {exc}") from exc
+        rows = [["x", "y", "re", "im", "err"]]
+        for z in (parse_complex(s) for s in lines if s and not s.startswith("#")):
+            v, e = one(z)
+            rows.append([f"{x:.12g}" for x in (z.real, z.imag, v.real, v.imag, e)])
+        if not args.outdir:
+            csv.writer(sys.stdout).writerows(rows)
+            return 0
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        with open(args.outdir / "apply.csv", "w", encoding="utf-8", newline="") as out:
+            csv.writer(out).writerows(rows)
+        print(args.outdir / "apply.csv")
         return 0
 
     z = parse_complex(args.point)

@@ -3,9 +3,12 @@
 A HalfPlaneFunction is a tuple of terms (see Term); a plain function is
 its own image under the unit atom.  Sums concatenate terms, multiples scale
 coefficients, and a dilation by s maps each term to (coef s^exponent,
-s shift), images included, as H commutes with dilations.  The decay hint,
-the mirror factor, the point evaluator and the log-space lattice values
-are derived from the terms, each in one place.
+s shift), images included, as H commutes with dilations.  The terms are
+grouped by measure once (HalfPlaneFunction.sides), and one log-space
+kernel evaluates every plain source (HalfPlaneFunction._log_sum): on the
+lattice of norms and pairings, and at points, directly or inside an
+image's inner quadrature.  The decay hint and the mirror factor are
+derived from the terms too.
 
 Complex powers are always taken through the principal logarithm (argument
 in (-pi, pi]); no other branch is used anywhere in the package.
@@ -119,22 +122,8 @@ class Term:
             lam *= cmath.exp(-1j * math.pi * math.fmod(self.exponent, 2.0))
         return lam
 
-    def family_values(self, z):
-        """g(z) = e^(-exponent log_base(z)): the family member alone, without
-        coefficient or measure.  A non-finite z (far-field overflow of z/t)
-        maps to the limit of g there instead of NaN."""
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            out = np.exp(-self.exponent * self.log_base(z))
-            bad = ~np.isfinite(z)
-            if np.any(bad):
-                a = self.exponent
-                out = np.where(bad, 0.0 if a > 0 else 1.0 if a == 0 else math.inf, out)
-        return out
-
     def log_base(self, z):
-        """log(z + i shift) for ratpow, log|z + i shift| for gmod: g is
-        e^(-exponent log_base) either way."""
+        """log(z + i shift) for ratpow, log|z + i shift| for gmod."""
         w = z + 1j * self.shift
         return np.log(np.abs(w)) if self.family == "gmod" else np.log(w)
 
@@ -183,8 +172,8 @@ def _vanishing_moments(terms) -> int:
 
 
 def _gegenbauer(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
-    """C_n^lam(x) for n = 0 .. n_max (rows), by the three-term recurrence."""
-    c = np.empty((n_max + 1, len(x)))
+    """C_n^lam(x) for n = 0 .. n_max (leading axis), by the three-term recurrence."""
+    c = np.empty((n_max + 1,) + x.shape)
     c[0] = 1.0
     if n_max:
         c[1] = 2.0 * lam * x
@@ -231,39 +220,31 @@ class _Expansion:
     def far(self, w: np.ndarray) -> np.ndarray:
         return self.scale * np.exp(-w) <= self.ratio
 
-    def values(self, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
-        """e^(q w) times the terms' sum at z = e^(w) eith, in log space."""
+    def values(self, w: np.ndarray, theta: np.ndarray, q: float) -> np.ndarray:
+        """e^(q w) times the terms' sum at z = e^(w + i theta), in log space,
+        on the grid w x theta: w (..., r) and theta (..., c) give (..., r, c),
+        for a lattice's rows and angles, or for P points as (P, 1) each."""
         a, m, n = self.a, self.m, self.n
-        theta = np.angle(eith)
         if self.family == "ratpow":  # z^-(a+n) = e^(-(a+n)(w + i theta))
-            basis = np.exp(-1j * (a + n)[:, None] * theta)
+            basis = np.exp(-1j * (a + n)[:, None] * theta[..., None, :])
         else:
-            basis = _gegenbauer(int(n[-1]), 0.5 * a, -np.sin(theta))[m:]
+            basis = np.moveaxis(_gegenbauer(int(n[-1]), 0.5 * a, -np.sin(theta))[m:], 0, -2)
         rho = self.scale * np.exp(-w)
         lead = np.exp((q - a - m) * w + m * math.log(self.scale))
-        return lead[:, None] * ((rho[:, None] ** (n - m)) @ (self.moments[:, None] * basis))
-
-
-def _weighted_sum(terms, values):
-    """The sum of coef * value over the terms and their values; a
-    coefficient of 1 costs no product."""
-    total = None
-    for t, g in zip(terms, values):
-        g = g if t.coef == 1.0 else t.coef * g
-        total = g if total is None else total + g
-    return total
+        return lead[..., None] * ((rho[..., None] ** (n - m)) @ (self.moments[:, None] * basis))
 
 
 @dataclass(frozen=True)
 class HalfPlaneFunction:
     """A sum of terms (see Term) on the upper half-plane.
 
-    decay_hint = (power, shift) encodes |f(z)| <~ C * |z + i*shift|^-power
-    at infinity and steers the half-plane lattice; mirror, lam with
-    f(-conj z) = lam conj f(z) or None, lets it evaluate half the angles.  inner_cfg is the inner
-    quadrature of the point values of image terms.  evaluator, the point
-    evaluator, defaults to the one derived from the terms; norms and
-    pairings never call it (logpolar.py sums lattice_values instead).
+    sides, one plain source per measure, serves norms and pairings
+    (logpolar.py) and point values alike.  decay_hint = (power, shift)
+    encodes |f(z)| <~ C * |z + i*shift|^-power at infinity and steers the
+    lattice; mirror, lam with f(-conj z) = lam conj f(z) or None, lets it
+    evaluate half the angles.  inner_cfg is the inner quadrature of the
+    point values of images.  evaluator, the point evaluator, defaults to the
+    one derived from the terms; norms and pairings never call it.
     """
 
     terms: tuple[Term, ...]
@@ -278,18 +259,32 @@ class HalfPlaneFunction:
             object.__setattr__(self, "evaluator", self._values)
 
     @functools.cached_property
-    def _groups(self) -> list:
-        """The plain terms by family and exponent, each group with its
-        number of vanishing moments (_vanishing_moments)."""
+    def sides(self) -> tuple:
+        """(measure, source, decay hint) per distinct nonzero measure of the
+        terms, by identity (segments compare without their densities; one
+        equal to the unit atom counts as it): the source holds the measure's
+        terms made plain, the hint is that of the terms themselves."""
+        groups = {}
+        for t in self.terms:
+            mu = UNIT if t.plain else t.measure
+            groups.setdefault(id(mu), (mu, []))[1].append(t)
+        return tuple((mu, HalfPlaneFunction(tuple(replace(t, measure=UNIT) for t in terms)),
+                      HalfPlaneFunction(tuple(terms)).decay_hint)
+                     for mu, terms in groups.values() if not mu.is_zero)
+
+    @functools.cached_property
+    def _split(self) -> list:
+        """The plain terms in groups: (terms, None) for those summed
+        directly, in term order, and (terms, _Expansion) for each family
+        and exponent whose first m > 0 moments vanish (_vanishing_moments)."""
         groups = {}
         for t in self.terms:
             if t.plain:
                 groups.setdefault((t.family, t.exponent), []).append(t)
-        return [(tuple(g), _vanishing_moments(g)) for g in groups.values()]
-
-    @functools.cached_property
-    def _expansions(self) -> list:
-        return [_Expansion(g, m) for g, m in self._groups if m]
+        expanded = {key: _Expansion(tuple(g), m) for key, g in groups.items()
+                    if (m := _vanishing_moments(g))}
+        direct = [t for t in self.terms if t.plain and (t.family, t.exponent) not in expanded]
+        return ([(direct, None)] if direct else []) + [(ex.terms, ex) for ex in expanded.values()]
 
     @property
     def decay_hint(self) -> tuple[float, float]:
@@ -304,7 +299,7 @@ class HalfPlaneFunction:
             t_min = t.measure.support_infimum()  # inf for the zero measure
             shifts.append(t.shift * min(t_min, 1.0) if t_min > 0.0 else 0.0)
         powers = [t.exponent for t in self.terms if not t.plain]
-        powers += [g[0].exponent + m for g, m in self._groups]
+        powers += [t.exponent + (ex.m if ex else 0) for terms, ex in self._split for t in terms]
         return min(powers), min(shifts)
 
     @property
@@ -316,37 +311,64 @@ class HalfPlaneFunction:
         return common_mirror(t.mirror for t in self.terms if t.coef)
 
     def _values(self, z):
-        """The point evaluator: a plain term from its closed form, an image
-        term by the operator's inner quadrature at every point."""
+        """The point evaluator: per side, its source's values under the unit
+        atom, else one inner quadrature of the operator over them."""
         from .hausdorff import image_values  # hausdorff builds on this module
 
         z = np.asarray(z, dtype=complex)
-        return _weighted_sum(self.terms, (
-            t.family_values(z) if t.plain else image_values(
-                t.measure, t.family_values, z, self.inner_cfg or QuadratureConfig())[0]
-            for t in self.terms))
+        total = None
+        # an image's inner quadrature may take z/t beyond the float range
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            for mu, source, _ in self.sides:
+                vals = source._log_sum(z) if mu is UNIT else image_values(
+                    mu, source._log_sum, z, self.inner_cfg or QuadratureConfig())[0]
+                total = vals if total is None else total + vals
+        return np.zeros(z.shape, dtype=complex) if total is None else total
 
     def lattice_values(self, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
         """G(w, theta) = e^(q w) f(e^(w + i theta)) of a plain function on
-        the grid w x theta, in log space: each term is
-        coef e^(q w - a log(e^w e^(i theta) + i shift)) (log|...| for gmod),
-        so G stays accurate where f itself underflows.  A group of terms
-        with vanishing moments is summed from its expansion (_Expansion) on
-        the rows far from its shifts."""
-        z = np.exp(w)[:, None] * eith
-        qw = (q * w)[:, None]
+        the grid w x theta, in log space (_log_sum with the prefactor q w),
+        so G stays accurate where f itself underflows."""
+        return self._log_sum(np.exp(w)[:, None] * eith, (q * w)[:, None], (w, eith, q))
 
-        def direct(terms):
-            return _weighted_sum(terms, (np.exp(qw - t.exponent * t.log_base(z))
-                                         for t in terms))
-
-        expanded = {(ex.family, ex.a) for ex in self._expansions}
-        total = direct([t for t in self.terms if (t.family, t.exponent) not in expanded])
-        for ex in self._expansions:
-            vals = np.asarray(direct(ex.terms), dtype=complex)
-            far = ex.far(w)
-            if np.any(far):
-                vals[far] = ex.values(w[far], eith, q)
+    def _log_sum(self, z, pre=None, grid=None):
+        """The evaluation kernel of a plain function: the sum over its terms
+        of coef e^(pre - a log(z + i shift)) (log|...| for gmod) at z of any
+        shape.  A group with vanishing moments is summed from its expansion
+        (_Expansion) far from its shifts: on the far rows where
+        grid = (w, eith, q) marks z as the lattice's e^(w) x eith with
+        pre = q w, else at the far points.  Point values pass no prefactor,
+        and a non-finite z (z/t of an image's inner quadrature overflowed)
+        maps to each term's limit there."""
+        bad = None if pre is not None or np.all(np.isfinite(z)) else ~np.isfinite(z)
+        total = None
+        for terms, ex in self._split:
+            vals = None
+            for t in terms:
+                x = t.exponent * t.log_base(z)
+                g = np.exp(-x) if pre is None else np.exp(pre - x)
+                if bad is not None:
+                    a = t.exponent
+                    g = np.where(bad, 0.0 if a > 0 else 1.0 if a == 0 else math.inf, g)
+                g = g if t.coef == 1.0 else t.coef * g
+                vals = g if vals is None else vals + g
+            if ex is not None:
+                vals = np.asarray(vals, dtype=complex)
+                if grid is not None:
+                    w, eith, q = grid
+                    far = ex.far(w)
+                    if np.any(far):
+                        vals[far] = ex.values(w[far], np.angle(eith), q)
+                else:
+                    # log|z| is -inf, so no expansion, where z is not finite or
+                    # lies below the real axis (the principal branch would not follow)
+                    flat = z.ravel()
+                    theta = np.angle(flat)
+                    w = np.where(np.isfinite(flat) & (theta >= 0.0), np.log(np.abs(flat)), -np.inf)
+                    far = ex.far(w)
+                    if np.any(far):
+                        vals[far.reshape(vals.shape)] = ex.values(
+                            w[far, None], theta[far, None], 0.0)[:, 0, 0]
             total = vals if total is None else total + vals
         return total
 

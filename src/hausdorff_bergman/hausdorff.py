@@ -7,16 +7,13 @@ evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
 quadrature available as an independent cross-check route.
 
-Point values are one thing, norms and pairings another: as_function puts
-the operator's measure on every term of f (halfplane.py), and Bergman norms
-and pairings of the result are computed from those terms on the log-polar
-lattice (logpolar.py), the same engine that serves plain functions, with
-sums, multiples and dilations of images included.  In z = e^(v + i theta)
-the operator is a convolution in v, and scaling by e^(2v/p) makes both the
-area element (r dr dtheta = e^(2v) dv dtheta) and the kernel's integral
-(the moment of t^(2/p - 1), the operator norm) come out exactly.  Each side
-of the adjoint identity pairs an image with a plain function on that
-lattice.
+as_function puts the operator's measure on every term of f, and the
+result's terms are grouped by measure once (HalfPlaneFunction.sides).  Its
+point values run one inner quadrature (image_values) per measure over a
+plain source, and its Bergman norms and pairings run on the log-polar
+lattice (logpolar.py), sums, multiples and dilations of images included.
+Each side of the adjoint identity pairs an image with a plain function on
+that lattice.
 """
 
 from __future__ import annotations
@@ -96,9 +93,8 @@ def _density_sum(mu: Measure, kernel, cfg: QuadratureConfig, what: str):
     total = None
     err = 0.0
     for seg in mu.segments:
-        dens = seg.density
 
-        def integrand(t, dens=dens):
+        def integrand(t, dens=seg.density):
             kv = np.asarray(kernel(t))
             d = np.asarray(dens(t), dtype=float).reshape((-1,) + (1,) * (kv.ndim - 1))
             return kv * d
@@ -122,21 +118,19 @@ def _half_plane_points(z) -> np.ndarray:
 def image_values(mu: Measure, ev, z: np.ndarray,
                  cfg: QuadratureConfig) -> tuple[np.ndarray, float]:
     """H g over a complex array z, for H the dilation average against mu
-    and ev the evaluator of g, with the inner quadrature's error."""
+    and ev the point values of g, with the inner quadrature's error."""
     shape, z = z.shape, z.ravel()
     out = np.zeros(z.shape, dtype=complex)
     for a in mu.atoms:
         out = out + (a.weight / a.location) * np.asarray(ev(z / a.location))
-    err = 0.0
-    if mu.segments:
 
-        def kernel(t):
-            tt = np.asarray(t, dtype=float)
-            return np.asarray(ev(z[None, :] / tt[:, None])) / tt[:, None]
+    def kernel(t):
+        tt = np.asarray(t, dtype=float)
+        return np.asarray(ev(z[None, :] / tt[:, None])) / tt[:, None]
 
-        dens_val, err = _density_sum(mu, kernel, cfg, "operator integral")
-        if dens_val is not None:
-            out = out + dens_val
+    dens_val, err = _density_sum(mu, kernel, cfg, "operator integral")
+    if dens_val is not None:
+        out = out + dens_val
     return out.reshape(shape), err
 
 
@@ -177,16 +171,15 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     out = np.zeros(zz.shape, dtype=complex)
     for a in mu.atoms:
         out = out + a.weight * a.location * np.asarray(f(a.location * zz))
-    if mu.segments:
-        ev = f.evaluator
+    ev = f.evaluator
 
-        def kernel(t):
-            tt = np.asarray(t, dtype=float)
-            return np.asarray(ev(tt[:, None] * zz[None, :])) * tt[:, None]
+    def kernel(t):
+        tt = np.asarray(t, dtype=float)
+        return np.asarray(ev(tt[:, None] * zz[None, :])) * tt[:, None]
 
-        dens_val, _ = _density_sum(mu, kernel, cfg, "adjoint operator integral")
-        if dens_val is not None:
-            out = out + dens_val
+    dens_val, _ = _density_sum(mu, kernel, cfg, "adjoint operator integral")
+    if dens_val is not None:
+        out = out + dens_val
     if np.ndim(_as_z(z)) == 0:
         return complex(out[0])
     return out.reshape(np.asarray(_as_z(z)).shape)

@@ -4,10 +4,10 @@ half-plane engine.
 `bergman_norm_p_power` and `pairing` (quadrature.py) send every function
 here.  The engine works on sides.  A side is a measure mu and a plain
 source f, standing for Hf(z) = integral of (1/t) f(z/t) dmu(t).  Each
-factor of the integrand is the sum of one side per distinct measure among
-its terms (halfplane.py), so a plain function is one side under the unit
-atom and sums, multiples and dilations of images stay on the lattice.  A
-source enters only through its log-space lattice values
+factor of the integrand is the sum of its sides (HalfPlaneFunction.sides,
+one per distinct measure among its terms), so a plain function is one side
+under the unit atom and sums, multiples and dilations of images stay on
+the lattice.  A source enters only through its log-space lattice values
 G(w, theta) = e^(q w) f(e^(w + i theta)), accurate where f underflows.
 In z = e^(v + i theta) and t = e^s, H is a convolution in v along every
 ray, so every evaluation of f serves all output points.  A norm sums |F|^p
@@ -47,11 +47,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .halfplane import UNIT, HalfPlaneFunction, common_mirror
+from .halfplane import common_mirror
 from .quadrature import IntegralResult, QuadratureConfig, _nodes_dot
 
 
@@ -680,18 +680,6 @@ class _LogPolarNorm:
         return IntegralResult(value, err, lvl + 1, False, reason, unit=levels)
 
 
-def _factor(f: HalfPlaneFunction) -> list:
-    """f as (measure, source, decay hint) per distinct nonzero measure among
-    its terms: the source holds those terms made plain, the hint is that of
-    the terms themselves."""
-    groups = {}
-    for term in f.terms:  # by identity: segments compare without their densities
-        groups.setdefault(id(term.measure), (term.measure, []))[1].append(term)
-    return [(mu, HalfPlaneFunction(tuple(replace(t, measure=UNIT) for t in terms)),
-             HalfPlaneFunction(tuple(terms)).decay_hint)
-            for mu, terms in groups.values() if not mu.is_zero]
-
-
 def _run(factors, p: float, cfg: QuadratureConfig) -> IntegralResult:
     if all(factors):
         return _LogPolarNorm(factors, p, cfg).run()
@@ -700,9 +688,9 @@ def _run(factors, p: float, cfg: QuadratureConfig) -> IntegralResult:
 
 def norm_power(f, p: float, cfg: QuadratureConfig) -> IntegralResult:
     """||f||_p^p = (1/pi) int |f|^p dA on the lattice."""
-    return _run([_factor(f)], p, cfg)
+    return _run([f.sides], p, cfg)
 
 
 def pairing(f, g, cfg: QuadratureConfig) -> IntegralResult:
     """(1/pi) int f conj(g) dA on the lattice, with q = 1 on both factors."""
-    return _run([_factor(f), _factor(g)], 2.0, cfg)
+    return _run([f.sides, g.sides], 2.0, cfg)

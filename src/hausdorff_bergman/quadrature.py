@@ -108,12 +108,13 @@ class QuadratureConfig:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
-    def tighter(self, factor: float = 1e-2) -> "QuadratureConfig":
-        """Derived config for inner (nested) quadratures."""
+    def tighter(self) -> "QuadratureConfig":
+        """Derived config for inner (nested) quadratures: both tolerances a
+        hundredth of these, floored at 1e-13 and 1e-15."""
         return replace(
             self,
-            rel_tol=max(self.rel_tol * factor, 1e-13),
-            abs_tol=max(self.abs_tol * factor, 1e-15),
+            rel_tol=max(self.rel_tol * 1e-2, 1e-13),
+            abs_tol=max(self.abs_tol * 1e-2, 1e-15),
         )
 
 
@@ -408,9 +409,9 @@ def bergman_norm_p_power(f, p: float,
     f is a HalfPlaneFunction, a sum of terms; its decay_hint = (power at
     infinity, reference shift) decides integrability: p * power must exceed
     2.  The norm is computed on the log-polar lattice of logpolar.py from
-    the terms: one side per distinct measure among them, each from its
-    plain family members' log-space values, so that images and their sums,
-    multiples and dilations never call a point evaluator.
+    f.sides, one per distinct measure among the terms, each from its plain
+    source's log-space values, so that images and their sums, multiples
+    and dilations never call a point evaluator.
     """
     cfg = cfg or QuadratureConfig()
     if not 1 <= p < math.inf:

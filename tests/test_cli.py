@@ -107,6 +107,14 @@ def test_apply_batch_csv(measures, tmp_path, capsys):
     assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 1.0
 
 
+def test_apply_missing_points_file_is_usage_error(measures, tmp_path, capsys):
+    code = main(["apply", "-m", measures["seg12"], "-f", "ratpow:shift=1,exp=2",
+                 "--points", str(tmp_path / "nope.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read points file") and err.count("\n") == 1
+
+
 def test_apply_requires_point(measures, capsys):
     code = main(["apply", "-m", measures["atom1"], "-f", "ratpow:shift=1,exp=2"])
     assert code == 2

@@ -314,6 +314,27 @@ def test_dilate_decay_hint():
     np.testing.assert_allclose(g(4.0j), f(1.0j), rtol=1e-15)
 
 
+def test_point_values_of_cancelling_groups_against_mpmath():
+    # far out, the rsqrt second difference cancels to two orders below each
+    # of its terms, and a gmod pair to one: summed term by term, the
+    # rounding was 1.3e-3 of the first at 1e6 (0.3 + i) and all of it at
+    # 1e8 (0.3 + i), where it read 0 for a true 6.7e-21
+    mpmath = pytest.importorskip("mpmath")
+    rsqrt = rational_power(1.0, 0.5) - 2.0 * rational_power(2.0, 0.5) + rational_power(3.0, 0.5)
+    gmod = HalfPlaneFunction((Term(1.0, UNIT, "gmod", 1.0, 1.0),
+                              Term(-1.0, UNIT, "gmod", 2.0, 1.0)))
+    for r in (1e6, 1e8):
+        z = r * (0.3 + 1j)
+        with mpmath.workdps(60):
+            zm = mpmath.mpc(z.real, z.imag)
+            exact = [complex(sum(c * mpmath.exp(-0.5 * mpmath.log(zm + 1j * s))
+                                 for c, s in ((1, 1), (-2, 2), (1, 3)))),
+                     complex(1 / abs(zm + 1j) - 1 / abs(zm + 2j))]
+        for f, ref in zip((rsqrt, gmod), exact):
+            assert abs(f(z) - ref) <= 1e-12 * abs(ref), (f, z)
+            np.testing.assert_allclose(f(np.full((2, 3), z)), ref, rtol=1e-12)
+
+
 def test_function_arithmetic():
     f = rational_power(1.0, 2.0)
     g = rational_power(2.0, 3.0)

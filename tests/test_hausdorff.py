@@ -165,6 +165,48 @@ def test_zero_measure_gives_zero_operator():
     assert apply(op, F, 1j, CFG) == 0.0
     hf = as_function(op, F, CFG)
     assert bergman_norm_p(hf, 2.0, CFG).value == 0.0
+    np.testing.assert_array_equal(hf(np.array([1j, 2.0 + 1j])), 0.0)
+
+
+def test_sum_of_images_under_one_measure_is_one_inner_quadrature():
+    # as_function puts one measure on every term, and point values run one
+    # inner quadrature per measure: the first panel's density nodes are
+    # evaluated once per point batch, not once per term
+    calls = []
+
+    def density(t):
+        calls.append(np.array(t, copy=True))
+        return np.ones_like(t)
+
+    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, density),)), p=2.0)
+    f, g = rational_power(1.0, 2.0), rational_power(0.5, 3.0)
+    inner = CFG.tighter()
+    both = as_function(op, f + g, inner)
+    assert len(both.sides) == 1
+    z = np.array([0.3 + 1j, -2.0 + 0.5j, 4.0 + 3.0j])
+    calls.clear()
+    total = both(z)
+    assert sum(np.array_equal(c, calls[0]) for c in calls) == 1
+    apart = as_function(op, f, inner)(z) + as_function(op, g, inner)(z)
+    np.testing.assert_allclose(total, apart, rtol=inner.rel_tol)
+
+
+def test_image_of_a_cancelling_pair_against_mpmath():
+    # H((z+i)^-1 - (z+2i)^-1) under uniform[1,2] is
+    # -i log((z+2i)/(z+i)) + (i/2) log((z+4i)/(z+2i)).  At 1e6 (0.3 + i) the
+    # pair cancels to 1e-6 of each term, whose rounding, summed term by term,
+    # was 1.46e-10 of the value: above the inner rel_tol
+    mpmath = pytest.importorskip("mpmath")
+    rel_tol = 1e-10
+    pair = rational_power(1.0, 1.0) - rational_power(2.0, 1.0)
+    hf = as_function(HausdorffOperator(uniform_12(), p=2.0), pair,
+                     QuadratureConfig(rel_tol=rel_tol))
+    z = 1e6 * (0.3 + 1j)
+    with mpmath.workdps(60):
+        zm = mpmath.mpc(z.real, z.imag)
+        exact = complex(-1j * (mpmath.log(zm + 2j) - mpmath.log(zm + 1j))
+                        + 0.5j * (mpmath.log(zm + 4j) - mpmath.log(zm + 2j)))
+    assert abs(hf(z) - exact) <= rel_tol * abs(exact)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from hausdorff_bergman import cli, harness
 from hausdorff_bergman.halfplane import UNIT
 from hausdorff_bergman.logpolar import (
     _LogPolarNorm,
-    _factor,
     _gauss_legendre,
     _geometric_tail,
     _gregory_weights,
@@ -469,7 +468,7 @@ def test_mirror_halves_the_evaluations():
     # none, so its lattice evaluates every angle node; both end at the same
     # level, and the budget counts only the evaluations made
     f = rational_power(0.5, 1.5)
-    fast = _LogPolarNorm([_factor(f)], 2.0, CFG)
+    fast = _LogPolarNorm([f.sides], 2.0, CFG)
     slow = _LogPolarNorm([nested(f)], 2.0, CFG)
     fast_res, slow_res = fast.run(), slow.run()
     assert fast_res.subdivisions_used == slow_res.subdivisions_used
@@ -683,7 +682,7 @@ def test_sum_of_images_against_double_moment():
     f = rational_power(eps, a)
     total = (as_function(HausdorffOperator(uniform_12(), 2.0), f, CFG.tighter())
              + as_function(HausdorffOperator(Measure(segments=(seg,)), 2.0), f, CFG.tighter()))
-    assert len(_factor(total)) == 2
+    assert len(total.sides) == 2
     d = panel_double_moment(((1.0, 2.0, lambda t: np.ones_like(t)),
                              (seg.lower, seg.upper, weight)), a)
     assert_within(bergman_norm_p_power(total, 2.0, CFG),
@@ -699,11 +698,15 @@ def test_images_under_equal_looking_measures_stay_apart():
     one, t = (Measure(segments=(DensitySegment(1.0, 2.0, d),))
               for d in (np.ones_like, lambda t: t))
     assert one == t
-    total = (as_function(HausdorffOperator(one, 2.0), f, CFG.tighter())
-             + as_function(HausdorffOperator(t, 2.0), f, CFG.tighter()))
+    h_one = as_function(HausdorffOperator(one, 2.0), f, CFG.tighter())
+    h_t = as_function(HausdorffOperator(t, 2.0), f, CFG.tighter())
+    total = h_one + h_t
     d = panel_double_moment(((1.0, 2.0, lambda t: 1.0 + t),), a)
     assert_within(bergman_norm_p_power(total, 2.0, CFG),
                   pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
+    # and its point values are those of H_1 f + H_t f
+    z = np.array([0.5 + 1j, -3.0 + 0.2j])
+    np.testing.assert_allclose(total(z), h_one(z) + h_t(z), rtol=1e-15)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
