@@ -31,10 +31,6 @@ from .measure import (
 from .quadrature import QuadratureConfig, bergman_norm_p
 
 
-class _UsageError(Exception):
-    pass
-
-
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i$"
@@ -71,10 +67,12 @@ def _config_from_args(args) -> QuadratureConfig:
 
 
 def _add_quadrature_flags(sp) -> None:
-    """The tolerance and budget flags, for the commands that integrate."""
-    sp.add_argument("--rel-tol", type=float, default=1e-6)
-    sp.add_argument("--abs-tol", type=float, default=1e-10)
-    sp.add_argument("--max-subdiv", type=int, default=2000,
+    """The tolerance and budget flags, for the commands that integrate,
+    defaulting to the experiment suite's."""
+    cfg = harness.default_config()
+    sp.add_argument("--rel-tol", type=float, default=cfg.rel_tol)
+    sp.add_argument("--abs-tol", type=float, default=cfg.abs_tol)
+    sp.add_argument("--max-subdiv", type=int, default=cfg.max_subdivisions,
                     help="budget: panel bisections of a one-dimensional integral; "
                          "for half-plane norms and pairings (log-polar lattice), "
                          "10,000 family evaluations per unit")
@@ -90,7 +88,7 @@ def _load_measure_arg(path: str) -> Measure:
     try:
         return load_measure(path)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot load measure {path}: {exc}") from exc
+        raise ValueError(f"cannot load measure {path}: {exc}") from exc
 
 
 def _usage_error(msg: str) -> int:
@@ -112,12 +110,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_apply(args) -> int:
     if not args.point and not args.points:
-        raise _UsageError("apply needs -z/--point or --points FILE")
+        raise ValueError("apply needs -z/--point or --points FILE")
     mu = _load_measure_arg(args.measure)
-    try:
-        f = parse_function_spec(args.function)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    f = parse_function_spec(args.function)
     cfg = _config_from_args(args)
     if args.quasi:
         mu = pushforward_inverse(mu)
@@ -132,7 +127,7 @@ def cmd_apply(args) -> int:
             with open(args.points, "r", encoding="utf-8") as fh:
                 lines = [line.strip() for line in fh]
         except OSError as exc:
-            raise _UsageError(f"cannot read points file {args.points}: {exc}") from exc
+            raise ValueError(f"cannot read points file {args.points}: {exc}") from exc
         rows = [["x", "y", "re", "im", "err"]]
         for z in (parse_complex(s) for s in lines if s and not s.startswith("#")):
             v, e = one(z)
@@ -154,10 +149,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    try:
-        f = parse_function_spec(args.function)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    f = parse_function_spec(args.function)
     cfg = _config_from_args(args)
     if args.measure:
         mu = _load_measure_arg(args.measure)
@@ -386,8 +378,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        return _usage_error(str(exc))
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -307,10 +307,10 @@ def run_truncated_norm_experiment(measure: Measure, p: float, delta: float,
         bound_ok = []
         for eps in epsilons:
             f = rational_power(1.0, 2.0 / p + eps)
-            ratios.append(_ratio(op, f, p, cfg))
+            f_norm = _norm(f, p, cfg)
+            ratios.append(_norm(as_function(op, f, cfg.tighter()), p, cfg) / f_norm)
             g1 = ModulusFunction(p * eps, delta, p).as_function()
             g2 = ModulusFunction(p * (eps + 1.0), delta, p).as_function()
-            f_norm = _norm(f, p, cfg)
             bound = target * (
                 eps * delta ** (eps - 2.0) * _norm(g1, p, cfg)
                 + (2.0 / p + eps) * (1.0 / delta) ** (eps + 1.0) * _norm(g2, p, cfg)
@@ -391,13 +391,12 @@ def run_boundedness_matrix(measures, ps, cfg: QuadratureConfig | None = None,
                 verdict = classify_boundedness(mu, p)
                 details: dict = {"classification": verdict.value}
                 if verdict is Boundedness.BOUNDED:
-                    target = theoretical_norm(mu, p, cfg).value
                     sweep = run_sharpness_sweep(mu, p, epsilons, cfg)
                     details["ratios"] = list(sweep.ratios)
-                    details["target"] = target
+                    details["target"] = sweep.target
                     passed = sweep.ceiling_ok(cfg.rel_tol)
                     computed: object = sweep.ratios[-1]
-                    expected: object = target
+                    expected: object = sweep.target
                 elif verdict is Boundedness.UNBOUNDED:
                     deltas = (0.1, 0.01, 0.001)
                     moments = [

@@ -18,11 +18,11 @@ exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
 The reflection z -> -conj z maps the half-plane onto itself, and a measure
 is real, so where f(-conj z) = lam conj f(z) (HalfPlaneFunction.mirror),
 F(v, pi - theta) = lam conj F(v, theta).  The theta nodes come in pairs
-theta, pi - theta with one weight, and each level evaluates the sources
-only at the half with theta < pi/2.  Where every factor has a mirror, the
-sums over the other half follow from those over this half; a factor
-without one (mixed exponents, coefficients of different phase) is also
-evaluated at -conj(e^(i theta)), in the same loop.  The budget counts the
+theta, pi - theta with one weight.  Where every factor has a mirror, each
+level evaluates the sources only at the half with theta < pi/2 and the
+sums over the other half follow from those over this half; where some
+factor has none (mixed exponents, coefficients of different phase), the
+run evaluates every factor on the full rule.  The budget counts the
 evaluations made.
 
 The lattice is finite; the sum beyond each edge of the window is
@@ -189,8 +189,6 @@ class _ConvKernel:
 
     s_max: float
     a: np.ndarray
-    fix_idx: np.ndarray    # lattice indices of the Gregory-corrected nodes
-    fix_delta: np.ndarray  # one-order-lower rule minus a, at fix_idx
     tail: float            # integral of K beyond the kept ends (geometric)
 
 
@@ -231,8 +229,9 @@ class _Side:
     nodes: atoms as exact dilated copies; a finite segment [a, b] with a > 0
     through Gauss-Legendre nodes in s on log-panels; a segment that touches
     0 or infinity through the trapezoid rule in s on the lattice itself,
-    with Gregory corrections at its finite endpoint, as one FFT convolution
-    per theta block.  hint is the decay hint (power, shift) of Hf itself.
+    with order-6 Gregory corrections at its finite endpoint, as one FFT
+    convolution per theta block.  hint is the decay hint (power, shift) of
+    Hf itself.
     """
 
     def __init__(self, mu, source, hint, p: float, eta: float):
@@ -313,31 +312,22 @@ class _Side:
         lo0, hi_inf = seg.lower == 0.0, math.isinf(seg.upper)
         rate_lo = self._kernel_rate(seg.exp_lo, +1)
         rate_hi = self._kernel_rate(seg.exp_hi, -1)
-        order = _ORDER
         if lo0 and hi_inf:
             s_up, k_up, t_up = self._kernel_side(seg, 0.0, h, rate_hi, h)
             s_dn, k_dn, t_dn = self._kernel_side(seg, 0.0, -h, rate_lo, h)
             k = np.concatenate([k_dn[:0:-1], k_up])
             s = np.concatenate([s_dn[:0:-1], s_up])
-            return _ConvKernel(float(s[-1]), h * k, np.zeros(0, dtype=int),
-                               np.zeros(0), t_up + t_dn)
+            return _ConvKernel(float(s[-1]), h * k, t_up + t_dn)
         if lo0:  # (0, b]: finite endpoint at the top of the s range
             s, k, tail = self._kernel_side(seg, math.log(seg.upper), -h, rate_lo, h)
         else:    # [a, inf): finite endpoint at the bottom
             s, k, tail = self._kernel_side(seg, math.log(seg.lower), h, rate_hi, h)
-        order = min(order, len(k) // 2 - 1)
-        w = np.ones(len(k))
-        w[: order + 1] = _gregory_weights(order)
-        delta = np.zeros(order + 1)
-        delta[:order] = _gregory_weights(order - 1)
-        delta[order] = 1.0
-        delta -= w[: order + 1]
+        w = np.ones(len(k))  # _kernel_side keeps at least 2 _ORDER + 2 nodes
+        w[: _ORDER + 1] = _gregory_weights(_ORDER)
         a = h * w * k
-        d = h * delta * k[: order + 1]
-        idx = np.arange(order + 1)
         if lo0:  # ascending s: reverse, the endpoint becomes the last entry
-            return _ConvKernel(float(s[0]), a[::-1].copy(), len(k) - 1 - idx, d, tail)
-        return _ConvKernel(float(s[-1]), a, idx, d, tail)
+            return _ConvKernel(float(s[0]), a[::-1].copy(), tail)
+        return _ConvKernel(float(s[-1]), a, tail)
 
     # -- one lattice -----------------------------------------------------
 
@@ -365,9 +355,9 @@ class _Side:
     def block(self, lv: _SideLevel, v: np.ndarray, h: float, eb: np.ndarray,
               wb: np.ndarray):
         """F on the rows v at the theta nodes eb: with the level's inner
-        rules, with its Gauss rule one lower, and with both inner rules one
-        lower.  Adds each kernel's ||G||_p^p seen here to lv.g_mass, each
-        node counted with its weight in wb."""
+        rules, and with its Gauss rule one lower (the same array where
+        there is none).  Adds each kernel's ||G||_p^p seen here to
+        lv.g_mass, each node counted with its weight in wb."""
         n_v = len(v)
 
         def add_direct(out, terms):
@@ -375,7 +365,6 @@ class _Side:
                 out += c * self.source.lattice_values(v - shift, eb, self.q)
 
         common = np.zeros((n_v, len(eb)), dtype=complex)
-        fix = np.zeros_like(common)
         add_direct(common, lv.atoms)
         for i, (kr, n_fft, k_hat) in enumerate(zip(lv.kernels, lv.ffts, lv.kernel_hat)):
             m_k = len(kr.a)
@@ -384,23 +373,20 @@ class _Side:
             lv.g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
             conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None], axis=0)
             common += conv[m_k - 1:m_k - 1 + n_v]
-            for k, dk in zip(kr.fix_idx, kr.fix_delta):
-                fix += dk * g[m_k - 1 - k:m_k - 1 - k + n_v]
-        full = common.copy()
-        if lv.gauss is not None:
-            add_direct(full, lv.gauss)
         if lv.gauss_j is lv.gauss:
-            common = full
-        else:
-            add_direct(common, lv.gauss_j)
-        return full, common, common + fix
+            if lv.gauss is not None:
+                add_direct(common, lv.gauss)
+            return common, common
+        full = common.copy()
+        add_direct(full, lv.gauss)
+        add_direct(common, lv.gauss_j)
+        return full, common
 
 
 @dataclass
 class _LevelSums:
-    profs: np.ndarray      # P(v_j) with this level's inner rules, with the
-                           # Gauss rule one lower, and with the Gauss rule
-                           # and Gregory order one lower (rows 0, 1, 2)
+    profs: np.ndarray      # P(v_j) with this level's inner rules (row 0)
+                           # and with the Gauss rule one lower (row 1)
     major: np.ndarray      # the majorant profile: P itself for a norm,
                            # (1/pi) int |F||G| dtheta for a pairing
     kernel_tails: list     # (factor, geometric tail of a kernel, ||G||_p^p seen by it)
@@ -425,18 +411,21 @@ class _LogPolarNorm:
     tail and its error counts it in full; a pairing's error alone counts
     it.
 
-    Each level evaluates the factors at the theta nodes below pi/2 only,
-    and those without a mirror also at their mirror nodes (see the module
-    docstring); the rule, and so the values, estimates and levels, are
-    those of the full Gauss-Legendre rule up to rounding.
+    Where every factor has a mirror, each level evaluates the factors at
+    the theta nodes below pi/2 only (see the module docstring); the rule,
+    and so the values, estimates and levels, are those of the full
+    Gauss-Legendre rule up to rounding.  Any other run evaluates the full
+    rule.
 
     The Gauss rule of the finite segments has its own index.  Every level
     also sums with the rule one index lower, a profile of values already
     evaluated; the index advances while that difference is above an eighth
     of the tolerance (as the edge tails are) and is held once it is below.
     The error estimate adds two measured differences: the inner-rule one
-    (Gauss rule one lower, Gregory order one lower) and the lattice one,
-    between this level and the last on the same Gauss rule.
+    (the Gauss rule one lower) and the lattice one, between this level and
+    the last on the same Gauss rule.  The Gregory order of a kernel's end
+    stays fixed; its error falls with h like the lattice's own and shows in
+    the lattice difference.
     """
 
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
@@ -463,70 +452,53 @@ class _LogPolarNorm:
         # sources share the mirror lam, the kernels being real.  With every
         # factor's, each sum over the mirror nodes is mirror * conj of the
         # sum over the half nodes: lam_F conj(lam_G) for a pairing, 1 for a norm
-        self.lams = [common_mirror(getattr(side.source, "mirror", None) for side in factor)
-                     for factor in self.factors]
-        self.mirror = (None if None in self.lams else
-                       self.lams[0] * self.lams[-1].conjugate() if self.pair else 1.0)
+        lams = [common_mirror(getattr(side.source, "mirror", None) for side in factor)
+                for factor in self.factors]
+        self.mirror = (None if None in lams else
+                       lams[0] * lams[-1].conjugate() if self.pair else 1.0)
 
     def _integrand(self, x, y):
         """|F|^p for a norm (y is x), F conj(G) for a pairing."""
         return x * np.conj(y) if self.pair else np.abs(x) ** self.p
 
-    def _values(self, i: int, lvs, v: np.ndarray, h: float, eb: np.ndarray,
-                wb: np.ndarray):
-        """Factor i's three values (_Side.block) at the half nodes eb; where
-        some factor has no mirror, also at their mirror nodes -conj(eb) as
-        further columns: lam conj(F) where factor i has the mirror lam, else
-        evaluated there.  With lam, g_mass counts each node twice."""
-        lam = self.lams[i]
-        if lam is None:
-            eb, wb = np.concatenate([eb, -np.conj(eb)]), np.concatenate([wb, wb])
-        else:
-            wb = 2.0 * wb
-        vals = [sum(parts) for parts in zip(*(
-            side.block(lv, v, h, eb, wb) for side, lv in zip(self.factors[i], lvs)))]
-        if lam is None or self.mirror is not None:
-            return vals
-        return [np.concatenate([x, lam * np.conj(x)], axis=1) for x in vals]
-
     def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
                h: float) -> _LevelSums:
         """Profiles P(v_j) = (1/pi) int of the integrand dtheta with the
-        Gauss rule of index rule, with the rule one lower, and with both
-        inner rules one lower, plus the side data."""
+        Gauss rule of index rule and with the rule one lower, plus the side
+        data."""
         x, wx = _gauss_legendre(_THETA0 << lvl)
-        # the nodes with theta < pi/2; pi - theta are the others, same weights
-        half = len(x) // 2
-        eith = np.exp(0.5j * math.pi * (x[:half] + 1.0))
-        w_th = 0.5 * wx[:half]  # (1/pi) * (pi/2) * wx
+        if self.mirror is not None:
+            # the nodes with theta < pi/2; pi - theta are the others, same weights
+            x, wx = x[:len(x) // 2], wx[:len(x) // 2]
+        eith = np.exp(0.5j * math.pi * (x + 1.0))
+        w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
         v = v_lo + h * np.arange(n_v)
         levels = [[side.level(rule, h, n_v) for side in factor] for factor in self.factors]
         flat = [lv for factor in levels for lv in factor]
-        evals = half * sum((1 if lam is not None else 2) * lv.evals
-                           for lam, lvs in zip(self.lams, levels) for lv in lvs)
+        evals = len(x) * sum(lv.evals for lv in flat)
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
-        cols = 1 if self.mirror is not None else 2  # value columns per half node
-        nb = max(1, _BLOCK // (cols * max([n_v] + [n for lv in flat for n in lv.ffts])))
+        nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
         # with no lower Gauss rule anywhere, P with it is P itself
         same_g = all(lv.gauss_j is lv.gauss for lv in flat)
-        rows = (0, 2) if same_g else (0, 1, 2)
+        rows = (0,) if same_g else (0, 1)
 
-        profs = np.zeros((3, n_v), dtype=complex if self.pair else float)
+        profs = np.zeros((2, n_v), dtype=complex if self.pair else float)
         major = np.zeros(n_v)
         own = np.zeros(len(self.factors))
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            for b0 in range(0, half, nb):
+            for b0 in range(0, len(x), nb):
                 eb, wb = eith[b0:b0 + nb], w_th[b0:b0 + nb]
-                vals = [self._values(i, lvs, v, h, eb, wb) for i, lvs in enumerate(levels)]
+                # the weights of sums even in theta -> pi - theta
+                w_even = wb if self.mirror is None else 2.0 * wb
+                vals = [[sum(parts) for parts in zip(*(
+                    side.block(lv, v, h, eb, w_even) for side, lv in zip(factor, lvs)))]
+                        for factor, lvs in zip(self.factors, levels)]
                 fx, gx = vals[0], vals[-1]
-                # weights of the columns, and of sums even in theta -> pi - theta
-                wc = np.concatenate([wb, wb]) if self.mirror is None else wb
-                w_even = wc if self.mirror is None else 2.0 * wb
                 for k in rows:
-                    r = _nodes_dot(wc, self._integrand(fx[k], gx[k]).T)
+                    r = _nodes_dot(wb, self._integrand(fx[k], gx[k]).T)
                     profs[k] += r if self.mirror is None else r + self.mirror * np.conj(r)
                 if self.pair:
                     major += _nodes_dot(w_even, (np.abs(fx[0]) * np.abs(gx[0])).T)
@@ -595,10 +567,9 @@ class _LogPolarNorm:
     def _sums(self, lvl: int, rule: int, h: float):
         """One level on a window grown until the error counted for its
         edges (_edge) is below an eighth of the tolerance.  Returns
-        (sums, (sum, sum with the Gauss rule one lower, sum with both inner
-        rules one lower), (edge amounts added to the value, edge amounts
-        counted in the error), whether both edges closed), or a failure
-        reason."""
+        (sums, (sum, sum with the Gauss rule one lower), (edge amounts
+        added to the value, edge amounts counted in the error), whether both
+        edges closed), or a failure reason."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         while True:
@@ -627,9 +598,10 @@ class _LogPolarNorm:
     def run(self) -> IntegralResult:
         """Refine level by level; converged once the error budget (lattice
         difference + inner-rule difference + tail allowances) is within
-        tolerance and the refinement differences contract.  The Gauss rule
-        starts at index 0, which has no lower rule to be measured against,
-        so it advances at least once."""
+        tolerance and the refinement differences contract.  The lattice
+        difference compares two levels on one Gauss rule and one Gregory
+        order.  The Gauss rule starts at index 0, which has no lower rule to
+        be measured against, so it advances at least once."""
         cfg, p = self.cfg, self.p
         levels = "lattice levels"
         self._initial_window()
@@ -643,8 +615,8 @@ class _LogPolarNorm:
             if isinstance(out, str):
                 reason = out
                 break
-            sums, (core, core_g, core_j), (add, edge_err), closed = out
-            value, value_j = core + add, core_j + add
+            sums, (core, core_g), (add, edge_err), closed = out
+            value, value_j = core + add, core_g + add
             if not closed:  # an edge stayed open at the cap
                 err, reason = math.inf, "tail"
                 break
@@ -661,9 +633,9 @@ class _LogPolarNorm:
             if prev_value is None:
                 prev_value, rule = value, 1
                 continue
-            # the lattice difference compares sums on one Gauss rule: this
-            # level's own if the rule was held, the one-lower rule (which the
-            # last level used) if it advanced
+            # the lattice difference compares sums on one Gauss rule and one
+            # Gregory order: this level's own rule if it was held, the
+            # one-lower rule (which the last level used) if it advanced
             d = abs(value - value_j) + abs((value if held else value_j) - prev_value)
             err = d + edge_err + fixed
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))

@@ -194,6 +194,20 @@ def test_non_finite_family_parameter_is_usage_error(spec, capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["apply", "-m", "{atom1}", "-f", "ratpow:shift=1", "-z", "0+1i"],
+    ["norm", "-f", "ratpow:shift=1"],
+    ["norm", "-f", "nope:x=1"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_function_spec_is_usage_error(argv, measures, capsys):
+    code = main([a.format(**measures) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: bad function spec")
+
+
 def test_moment_alpha(measures, capsys):
     code = main(["moment", "-m", measures["seg12"], "--alpha", "0"])
     out = capsys.readouterr().out.splitlines()

@@ -202,11 +202,14 @@ def test_uniform_double_moment(a, eps):
 
 
 @pytest.mark.parametrize("a,d_exact", [(1.5, 2.0 * math.log(2.0)), (2.0, math.pi / 2.0 - 1.0)])
-def test_rsqrt_singular_at_origin(a, d_exact):
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_rsqrt_singular_at_origin(a, d_exact, rel_tol):
     # t^(-1/2) on (0, 1): D = 2 int_0^1 x^(a-3/2) (1+x)^(2-2a) dx, and
-    # |Hf(z)| ~ |z|^(-1/2) as z -> 0, so |F|^2 decays only like e^v there
+    # |Hf(z)| ~ |z|^(-1/2) as z -> 0, so |F|^2 decays only like e^v there.
+    # The kernel has a Gregory end at t = 1
     exact = pairing_constant(a) * d_exact
-    assert_within(image_norm_power(rsqrt_01(), 2.0, a, 1.0), exact)
+    cfg = dataclasses.replace(CFG, rel_tol=rel_tol)
+    assert_within(image_norm_power(rsqrt_01(), 2.0, a, 1.0, cfg), exact)
 
 
 def test_truncated_operator_against_double_moment():
@@ -243,6 +246,21 @@ def test_multi_panel_segments_against_double_moment(name, eps, rel_tol):
              * panel_double_moment(((seg.lower, seg.upper, weight),), a))
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
     assert_within(image_norm_power(Measure(segments=(seg,)), 2.0, a, eps, cfg), exact)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.05])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_gregory_end_against_double_moment(eps, rel_tol):
+    # a kernel with one finite end and no finite segment: the inner-rule
+    # difference is 0, and the lattice difference alone measures the
+    # Gregory end's error
+    tail, tail_weight = EXP_TAIL
+    a = 1.0 + eps
+    # e^-t beyond t = 90 holds about 2e-39 of the mass
+    d = panel_double_moment(((0.9, 90.0, tail_weight),), a, panels=24)
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    res = image_norm_power(Measure(segments=(tail,)), 2.0, a, eps, cfg)
+    assert_within(res, pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -447,7 +465,7 @@ def test_cancellation_across_exponents_closes_by_the_measured_rule(a, rel_tol):
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
 def test_factor_without_mirror_against_pairing_formula(rel_tol):
     # (z + i)^-5/2 and (z + 2i)^-3 have mirror factors -i and -1: their sum
-    # has none, so the lattice evaluates its mirror half
+    # has none, so the lattice evaluates the full angle rule
     terms = ((1.0, 1.0, 2.5), (1.0, 2.0, 3.0))
     f = rational_power(1.0, 2.5) + rational_power(2.0, 3.0)
     assert f.mirror is None
@@ -465,15 +483,20 @@ def test_factor_without_mirror_against_pairing_formula(rel_tol):
 
 def test_mirror_halves_the_evaluations():
     # the same plain function with and without a mirror: NestedSource has
-    # none, so its lattice evaluates every angle node; both end at the same
-    # level, and the budget counts only the evaluations made
+    # none, so a run with it evaluates every factor at every angle node, and
+    # a pairing of f with it costs twice the pairing of f with itself; each
+    # pair of runs ends at the same level, and the budget counts only the
+    # evaluations made
     f = rational_power(0.5, 1.5)
-    fast = _LogPolarNorm([f.sides], 2.0, CFG)
-    slow = _LogPolarNorm([nested(f)], 2.0, CFG)
-    fast_res, slow_res = fast.run(), slow.run()
-    assert fast_res.subdivisions_used == slow_res.subdivisions_used
-    assert 2 * fast.evals == slow.evals
-    assert abs(fast_res.value - slow_res.value) <= fast_res.error_estimate + slow_res.error_estimate
+    for mirrored, unmirrored in (([f.sides], [nested(f)]),
+                                 ([f.sides, f.sides], [f.sides, nested(f)])):
+        fast = _LogPolarNorm(mirrored, 2.0, CFG)
+        slow = _LogPolarNorm(unmirrored, 2.0, CFG)
+        fast_res, slow_res = fast.run(), slow.run()
+        assert fast_res.subdivisions_used == slow_res.subdivisions_used
+        assert 2 * fast.evals == slow.evals
+        assert (abs(fast_res.value - slow_res.value)
+                <= fast_res.error_estimate + slow_res.error_estimate)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
@@ -551,9 +574,9 @@ class NestedSource:
     lattice_values, as a term record does, so both share the outer lattice
     and these tests check that convolution and its inner rules.
 
-    It has no mirror, so its lattice evaluates the mirror half of the angle
-    rule as well: the nested path sums the full Gauss-Legendre rule, and
-    these tests also check the mirrored lattice against it."""
+    It has no mirror, so a run with it evaluates every factor on the full
+    Gauss-Legendre angle rule, and these tests also check the mirrored
+    lattice against it."""
 
     def __init__(self, hf):
         self.hf, self.decay_hint = hf, hf.decay_hint
