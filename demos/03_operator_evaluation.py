@@ -2,7 +2,8 @@
 
 Atom parts are summed exactly; density parts go through adaptive
 quadrature.  Operators whose measure is provably unbounded on the target
-space refuse to evaluate unless truncated.
+space refuse to evaluate; the truncated operator is the operator of the
+truncated measure.
 """
 
 import math
@@ -15,6 +16,7 @@ from hausdorff_bergman import (
     apply,
     apply_with_error,
     rational_power,
+    truncate,
 )
 
 f = rational_power(1.0, 2.0)  # (z + i)^-2
@@ -39,6 +41,6 @@ try:
 except DivergentIntegral as exc:
     print("\nLebesgue density:", exc)
 
-truncated = HausdorffOperator(lebesgue, p=2.0, truncation=0.25)
+truncated = HausdorffOperator(truncate(lebesgue, 0.25), p=2.0)
 print("with truncation to [1/4, 4]:", apply(truncated, f, 1j),
       "(exact: -(ln 4 - 3/5))")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .measure import (
     moment,
     pushforward_inverse,
     theoretical_norm,
+    truncate,
 )
 from .quadrature import QuadratureConfig, bergman_norm_p
 
@@ -84,6 +86,13 @@ def _add_outdir_flag(sp) -> None:
                     help="directory for output files")
 
 
+def _operator_measure(path: str, quasi: bool, delta: float | None) -> Measure:
+    """The measure at path, after --quasi's push-forward and --delta's truncation."""
+    mu = _load_measure_arg(path)
+    mu = pushforward_inverse(mu) if quasi else mu
+    return mu if delta is None else truncate(mu, delta)
+
+
 def _load_measure_arg(path: str) -> Measure:
     try:
         return load_measure(path)
@@ -111,12 +120,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_apply(args) -> int:
     if not args.point and not args.points:
         raise ValueError("apply needs -z/--point or --points FILE")
-    mu = _load_measure_arg(args.measure)
+    mu = _operator_measure(args.measure, args.quasi, args.delta)
     f = parse_function_spec(args.function)
     cfg = _config_from_args(args)
-    if args.quasi:
-        mu = pushforward_inverse(mu)
-    op = HausdorffOperator(mu, p=args.p, truncation=args.delta)
+    op = HausdorffOperator(mu, p=args.p)
 
     def one(z: complex):
         res = apply_with_error(op, f, z, cfg)
@@ -152,10 +159,7 @@ def cmd_norm(args) -> int:
     f = parse_function_spec(args.function)
     cfg = _config_from_args(args)
     if args.measure:
-        mu = _load_measure_arg(args.measure)
-        if args.quasi:
-            mu = pushforward_inverse(mu)
-        op = HausdorffOperator(mu, p=args.p, truncation=args.delta)
+        op = HausdorffOperator(_operator_measure(args.measure, args.quasi, args.delta), args.p)
         f = as_function(op, f, cfg.tighter())
     res = bergman_norm_p(f, args.p, cfg)
     print(f"{res.value:.12g}")
@@ -170,7 +174,7 @@ def cmd_moment(args) -> int:
         res = theoretical_norm(mu, args.p, cfg)
     else:
         res = moment(mu, args.alpha, cfg)
-    if res.diverged:
+    if math.isinf(res.value):
         print("inf")
         return 0
     print(f"{res.value:.12g}")
@@ -186,10 +190,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mu = _load_measure_arg(args.measure)
+    mu = _operator_measure(args.measure, False, args.delta)
     cfg = _config_from_args(args)
     epsilons = tuple(float(e) for e in args.epsilons.split(","))
-    report = harness.run_sharpness_experiment(mu, args.p, epsilons, args.delta, cfg)
+    report = harness.run_sharpness_experiment(mu, args.p, epsilons, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sharpness" if args.delta is None else "truncated",

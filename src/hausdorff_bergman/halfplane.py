@@ -541,9 +541,12 @@ def case_constant(p: float, eps: float) -> float:
     return min(math.sin(a * math.pi / 2.0), math.sqrt(2.0) / 2.0)
 
 
+_SECTOR_TIE = 1e-14  # ties of a sector inequality within it count as holding
+_SECTOR_LOG_RADII = (0.0, math.log(1e3))  # sample_sector's radii lie in [1, 1e3]
+
+
 def check_sector_inequality(case: str, tf: TestFunction, z,
-                            theta0: float | None = None,
-                            slack: float = 1e-14):
+                            theta0: float | None = None):
     """Evaluate the case inequality between the real/imaginary parts of the
     test function and its phase factor at z (vectorized).
 
@@ -551,7 +554,7 @@ def check_sector_inequality(case: str, tf: TestFunction, z,
     Case II:  |Im f| >  C(p) |Im phase| |f|     on [pi/4, pi/2]
     Case III: |Re f| >  |Re phase| |f|          on [pi/2, pi/2 + theta0]
 
-    Ties within `slack` count as holding; raises ParameterOutOfRange when
+    Ties within _SECTOR_TIE count as holding; raises ParameterOutOfRange when
     the case hypotheses on (p, eps, theta0) fail.
     """
     _check_case_hypotheses(case, tf.p, tf.epsilon, theta0)
@@ -560,27 +563,26 @@ def check_sector_inequality(case: str, tf: TestFunction, z,
     ph = np.asarray(tf.phase(zz))
     mod = np.abs(f)
     if case == "I":
-        ok = np.abs(f.real) >= np.abs(ph.real) * mod - slack
+        ok = np.abs(f.real) >= np.abs(ph.real) * mod - _SECTOR_TIE
     elif case == "II":
-        ok = np.abs(f.imag) > case_constant(tf.p, tf.epsilon) * np.abs(ph.imag) * mod - slack
+        ok = np.abs(f.imag) > case_constant(tf.p, tf.epsilon) * np.abs(ph.imag) * mod - _SECTOR_TIE
     else:
-        ok = np.abs(f.real) > np.abs(ph.real) * mod - slack
+        ok = np.abs(f.real) > np.abs(ph.real) * mod - _SECTOR_TIE
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-def sample_sector(sector: Sector, n: int, rng: np.random.Generator,
-                  r_range: tuple[float, float] = (1.0, 1e3)) -> np.ndarray:
+def sample_sector(sector: Sector, n: int, rng: np.random.Generator) -> np.ndarray:
     """Random points of the sector: log-uniform radius, uniform angle.
 
     Closed angular endpoints contribute explicit boundary rays so that
     boundary behaviour is always exercised.
     """
-    r = np.exp(rng.uniform(math.log(r_range[0]), math.log(r_range[1]), size=n))
+    r = np.exp(rng.uniform(*_SECTOR_LOG_RADII, size=n))
     ang = rng.uniform(sector.arg_lo, sector.arg_hi, size=n)
     z = r * np.exp(1j * ang)
     extras = []
     n_edge = max(4, n // 1000)
-    radii = np.exp(np.linspace(math.log(r_range[0]), math.log(r_range[1]), n_edge))
+    radii = np.exp(np.linspace(*_SECTOR_LOG_RADII, n_edge))
     if not sector.lo_open:
         extras.append(radii * np.exp(1j * sector.arg_lo))
     if not sector.hi_open:

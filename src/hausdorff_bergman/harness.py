@@ -146,11 +146,27 @@ class SharpnessSweep:
     ratios: tuple[float, ...]
     target: float
     extrapolated: float
-    truncation: float | None = None
 
     def ceiling_ok(self, rel_tol: float) -> bool:
         lid = self.target * (1.0 + CEILING_NOISE_FACTOR * rel_tol)
         return all(r <= lid for r in self.ratios)
+
+    def passed(self, rel_tol: float) -> bool:
+        """The extrapolated ratio lies in [target (1 - 5%), ceiling] and no
+        ratio is above the ceiling; for a zero target every ratio is 0."""
+        if self.target == 0.0:
+            return all(r == 0.0 for r in self.ratios)
+        return (self.target * (1.0 - SHARPNESS_REL_TOL) <= self.extrapolated
+                <= self.target * (1.0 + CEILING_NOISE_FACTOR * rel_tol)
+                and self.ceiling_ok(rel_tol))
+
+
+def _decreasing(epsilons) -> tuple[float, ...]:
+    """epsilons as floats; ValueError unless strictly decreasing (a halving sweep)."""
+    epsilons = tuple(float(e) for e in epsilons)
+    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("epsilons must be strictly decreasing")
+    return epsilons
 
 
 def _extrapolate(ratios) -> float:
@@ -219,8 +235,7 @@ def run_gnorm_experiment(lambdas, deltas, p: float = 2.0,
 
 
 def run_sharpness_sweep(mu: Measure, p: float, epsilons=DEFAULT_EPSILONS,
-                        cfg: QuadratureConfig | None = None,
-                        truncation: float | None = None) -> SharpnessSweep:
+                        cfg: QuadratureConfig | None = None) -> SharpnessSweep:
     """Operator-norm sharpness: ratios built from the eps-shifted extremal
     family converge to the moment target as eps decreases.
 
@@ -229,16 +244,13 @@ def run_sharpness_sweep(mu: Measure, p: float, epsilons=DEFAULT_EPSILONS,
     sweep reports an honest shortfall rather than extrapolating noise.
     """
     cfg = cfg or default_config()
-    epsilons = tuple(float(e) for e in epsilons)
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
-    if truncation is None and classify_boundedness(mu, p) is Boundedness.UNBOUNDED:
+    epsilons = _decreasing(epsilons)
+    if classify_boundedness(mu, p) is Boundedness.UNBOUNDED:
         raise DivergentIntegral(
             "measure is unbounded on this space; truncate before sweeping"
         )
-    effective = truncate(mu, truncation) if truncation is not None else mu
-    target = theoretical_norm(effective, p, cfg).value
-    op = HausdorffOperator(mu, p=p, truncation=truncation)
+    target = theoretical_norm(mu, p, cfg).value
+    op = HausdorffOperator(mu, p=p)
     ratios = tuple(
         _ratio(op, TestFunction(p, eps).as_function(), p, cfg) for eps in epsilons
     )
@@ -248,38 +260,29 @@ def run_sharpness_sweep(mu: Measure, p: float, epsilons=DEFAULT_EPSILONS,
         ratios=ratios,
         target=float(target),
         extrapolated=_extrapolate(ratios),
-        truncation=truncation,
     )
 
 
 def sweep_to_report(sweep: SharpnessSweep, cfg: QuadratureConfig,
-                    runtime_ms: int, experiment: str = "sharpness") -> VerificationReport:
-    lo = sweep.target * (1.0 - SHARPNESS_REL_TOL)
-    hi = sweep.target * (1.0 + CEILING_NOISE_FACTOR * cfg.rel_tol)
-    passed = (lo <= sweep.extrapolated <= hi) and sweep.ceiling_ok(cfg.rel_tol)
-    if sweep.target == 0.0:
-        passed = all(r == 0.0 for r in sweep.ratios)
+                    runtime_ms: int) -> VerificationReport:
     return VerificationReport(
-        experiment=experiment,
-        parameters={"p": sweep.p, "epsilons": list(sweep.epsilons),
-                    "truncation": sweep.truncation},
+        experiment="sharpness",
+        parameters={"p": sweep.p, "epsilons": list(sweep.epsilons)},
         computed=sweep.extrapolated,
         expected=sweep.target,
         tolerance=SHARPNESS_REL_TOL,
-        passed=bool(passed),
+        passed=sweep.passed(cfg.rel_tol),
         runtime_ms=runtime_ms,
         details={"ratios": list(sweep.ratios)},
     )
 
 
 def run_sharpness_experiment(measure: Measure, p: float, epsilons=DEFAULT_EPSILONS,
-                             delta: float | None = None,
                              cfg: QuadratureConfig | None = None) -> VerificationReport:
-    """The sharpness sweep of measure as a report, with the operator
-    truncated to [delta, 1/delta] when delta is set."""
+    """The sharpness sweep of measure as a report."""
     cfg = cfg or default_config()
     with _Timer() as tm:
-        sweep = run_sharpness_sweep(measure, p, epsilons, cfg, truncation=delta)
+        sweep = run_sharpness_sweep(measure, p, epsilons, cfg)
     return sweep_to_report(sweep, cfg, tm.ms)
 
 
@@ -288,18 +291,17 @@ def run_truncated_norm_experiment(measure: Measure, p: float, delta: float,
                                   cfg: QuadratureConfig | None = None) -> VerificationReport:
     """Truncated-operator norm via the unit-shift family (z+i)^-(2/p+eps).
 
-    The sweep target is the moment of the truncated measure, and each ratio
+    The operator is that of truncate(measure, delta) and the sweep target
+    its moment.  The sweep passes as a sharpness sweep does, and each ratio
     deviation is checked against the perturbation bound
     target * (eps*delta^(eps-2)*||g_{p eps,delta}|| +
               (2/p+eps)*(1/delta)^(eps+1)*||g_{p(eps+1),delta}||) / ||f_eps||.
     """
     cfg = cfg or default_config()
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    epsilons = tuple(float(e) for e in epsilons)
+    epsilons = _decreasing(epsilons)
     clipped = truncate(measure, delta)
     target = theoretical_norm(clipped, p, cfg).value
-    op = HausdorffOperator(measure, p=p, truncation=delta)
+    op = HausdorffOperator(clipped, p=p)
 
     with _Timer() as tm:
         ratios = []
@@ -318,22 +320,16 @@ def run_truncated_norm_experiment(measure: Measure, p: float, delta: float,
             bounds.append(bound)
             slack = 100.0 * cfg.rel_tol * max(1.0, target) + 10.0 * cfg.abs_tol
             bound_ok.append(abs(ratios[-1] - target) <= bound * (1.0 + 1e-6) + slack)
-        extrapolated = _extrapolate(ratios)
+        sweep = SharpnessSweep(p, epsilons, tuple(ratios), target, _extrapolate(ratios))
 
-    lo = target * (1.0 - SHARPNESS_REL_TOL)
-    hi = target * (1.0 + CEILING_NOISE_FACTOR * cfg.rel_tol)
-    passed = (lo <= extrapolated <= hi) and all(bound_ok) and all(
-        r <= hi for r in ratios
-    )
-    if target == 0.0:
-        passed = all(r == 0.0 for r in ratios)
+    passed = sweep.passed(cfg.rel_tol) and all(bound_ok)
     return VerificationReport(
         experiment="truncated_norm",
         parameters={"p": p, "delta": delta, "epsilons": list(epsilons)},
-        computed=extrapolated,
+        computed=sweep.extrapolated,
         expected=target,
         tolerance=SHARPNESS_REL_TOL,
-        passed=bool(passed),
+        passed=passed,
         runtime_ms=tm.ms,
         details={"ratios": ratios, "perturbation_bounds": bounds,
                  "bound_satisfied": bound_ok},

@@ -1,8 +1,9 @@
-"""The dilation-average operator, its truncation, and its adjoint.
+"""The dilation-average operator and its adjoint.
 
 The primary operator sends f to the integral of (1/t) f(z/t) against a
-positive measure on (0, inf).  Atom contributions are summed exactly;
-density contributions go through the adaptive quadrature, vectorized over
+positive measure on (0, inf); the truncated operator is that of
+truncate(mu, delta).  Atom contributions are summed exactly; density
+contributions go through the adaptive quadrature, vectorized over
 evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
 quadrature available as an independent cross-check route.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DivergentIntegral
 from .halfplane import HalfPlaneFunction, _as_z
-from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse, truncate
+from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse
 from .quadrature import IntegralResult, QuadratureConfig, integrate_segment, pairing
 
 __all__ = [
@@ -44,32 +45,24 @@ __all__ = [
 class HausdorffOperator:
     """Dilation average against `mu`, acting on the p-Bergman space.
 
-    `truncation`, when set, restricts the measure to [delta, 1/delta]
-    before anything is evaluated.  Untruncated operators whose measure is
-    provably unbounded on the target space refuse to evaluate rather than
-    return a silently partial value.
+    An operator whose measure is provably unbounded on the target space
+    refuses to evaluate rather than return a silently partial value.  A
+    truncated measure touches neither 0 nor infinity, so its operator is
+    bounded.
     """
 
     mu: Measure
     p: float = 2.0
-    truncation: float | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.p < math.inf:
             raise ValueError(f"p must be >= 1 and finite, got {self.p!r}")
-        if self.truncation is not None and not (0.0 < self.truncation < 1.0):
-            raise ValueError("truncation delta must lie in (0, 1)")
-
-    def effective_measure(self) -> Measure:
-        if self.truncation is None:
-            return self.mu
-        return truncate(self.mu, self.truncation)
 
     def _guard(self) -> None:
-        if self.truncation is None and classify_boundedness(self.mu, self.p) is Boundedness.UNBOUNDED:
+        if classify_boundedness(self.mu, self.p) is Boundedness.UNBOUNDED:
             raise DivergentIntegral(
-                "moment diverges; supply a truncation delta to evaluate "
-                "the truncated operator instead"
+                "moment diverges; truncate the measure to [delta, 1/delta] "
+                "to evaluate the truncated operator instead"
             )
 
 
@@ -140,7 +133,7 @@ def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
     cfg = cfg or QuadratureConfig()
     op._guard()
     zz = _half_plane_points(z)
-    vals, err = image_values(op.effective_measure(), f.evaluator, zz, cfg)
+    vals, err = image_values(op.mu, f.evaluator, zz, cfg)
     value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
     return ApplyResult(value=value, error_estimate=err, converged=True)
 
@@ -188,14 +181,13 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
 def as_function(op: HausdorffOperator, f: HalfPlaneFunction,
                 cfg: QuadratureConfig | None = None) -> HalfPlaneFunction:
     """The operator output as a half-plane function: f's terms with op's
-    (effective) measure put on each.  Its Bergman norms and pairings are
-    computed from those terms; cfg is the inner quadrature of its point
-    values.  f must be plain: an image of an image is not a term."""
+    measure put on each.  Its Bergman norms and pairings are computed from
+    those terms; cfg is the inner quadrature of its point values.  f must
+    be plain: an image of an image is not a term."""
     op._guard()
     if not all(t.plain for t in f.terms):
         raise ValueError("as_function takes a plain function, not an operator image")
-    mu = op.effective_measure()
-    return HalfPlaneFunction(tuple(replace(t, measure=mu) for t in f.terms), cfg)
+    return HalfPlaneFunction(tuple(replace(t, measure=op.mu) for t in f.terms), cfg)
 
 
 def quasi_as_function(mu: Measure, f: HalfPlaneFunction, p: float = 2.0,

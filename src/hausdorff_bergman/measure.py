@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import MissingExponentMetadata
-from .quadrature import QuadratureConfig, integrate_segment
+from .quadrature import IntegralResult, QuadratureConfig, integrate_segment
 
 __all__ = [
     "Atom",
     "DensitySegment",
     "Measure",
-    "MomentResult",
     "Boundedness",
     "moment",
     "theoretical_norm",
@@ -290,29 +289,6 @@ class Measure:
         return max(highs) if highs else 0.0
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    """Extended non-negative value of a moment integral.
-
-    value is math.inf when divergence was proven from endpoint exponents;
-    otherwise a finite number with a quadrature error estimate.
-    """
-
-    value: float
-    error_estimate: float = 0.0
-
-    @property
-    def diverged(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 class Boundedness(Enum):
     BOUNDED = "Bounded"
     UNBOUNDED = "Unbounded"
@@ -336,13 +312,12 @@ def _segment_diverges(seg: DensitySegment, alpha: float) -> bool:
     return False
 
 
-def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> MomentResult:
-    """The moment integral of t^alpha against mu.
-
-    Returns an infinite MomentResult when endpoint exponents prove
-    divergence; raises MissingExponentMetadata when a segment touches an
-    improper endpoint without metadata and QuadratureFailure when the
-    numeric part cannot reach tolerance.
+def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
+    """The moment integral of t^alpha against mu, counting its segments'
+    subdivisions; value inf (error 0, converged) when endpoint exponents
+    prove divergence.  Raises MissingExponentMetadata when a segment
+    touches an improper endpoint without metadata and QuadratureFailure
+    when the numeric part cannot reach tolerance.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -351,7 +326,7 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> Mo
         seg.require_exponents()
     for seg in mu.segments:
         if _segment_diverges(seg, alpha):
-            return MomentResult(math.inf)
+            return IntegralResult(math.inf, 0.0, 0, True)
 
     atom_part = 0.0
     if mu.atoms:
@@ -361,6 +336,7 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> Mo
 
     total = atom_part
     err = 0.0
+    subdivisions = 0
     for seg in mu.segments:
         dens = seg.density
 
@@ -381,11 +357,12 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> Mo
         res.require_converged(f"moment integral over [{seg.lower}, {seg.upper}]")
         total += float(np.real(res.value))
         err += res.error_estimate
-    return MomentResult(total, err)
+        subdivisions += res.subdivisions_used
+    return IntegralResult(total, err, subdivisions, True)
 
 
 def theoretical_norm(mu: Measure, p: float,
-                     cfg: QuadratureConfig | None = None) -> MomentResult:
+                     cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Operator norm of the dilation average on the p-Bergman space:
     the moment of t^(2/p - 1); infinite iff the operator is unbounded."""
     if not 1 <= p < math.inf:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hausdorff_bergman import DensitySegment, Measure, measure_to_json, pushforward_inverse
+from hausdorff_bergman import (
+    DensitySegment,
+    Measure,
+    measure_from_json,
+    measure_to_json,
+    pushforward_inverse,
+    truncate,
+)
 from hausdorff_bergman import harness
 from hausdorff_bergman.cli import format_complex, main, parse_complex
 
@@ -366,6 +373,23 @@ def test_sweep_at_p1_with_default_epsilons(measures, tmp_path, capsys):
     assert doc["passed"] is True and len(doc["ratios"]) == len(harness.DEFAULT_EPSILONS)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sweep_delta_is_the_sweep_of_the_truncated_measure(measures, tmp_path, capsys, p):
+    # --delta truncates the Lebesgue measure to [1/4, 4] and sweeps that
+    code = main(["sweep", "-m", measures["divergent"], "-p", str(p), "--delta", "0.25",
+                 "--epsilons", "0.2,0.1,0.05", "-o", str(tmp_path / "sw")])
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+    rep = harness.run_sharpness_experiment(
+        truncate(measure_from_json(DIVERGENT), 0.25), p, (0.2, 0.1, 0.05),
+        harness.default_config())
+    assert doc["kind"] == "truncated" and doc["delta"] == 0.25
+    assert doc["ratios"] == rep.details["ratios"]
+    assert (doc["target"], doc["extrapolated"]) == (rep.expected, rep.computed)
+    assert doc["passed"] == rep.passed
+    assert code == (0 if rep.passed else 1)
+
+
 def test_plotdata_missing_report(tmp_path, capsys):
     code = main(["plotdata", "--report", str(tmp_path / "none.json")])
     assert code == 2
@@ -496,11 +520,25 @@ def test_verify_function_that_is_not_a_string_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_mistyped_key_is_usage_error(tmp_path, capsys):
+    # a sharpness entry takes no delta: the truncated kind truncates
+    for key, entry in (
+            ("sample", {"kind": "sector", "case": "I", "p": 6.0, "eps": 0.05, "sample": 50}),
+            ("delta", {"kind": "sharpness", "p": 2.0, "epsilons": [0.2, 0.1, 0.05],
+                       "measure": SEG12, "delta": 0.25})):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"experiments": [entry]}))
+        assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_verify_truncated_epsilons_must_decrease(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"experiments": [
-        {"kind": "sector", "case": "I", "p": 6.0, "eps": 0.05, "sample": 50}]}))
+        {"kind": "truncated", "p": 1.0, "delta": 0.25, "epsilons": [0.1, 0.2],
+         "measure": DIVERGENT}]}))
     assert main(["verify", "--suite", str(suite), "-o", str(tmp_path / "out")]) == 2
-    assert "'sample'" in capsys.readouterr().err
+    assert "strictly decreasing" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,8 @@
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +160,11 @@ def test_truncated_norm_empty_truncation():
     assert rep.passed
 
 
+def test_truncated_norm_requires_decreasing_epsilons():
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        harness.run_truncated_norm_experiment(exp_tail(), 1.0, 0.25, (0.1, 0.2), CFG)
+
+
 def test_truncated_targets_increase_to_full_norm():
     mu = exp_tail()
     p = 1.0
@@ -309,6 +317,23 @@ def test_quasi_equivalence_small():
 
 def test_builtin_suite_uses_every_registered_kind():
     assert {e["kind"] for e in harness.BUILTIN_SUITE["experiments"]} == set(harness.SUITE)
+
+
+def test_readme_suite_table_matches_suite():
+    # each row of README's suite-kind table names its kind's runner, and its
+    # backticked keys are that runner's keyword parameters, cfg aside
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[1].startswith("`run_"):
+            kind, runner = cells[0].strip("`"), cells[1].strip("`")
+            rows[kind] = (runner, set(re.findall(r"`(\w+)`", cells[2])))
+    assert set(rows) == set(harness.SUITE)
+    for kind, (runner, keys) in rows.items():
+        assert runner == harness.SUITE[kind].__name__, kind
+        params = set(inspect.signature(harness.SUITE[kind]).parameters) - {"cfg"}
+        assert keys == params, kind
 
 
 def test_reports_are_jsonable():

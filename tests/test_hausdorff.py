@@ -20,6 +20,7 @@ from hausdorff_bergman import (
     quasi_as_function,
     rational_power,
     theoretical_norm,
+    truncate,
 )
 from hausdorff_bergman.halfplane import ModulusFunction
 
@@ -98,7 +99,7 @@ def test_divergent_measure_raises():
 
 
 def test_truncation_rescues_divergent_measure():
-    op = HausdorffOperator(lebesgue(), p=2.0, truncation=0.25)
+    op = HausdorffOperator(truncate(lebesgue(), 0.25), p=2.0)
     val = apply(op, F, 1j, CFG)
     # oracle: -int_{1/4}^{4} t/(1+t)^2 dt = -(ln 4 - 0.6) via ln(1+t) + 1/(1+t)
     np.testing.assert_allclose(val, -(math.log(4.0) - 0.6), rtol=1e-9)
@@ -108,7 +109,7 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         HausdorffOperator(uniform_12(), p=0.5)
     with pytest.raises(ValueError):
-        HausdorffOperator(uniform_12(), p=2.0, truncation=1.5)
+        truncate(uniform_12(), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def test_truncation_monotonicity_for_positive_family():
                  segments=())
     norms = []
     for delta in (0.5, 0.2, 0.04, 0.01):
-        op = HausdorffOperator(mu, p=2.0, truncation=delta)
+        op = HausdorffOperator(truncate(mu, delta), p=2.0)
         hf = as_function(op, g, CFG)
         norms.append(bergman_norm_p(hf, 2.0, CFG).value)
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))

@@ -39,6 +39,7 @@ from hausdorff_bergman import (
     pairing,
     quasi_as_function,
     rational_power,
+    truncate,
 )
 from hausdorff_bergman import cli, harness
 from hausdorff_bergman.halfplane import UNIT
@@ -214,7 +215,7 @@ def test_rsqrt_singular_at_origin(a, d_exact, rel_tol):
 
 def test_truncated_operator_against_double_moment():
     a, eps = 1.5, 0.5
-    op = HausdorffOperator(exp_measure(), 2.0, truncation=0.25)
+    op = HausdorffOperator(truncate(exp_measure(), 0.25), 2.0)
     hf = as_function(op, rational_power(eps, a), CFG.tighter())
     exact = (pairing_constant(a) * eps ** (2.0 - 2.0 * a)
              * gauss_double_moment(0.25, 4.0, a, weight=lambda t: np.exp(-t)))
