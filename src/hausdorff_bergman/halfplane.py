@@ -10,8 +10,10 @@ lattice of norms and pairings, and at points, directly or inside an
 image's inner quadrature.  The decay hint and the mirror factor are
 derived from the terms too.
 
-Complex powers are always taken through the principal logarithm (argument
-in (-pi, pi]); no other branch is used anywhere in the package.
+The kernel takes each term from the modulus and phase of w = z + i shift,
+e^(pre - a log|w|) e^(-i a arg w), in real ufuncs (_power).  arg w comes
+from arctan2, in (-pi, pi]: complex powers always follow the principal
+branch, and no other branch is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ class Term:
             lam *= cmath.exp(-1j * math.pi * math.fmod(self.exponent, 2.0))
         return lam
 
-    def log_base(self, z):
-        """log(z + i shift) for ratpow, log|z + i shift| for gmod."""
-        w = z + 1j * self.shift
-        return np.log(np.abs(w)) if self.family == "gmod" else np.log(w)
-
 
 def common_mirror(lams) -> complex | None:
     """The common value of some mirror factors, equal within a few ulps
@@ -141,6 +138,35 @@ def common_mirror(lams) -> complex | None:
         elif abs(lam - common) > 4.0 * sys.float_info.epsilon:
             return None
     return 1.0 if common is None else common
+
+
+def _power(z, shift: float, a: float, pre, phase: bool):
+    """e^pre (z + i shift)^-a if phase (ratpow), else e^pre |z + i shift|^-a
+    (gmod), at z of any shape; pre is None or broadcasts against z.  With
+    w = z + i shift, the modulus is e^(pre - a log|w|) and the phase
+    e^(-i a arg w), arg w = arctan2(Im w, Re w) in (-pi, pi]: the arithmetic
+    of the principal e^(pre - a log w), in real ufuncs, into three arrays of
+    z's shape."""
+    w = np.empty(np.shape(z), dtype=complex)
+    np.add(z, 1j * shift, out=w)
+    mag = np.empty(w.shape)
+    np.abs(w, out=mag)
+    np.log(mag, out=mag)
+    mag *= -a
+    if pre is not None:
+        mag += pre
+    np.exp(mag, out=mag)
+    if not phase:
+        return mag[()]  # a numpy scalar for 0-d z, as a ufunc would return
+    theta = np.empty(w.shape)
+    np.arctan2(w.imag, w.real, out=theta)
+    theta *= a
+    np.cos(theta, out=w.real)
+    w.real *= mag
+    np.sin(theta, out=theta)
+    theta *= mag
+    np.negative(theta, out=w.imag)
+    return w[()]
 
 
 def _moments(terms, scale: float = 1.0):
@@ -333,8 +359,8 @@ class HalfPlaneFunction:
 
     def _log_sum(self, z, pre=None, grid=None):
         """The evaluation kernel of a plain function: the sum over its terms
-        of coef e^(pre - a log(z + i shift)) (log|...| for gmod) at z of any
-        shape.  A group with vanishing moments is summed from its expansion
+        of coef e^pre (z + i shift)^-a (|...| for gmod; see _power) at z of
+        any shape.  A group with vanishing moments is summed from its expansion
         (_Expansion) far from its shifts: on the far rows where
         grid = (w, eith, q) marks z as the lattice's e^(w) x eith with
         pre = q w, else at the far points.  Point values pass no prefactor,
@@ -345,8 +371,7 @@ class HalfPlaneFunction:
         for terms, ex in self._split:
             vals = None
             for t in terms:
-                x = t.exponent * t.log_base(z)
-                g = np.exp(-x) if pre is None else np.exp(pre - x)
+                g = _power(z, t.shift, t.exponent, pre, t.family == "ratpow")
                 if bad is not None:
                     a = t.exponent
                     g = np.where(bad, 0.0 if a > 0 else 1.0 if a == 0 else math.inf, g)
@@ -612,7 +637,10 @@ def parse_function_spec(spec: str) -> HalfPlaneFunction:
         kv = {}
         for part in args.split(","):
             key, _, val = part.partition("=")
-            kv[key.strip()] = float(val)
+            key = key.strip()
+            if key in kv:  # a repeated key
+                raise KeyError(key)
+            kv[key] = float(val)
         if set(kv) != set(_SPEC_KEYS[name]):
             raise KeyError(name)
     except (KeyError, TypeError, ValueError) as exc:

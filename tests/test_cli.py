@@ -205,6 +205,7 @@ def test_non_finite_family_parameter_is_usage_error(spec, capsys):
     ["apply", "-m", "{atom1}", "-f", "ratpow:shift=1", "-z", "0+1i"],
     ["norm", "-f", "ratpow:shift=1"],
     ["norm", "-f", "nope:x=1"],
+    ["norm", "-f", "ratpow:shift=1,exp=2,exp=3"],
 ], ids=lambda argv: " ".join(argv))
 def test_malformed_function_spec_is_usage_error(argv, measures, capsys):
     code = main([a.format(**measures) for a in argv])

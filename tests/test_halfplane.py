@@ -258,7 +258,8 @@ def test_parse_function_specs():
 
 
 def test_parse_function_spec_errors():
-    for bad in ("nope:p=2", "test:p=2", "test:p=2,eps=0.1,extra=1", "test:p=x,eps=0.1"):
+    for bad in ("nope:p=2", "test:p=2", "test:p=2,eps=0.1,extra=1", "test:p=x,eps=0.1",
+                "ratpow:shift=1,exp=2,exp=3"):
         with pytest.raises(ValueError):
             parse_function_spec(bad)
 
@@ -333,6 +334,40 @@ def test_point_values_of_cancelling_groups_against_mpmath():
         for f, ref in zip((rsqrt, gmod), exact):
             assert abs(f(z) - ref) <= 1e-12 * abs(ref), (f, z)
             np.testing.assert_allclose(f(np.full((2, 3), z)), ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["ratpow", "gmod"])
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.45, 2.0, 2.1, 4.05])
+def test_single_term_against_mpmath(family, a):
+    # a term is e^pre (z + i shift)^-a from log|w| and arctan2 of
+    # w = z + i shift: within 64 eps (1 + |a log|w||) relative, at points
+    # (scalar and array) and on the lattice, for |w| from the shift up to
+    # 1e300 and arg z next to 0 and pi; an exact value below the float
+    # range reads 0, within a few subnormal ulps
+    mpmath = pytest.importorskip("mpmath")
+    shift = 0.75
+    f = HalfPlaneFunction((Term(1.0, UNIT, family, shift, a),))
+    eith = np.exp(1j * np.array([1e-12, 1e-6, 1.0, math.pi / 2.0,
+                                 math.pi - 1e-6, math.pi - 1e-12]))
+    radii = np.array([0.0, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e30, 1e150, 1e300])
+    w = np.log(radii[1:])
+    q = a  # keeps e^(q w) |z|^-a near 1 on the lattice out to 1e300
+    z = radii[:, None] * eith
+    no_pre = np.zeros((len(radii), 1))
+    cases = [(z, f(z), no_pre),
+             (z, np.array([[f(complex(x)) for x in row] for row in z]), no_pre),
+             # the points and prefactors lattice_values evaluates
+             (np.exp(w)[:, None] * eith, f.lattice_values(w, eith, q), (q * w)[:, None])]
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for zz, got, pre in cases:
+            for (i, j), x in np.ndenumerate(zz):
+                wm = mpmath.mpc(x.real, x.imag) + mpmath.mpc(0, shift)
+                base = wm if family == "ratpow" else abs(wm)
+                exact = mpmath.exp(mpmath.mpf(pre[i, 0]) - a * mpmath.log(base))
+                tol = 64 * eps * (1 + abs(a * mpmath.log(abs(wm))))
+                err = abs(mpmath.mpc(complex(got[i, j])) - exact)
+                assert err <= tol * abs(exact) + 4 * math.ulp(0.0), (x, got[i, j], exact)
 
 
 def test_function_arithmetic():
