@@ -398,6 +398,9 @@ class HalfPlaneFunction:
         return total
 
     def __call__(self, z):
+        """The values at z only.  On an image each side's inner quadrature
+        over its measure has an error, which is dropped here;
+        apply_with_error(op, f, z) returns the image's values with it."""
         return self.evaluator(_as_z(z))
 
     def __add__(self, other: "HalfPlaneFunction") -> "HalfPlaneFunction":

@@ -177,6 +177,20 @@ def _exact_rate(own: float | None, kernels) -> float | None:
     return own
 
 
+def _lattice_error(diffs) -> float:
+    """The error counted for a lattice value from its level differences
+    diffs (the last is this level's): the last difference d, or, once the
+    last three differences shrink by a measured ratio rho < 1/2 per level,
+    d rho / (1 - rho), the geometric sum of the differences still to come.
+    The trapezoid rule in v converges geometrically, so three contracting
+    differences measure the rate; one ratio alone is not trusted."""
+    d = diffs[-1]
+    if len(diffs) < 3 or not (diffs[-3] > 0.0 and diffs[-2] > 0.0):
+        return d
+    rho = max(diffs[-2] / diffs[-3], d / diffs[-2])
+    return d * rho / (1.0 - rho) if rho < 0.5 else d
+
+
 class _Stop(Exception):
     """The run cannot go on: args[0] is the failure reason, "tail" (a window
     edge or a kernel end cannot be closed within the caps) or "budget"."""
@@ -421,11 +435,11 @@ class _LogPolarNorm:
     also sums with the rule one index lower, a profile of values already
     evaluated; the index advances while that difference is above an eighth
     of the tolerance (as the edge tails are) and is held once it is below.
-    The error estimate adds two measured differences: the inner-rule one
-    (the Gauss rule one lower) and the lattice one, between this level and
-    the last on the same Gauss rule.  The Gregory order of a kernel's end
-    stays fixed; its error falls with h like the lattice's own and shows in
-    the lattice difference.
+    The error estimate adds two measured parts: the inner-rule difference
+    (the Gauss rule one lower) and the lattice error (_lattice_error), read
+    from the differences between each level and the last on the same Gauss
+    rule.  The Gregory order of a kernel's end stays fixed; its error falls
+    with h like the lattice's own and shows in the lattice differences.
     """
 
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
@@ -596,9 +610,10 @@ class _LogPolarNorm:
                 return sums, cores, edges, False
 
     def run(self) -> IntegralResult:
-        """Refine level by level; converged once the error budget (lattice
-        difference + inner-rule difference + tail allowances) is within
-        tolerance and the refinement differences contract.  The lattice
+        """Refine level by level; converged once the error budget
+        (inner-rule difference + lattice error + edge closures + kernel
+        cut-offs) is within tolerance and the refinement differences
+        (inner-rule plus lattice difference) contract.  The lattice
         difference compares two levels on one Gauss rule and one Gregory
         order.  The Gauss rule starts at index 0, which has no lower rule to
         be measured against, so it advances at least once."""
@@ -608,6 +623,7 @@ class _LogPolarNorm:
         self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
         self.evals = 0
         prev_value = prev_d = None
+        diffs = []  # the lattice difference of each level after the first
         rule, held = 0, False
         value, err, reason = 0.0, math.inf, "budget"
         for lvl in range(_MAX_LEVELS):
@@ -636,8 +652,10 @@ class _LogPolarNorm:
             # the lattice difference compares sums on one Gauss rule and one
             # Gregory order: this level's own rule if it was held, the
             # one-lower rule (which the last level used) if it advanced
-            d = abs(value - value_j) + abs((value if held else value_j) - prev_value)
-            err = d + edge_err + fixed
+            inner = abs(value - value_j)
+            diffs.append(abs((value if held else value_j) - prev_value))
+            d = inner + diffs[-1]
+            err = inner + _lattice_error(diffs) + edge_err + fixed
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
             if fixed > tol:  # no refinement can shrink these
                 reason = "tail"

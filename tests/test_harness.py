@@ -315,6 +315,26 @@ def test_quasi_equivalence_small():
     assert rep.computed["worst_route_difference"] <= 1e-10
 
 
+def test_builtin_suite_lattice_work(monkeypatch):
+    # one pass of the built-in suite: every report passes within 750,000
+    # family evaluations on the log-polar lattice (1.42 M while a run took
+    # its last level difference as its error)
+    evals = []
+    run = logpolar._LogPolarNorm.run
+
+    def counted(self):
+        res = run(self)
+        evals.append(self.evals)
+        return res
+
+    monkeypatch.setattr(logpolar._LogPolarNorm, "run", counted)
+    reports = [rep for entry in harness.BUILTIN_SUITE["experiments"]
+               for rep in harness.run_suite_entry(entry, Path("."), CFG)]
+    assert all(rep.passed for rep in reports), [rep.experiment for rep in reports
+                                                if not rep.passed]
+    assert 0 < sum(evals) <= 750_000
+
+
 def test_builtin_suite_uses_every_registered_kind():
     assert {e["kind"] for e in harness.BUILTIN_SUITE["experiments"]} == set(harness.SUITE)
 

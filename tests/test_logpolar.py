@@ -48,6 +48,7 @@ from hausdorff_bergman.logpolar import (
     _gauss_legendre,
     _geometric_tail,
     _gregory_weights,
+    _lattice_error,
     _rate_tail,
 )
 
@@ -264,19 +265,42 @@ def test_gregory_end_against_double_moment(eps, rel_tol):
     assert_within(res, pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
 
 
-@pytest.mark.parametrize("eps", [0.2, 0.1])
-def test_held_gauss_rule_against_double_moment(eps):
-    # the run goes on for levels after the segment's Gauss rule has
-    # converged; the differences of the held rule must still bound the error
+def held_gauss_rule_run(eps: float, rel_tol: float):
+    """power on [0.5, 3] plus e^-t on [0.9, inf) at p = 2: the engine after
+    its run, the result, and the exact value from the double moment."""
     seg, weight = MULTI_PANEL["power[0.5,3]"]
     tail, tail_weight = EXP_TAIL
     a = 1.0 + eps
     # e^-t beyond t = 90 holds about 2e-39 of the mass
     d = panel_double_moment(((seg.lower, seg.upper, weight), (0.9, 90.0, tail_weight)), a,
                             panels=24)
-    res = image_norm_power(Measure(segments=(seg, tail)), 2.0, a, eps)
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-14)
+    hf = as_function(HausdorffOperator(Measure(segments=(seg, tail)), 2.0),
+                     rational_power(eps, a), cfg.tighter())
+    engine = _LogPolarNorm([hf.sides], 2.0, cfg)
+    res = engine.run()
+    return engine, res, pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
+def test_held_gauss_rule_against_double_moment(eps, rel_tol):
+    # the run goes on for levels after the segment's Gauss rule has
+    # converged; the differences of the held rule must still bound the error
+    _, res, exact = held_gauss_rule_run(eps, rel_tol)
     assert res.subdivisions_used >= 4
-    assert_within(res, pairing_constant(a) * eps ** (2.0 - 2.0 * a) * d)
+    assert_within(res, exact)
+
+
+def test_contracting_lattice_differences_stop_a_level_sooner():
+    # at rel_tol 1e-9 the level differences of this run shrink by a factor
+    # of 100 to 1000 per level: counting the rest of that geometric series,
+    # not the last difference, stops it at 5 levels, where the last
+    # difference alone paid for a 6th (4.16 M evaluations)
+    engine, res, exact = held_gauss_rule_run(0.1, 1e-9)
+    assert res.subdivisions_used <= 5
+    assert 0 < engine.evals <= 1_200_000
+    assert_within(res, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +830,10 @@ def test_budget_counts_direct_gauss_terms():
 def test_converged_gauss_rule_is_not_refined_with_the_lattice():
     # sample 3 of the built-in verify suite's Minkowski experiment: a finite
     # segment on [1.09, 4.47] and an e^-t-type tail from 0.89, at p = 1.
-    # The tail's kernel needs five levels; refining the segment's Gauss rule
-    # with every level cost about 6.6 M evaluations of f, holding it once
-    # converged about 2.0 M, so 4 M (400 * 10,000) separates the two
+    # The tail's kernel needs four levels; the Gauss rule converges by the
+    # third.  Refining it with the fourth level too would cost 281,246
+    # evaluations of f, holding it costs 160,862, so 200,000 (20 * 10,000)
+    # separates the two
     mu = Measure(segments=(
         DensitySegment.from_spec(1.0882620021010405, 4.466464354238836,
                                  ("power", (1.303681029901046, -0.8129973402401034))),
@@ -817,10 +842,10 @@ def test_converged_gauss_rule_is_not_refined_with_the_lattice():
                                  exp_hi=-math.inf),
     ))
     f = rational_power(0.5082282923164314, 3.0652074913364533)
-    cfg = dataclasses.replace(CFG, max_subdivisions=400)
+    cfg = dataclasses.replace(CFG, max_subdivisions=20)
     res = bergman_norm_p_power(as_function(HausdorffOperator(mu, 1.0), f, CFG.tighter()), 1.0, cfg)
     assert res.converged, res
-    assert res.subdivisions_used == 5
+    assert res.subdivisions_used == 4
 
 
 def test_slowest_far_field_closes_with_its_rate():
@@ -902,6 +927,26 @@ def test_lattice_values_stay_accurate_where_f_underflows():
              * np.abs(np.exp(1j * theta) + 1j * delta * np.exp(-w)[:, None]) ** -a)
     np.testing.assert_allclose(np.abs(g), exact, rtol=1e-12)
     assert np.all(np.abs(g[-1]) > 4e-5)
+
+
+def test_lattice_error_counts_the_rest_of_a_measured_contraction():
+    # fewer than three differences: the last one
+    assert _lattice_error([0.3]) == 0.3
+    assert _lattice_error([1e-1, 1e-3]) == 1e-3
+    # a ratio at or above 1/2 anywhere among the last three: the last one
+    assert _lattice_error([1e-1, 5e-2, 1e-4]) == 1e-4
+    assert _lattice_error([1e-1, 1e-3, 6e-4]) == 6e-4
+    # an earlier difference of 0 gives no ratio, and no division by zero
+    assert _lattice_error([0.0, 1e-3, 1e-5]) == 1e-5
+    assert _lattice_error([1e-1, 0.0, 1e-5]) == 1e-5
+    # growth followed by one contraction is not a measured rate
+    assert _lattice_error([1e-4, 1e-2, 1e-5]) == 1e-5
+    # only the last three count
+    assert _lattice_error([1e-6, 1e-1, 1e-3, 1e-5]) == pytest.approx(1e-5 * 0.01 / 0.99)
+    # rho = 0.01: the differences still to come sum to d rho / (1 - rho)
+    assert _lattice_error([1e-1, 1e-3, 1e-5]) == pytest.approx(1e-5 * 0.01 / 0.99, rel=1e-12)
+    # the larger of the two ratios sets rho
+    assert _lattice_error([1e-1, 1e-2, 1e-5]) == pytest.approx(1e-5 * 0.1 / 0.9, rel=1e-12)
 
 
 def test_geometric_tail_closes_exact_geometric_decay():
