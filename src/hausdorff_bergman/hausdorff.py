@@ -169,10 +169,11 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     for a in mu.atoms:
         out = out + a.weight * a.location * np.asarray(f(a.location * zz))
     ev = f.evaluator
+    zf = zz.view(float)[None, :]  # t*z as the real product, as in image_values
 
     def kernel(t):
-        tt = np.asarray(t, dtype=float)
-        return np.asarray(ev(tt[:, None] * zz[None, :])) * tt[:, None]
+        tt = np.asarray(t, dtype=float)[:, None]
+        return np.asarray(ev((zf * tt).view(complex))) * tt
 
     dens_val, _ = _density_sum(mu, kernel, cfg, "adjoint operator integral")
     if dens_val is not None:

@@ -46,8 +46,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +73,10 @@ _W_CAP = 700.0     # |w| <= _W_CAP for every w = v - s, so that e^w and the
 _S_CAP = 250.0     # a kernel reaches at most this far from its anchor
 _MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
                    # unit of v) at one end leaves that end's rate to be measured
-_BLOCK = 1 << 12  # complex entries per theta-block temporary (64 KiB)
+_BLOCK = 1 << 12  # complex entries per (row, theta) array of a theta block
+                  # (64 KiB): sets the block's width from n_v and the FFT lengths
+_STACK = 1 << 14  # complex entries per stacked temporary of a block's direct
+                  # terms (256 KiB): sets how many shifts one evaluation call takes
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,14 +120,19 @@ def _geometric_tail(vals, h: float, m: int, rate: float | None) -> float | None:
     decay data allow there (per unit of v), floors the ratio at e^(-rate h)
     so that a slower asymptotic decay is not missed.  An edge value of
     exactly 0 needs no closure: lattice values are computed in log space,
-    so such a zero is |F|^p below the range of doubles."""
+    so such a zero is |F|^p below the range of doubles.  The at most m + 1
+    values are worked as Python floats: numpy's cost per call would exceed
+    the arithmetic many times over."""
     edge = float(vals[-1])
     if edge == 0.0:
         return 0.0
-    last = np.asarray(vals[-(m + 1):], dtype=float)
-    if last.size < 2 or not np.all(last[:-1] > 0.0):
+    last = vals[-(m + 1):].tolist()
+    if len(last) < 2 or not all(x > 0.0 for x in last[:-1]):
         return None
-    rho = float(np.max(last[1:] / last[:-1]))
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    if any(map(math.isnan, ratios)):
+        return None
+    rho = max(ratios)
     if not (0.0 <= rho < 1.0):
         return None
     if rate is not None:
@@ -146,17 +155,25 @@ def _rate_tail(prof, edge_major: float, h: float, m: int, rate: float):
     largest |delta| seen is the bound, taken of the closure of the majorant
     edge_major (|F|^p itself for a norm, |F||G| for a pairing).  None when
     the profile vanishes before the edge or a ratio is too far above rho for
-    the bound to be finite."""
-    last = np.asarray(prof[-(m + 1):])
-    if last.size < 2 or not np.all(last[:-1] != 0.0):
-        return None
+    the bound to be finite.  The at most m + 1 values are worked as Python
+    floats or complex numbers, as in _geometric_tail."""
+    last = prof[-(m + 1):].tolist()
     rho = math.exp(-rate * h)
-    delta = float(np.max(np.abs(last[1:] / (rho * last[:-1]) - 1.0)))
+    # a zero rho P (P = 0, or rho P underflowing) leaves no finite ratio
+    if len(last) < 2 or not all(rho * a for a in last[:-1]):
+        return None
+    try:
+        devs = [abs(b / (rho * a) - 1.0) for a, b in zip(last, last[1:])]
+    except OverflowError:  # |ratio - 1| beyond the largest double
+        return None
+    if any(map(math.isnan, devs)):
+        return None
+    delta = max(devs)
     gap = -math.expm1(-rate * h) - rho * delta  # 1 - rho (1 + delta)
     if not gap > 0.0:
         return None
     k = h * rho / -math.expm1(-rate * h)
-    return k * last[-1].item(), k * edge_major * 2.0 * delta / gap
+    return k * last[-1], k * edge_major * 2.0 * delta / gap
 
 
 def _slowest(rates) -> float | None:
@@ -204,18 +221,25 @@ class _ConvKernel:
     s_max: float
     a: np.ndarray
     tail: float            # integral of K beyond the kept ends (geometric)
+    hats: dict = field(default_factory=dict)  # the FFT of a per FFT length
+
+    def hat(self, n: int) -> np.ndarray:
+        if n not in self.hats:
+            self.hats[n] = np.fft.fft(self.a, n)
+        return self.hats[n]
 
 
 @dataclass
 class _SideLevel:
-    """A side's inner rules on one level of the lattice."""
+    """A side's inner rules on one lattice of one level."""
 
-    atoms: tuple           # (shifts, coefficients) of the atoms' dilated copies
-    gauss: tuple | None    # the same for the finite segments' Gauss nodes
-    gauss_j: tuple | None  # ... with the Gauss rule one lower
+    shifts: np.ndarray     # the direct terms' shifts s_k in G(v - s_k): the atoms,
+    coeffs: np.ndarray     # the Gauss nodes, those one rule lower; their c_k
+    n_atoms: int
+    n_gauss: int           # Gauss nodes of this rule; 0 with no finite segment
+    same_g: bool           # no rule one lower: its F is F itself
     kernels: list          # a _ConvKernel per segment touching 0 or infinity
     ffts: list             # the FFT length of each kernel
-    kernel_hat: list       # the FFT of each kernel
     g_mass: list           # ||G||_p^p seen by each kernel, added up by block
     evals: int             # family evaluations per theta node
     s_lo: float            # range of the shifts s in G(v - s)
@@ -246,6 +270,13 @@ class _Side:
     with order-6 Gregory corrections at its finite endpoint, as one FFT
     convolution per theta block.  hint is the decay hint (power, shift) of
     Hf itself.
+
+    The inner rules are built once and kept on the side: the atom terms
+    here, the direct terms (atoms and Gauss nodes) once per Gauss rule
+    index, the kernels once per level (step h) and their FFTs once per FFT
+    length, so the window tries of a level, and the levels that hold a
+    Gauss rule, reuse them.  They are kept per side, not in a module cache,
+    so they go with the run; a level's kernels go with the next level.
     """
 
     def __init__(self, mu, source, hint, p: float, eta: float):
@@ -268,6 +299,9 @@ class _Side:
         hi = [self._kernel_rate(s.exp_hi, -1) for s in self.touching if math.isinf(s.upper)]
         self.rate_lo, self.rate_hi = _slowest([near] + lo), _slowest([far] + hi)
         self.exact_lo, self.exact_hi = _exact_rate(near, lo), _exact_rate(far, hi)
+        self.atoms = self._atom_terms()
+        self.direct = {}   # Gauss rule index -> the direct terms (_direct_terms)
+        self.kernels = {}  # the step h of the last level -> its kernels
 
     def _kernel_rate(self, exponent: float | None, sign: int) -> float | None:
         """Decay rate of K(s) = rho(e^s) e^(qs) towards s -> -inf (sign +1,
@@ -299,6 +333,23 @@ class _Side:
             shifts.append(s)
             coeffs.append(w * dens * np.exp(self.q * s))
         return np.concatenate(shifts), np.concatenate(coeffs)
+
+    def _direct_terms(self, rule: int):
+        """(shifts, coefficients, Gauss nodes of this rule) of every direct
+        term under the Gauss rule of index rule, in the order block adds
+        them: the atoms, the Gauss nodes, and (for rule > 0) the Gauss nodes
+        one rule lower."""
+        if rule in self.direct:
+            return self.direct[rule]
+        parts = [self.atoms]
+        if self.finite:
+            parts.append(self._gauss_terms(rule))
+            if rule:
+                parts.append(self._gauss_terms(rule - 1))
+        terms = self.direct[rule] = (np.concatenate([t[0] for t in parts]),
+                                     np.concatenate([t[1] for t in parts]),
+                                     len(parts[1][0]) if self.finite else 0)
+        return terms
 
     def _kernel_side(self, seg, anchor: float, step: float, rate, h: float):
         """K on s_k = anchor + k*step (k = 0, 1, ...), extended until its
@@ -347,53 +398,68 @@ class _Side:
 
     def level(self, rule: int, h: float, n_v: int) -> _SideLevel:
         """The inner rules of a level with step h and n_v rows, with the
-        Gauss rule of index rule."""
-        atoms = self._atom_terms()
-        gauss = self._gauss_terms(rule) if self.finite else None
-        gauss_j = self._gauss_terms(rule - 1) if self.finite and rule else gauss
-        kernels = [self._conv_kernel(seg, h) for seg in self.touching]
+        Gauss rule of index rule.  Built from the side's kept rules (see
+        _Side): per window try, only the FFT lengths, the shift range and
+        the evaluation count are worked out anew."""
+        shifts, coeffs, n_gauss = self._direct_terms(rule)
+        if h not in self.kernels:  # a new level: the last one's kernels are done with
+            self.kernels = {h: [self._conv_kernel(seg, h) for seg in self.touching]}
+        kernels = self.kernels[h]
         # family evaluations per theta node: the direct terms at every
         # lattice point, and the values under every convolution kernel
-        n_direct = len(atoms[0])
-        if gauss is not None:
-            n_direct += len(gauss[0]) + (0 if gauss_j is gauss else len(gauss_j[0]))
-        evals = n_v * n_direct + sum(n_v + len(kr.a) - 1 for kr in kernels)
+        evals = n_v * len(shifts) + sum(n_v + len(kr.a) - 1 for kr in kernels)
         ffts = [1 << (n_v + len(kr.a) - 2).bit_length() for kr in kernels]
-        kernel_hat = [np.fft.fft(kr.a, n) for kr, n in zip(kernels, ffts)]
-        shifts = [atoms[0], *(t[0] for t in (gauss, gauss_j) if t is not None)]
-        shifts += [[kr.s_max - h * (len(kr.a) - 1), kr.s_max] for kr in kernels]
-        shifts = np.concatenate([np.ravel(s) for s in shifts])
-        return _SideLevel(atoms, gauss, gauss_j, kernels, ffts, kernel_hat,
-                          [0.0] * len(kernels), evals, float(shifts.min()), float(shifts.max()))
+        reach = np.concatenate([shifts] + [[kr.s_max - h * (len(kr.a) - 1), kr.s_max]
+                                           for kr in kernels])
+        return _SideLevel(shifts, coeffs, len(self.atoms[0]), n_gauss,
+                          not (self.finite and rule), kernels, ffts, [0.0] * len(kernels),
+                          evals, float(reach.min()), float(reach.max()))
+
+    def _direct(self, lv: _SideLevel, v: np.ndarray, eb: np.ndarray):
+        """c_k G(v - s_k) at the theta nodes eb for each direct term in
+        turn: one lattice_values call on the stacked rows w = v - s_k,
+        split so that no stacked temporary exceeds _STACK complex entries
+        (a single shift's rows excepted)."""
+        n_v = len(v)
+        per = max(1, _STACK // (n_v * len(eb)))
+        for k0 in range(0, len(lv.shifts), per):
+            s, c = lv.shifts[k0:k0 + per], lv.coeffs[k0:k0 + per]
+            g = self.source.lattice_values((v - s[:, None]).ravel(), eb, self.q)
+            g = g.reshape(len(s), n_v, len(eb))
+            g *= c[:, None, None]
+            yield from g
 
     def block(self, lv: _SideLevel, v: np.ndarray, h: float, eb: np.ndarray,
               wb: np.ndarray):
         """F on the rows v at the theta nodes eb: with the level's inner
         rules, and with its Gauss rule one lower (the same array where
         there is none).  Adds each kernel's ||G||_p^p seen here to
-        lv.g_mass, each node counted with its weight in wb."""
+        lv.g_mass, each node counted with its weight in wb.  The direct
+        terms (atoms and Gauss nodes of both rules) take one evaluation
+        call (_direct), the kernels one each; the terms are added in a
+        fixed order: atoms, kernels, then the Gauss nodes."""
         n_v = len(v)
+        terms = self._direct(lv, v, eb)
 
-        def add_direct(out, terms):
-            for shift, c in zip(*terms):
-                out += c * self.source.lattice_values(v - shift, eb, self.q)
+        def add(out, n):
+            for term in itertools.islice(terms, n):
+                out += term
 
         common = np.zeros((n_v, len(eb)), dtype=complex)
-        add_direct(common, lv.atoms)
-        for i, (kr, n_fft, k_hat) in enumerate(zip(lv.kernels, lv.ffts, lv.kernel_hat)):
+        add(common, lv.n_atoms)
+        for i, (kr, n_fft) in enumerate(zip(lv.kernels, lv.ffts)):
             m_k = len(kr.a)
             u = v[0] - kr.s_max + h * np.arange(n_v + m_k - 1)
             g = self.source.lattice_values(u, eb, self.q)
             lv.g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
-            conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * k_hat[:, None], axis=0)
+            conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * kr.hat(n_fft)[:, None], axis=0)
             common += conv[m_k - 1:m_k - 1 + n_v]
-        if lv.gauss_j is lv.gauss:
-            if lv.gauss is not None:
-                add_direct(common, lv.gauss)
+        if lv.same_g:
+            add(common, lv.n_gauss)
             return common, common
         full = common.copy()
-        add_direct(full, lv.gauss)
-        add_direct(common, lv.gauss_j)
+        add(full, lv.n_gauss)
+        add(common, len(lv.shifts))
         return full, common
 
 
@@ -440,6 +506,14 @@ class _LogPolarNorm:
     from the differences between each level and the last on the same Gauss
     rule.  The Gregory order of a kernel's end stays fixed; its error falls
     with h like the lattice's own and shows in the lattice differences.
+
+    Once per run: the sides and their atom terms.  Once per level, i.e.
+    per step h: each side's kernels; once per Gauss rule index: its direct
+    terms (atoms and Gauss nodes).  Both are kept on the side (see _Side),
+    so a window regrowth rebuilds neither.  Once per window try (_level):
+    a kernel's FFT, only at an FFT length not met before at that h, and
+    the evaluations, one lattice_values call per theta block for a side's
+    direct terms (both Gauss rules' nodes among them) and one per kernel.
     """
 
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
@@ -495,7 +569,7 @@ class _LogPolarNorm:
         self.evals += evals
         nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
         # with no lower Gauss rule anywhere, P with it is P itself
-        same_g = all(lv.gauss_j is lv.gauss for lv in flat)
+        same_g = all(lv.same_g for lv in flat)
         rows = (0,) if same_g else (0, 1)
 
         profs = np.zeros((2, n_v), dtype=complex if self.pair else float)

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from hausdorff_bergman import (
+    Atom,
     DensitySegment,
     HalfPlaneFunction,
     HausdorffOperator,
@@ -44,7 +45,9 @@ from hausdorff_bergman import (
 from hausdorff_bergman import cli, harness
 from hausdorff_bergman.halfplane import UNIT
 from hausdorff_bergman.logpolar import (
+    _STACK,
     _LogPolarNorm,
+    _Side,
     _gauss_legendre,
     _geometric_tail,
     _gregory_weights,
@@ -986,3 +989,228 @@ def test_rate_tail_bounds_its_closure_by_the_ratio_mismatch():
     assert closure_c == pytest.approx((1.0 - 2.0j) * closure)
     # ratios far above rho leave no finite bound
     assert _rate_tail(np.ones(20), 1.0, h, 8, rate) is None
+
+
+# ---------------------------------------------------------------------------
+# the fixed cost of a level: edge closures, kept inner rules, stacked terms
+# ---------------------------------------------------------------------------
+
+
+def numpy_geometric_tail(vals, h, m, rate):
+    """_geometric_tail as numpy array arithmetic: the reference."""
+    edge = float(vals[-1])
+    if edge == 0.0:
+        return 0.0
+    last = np.asarray(vals[-(m + 1):], dtype=float)
+    if last.size < 2 or not np.all(last[:-1] > 0.0):
+        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = float(np.max(last[1:] / last[:-1]))
+    if not (0.0 <= rho < 1.0):
+        return None
+    if rate is not None:
+        rho = max(rho, math.exp(-rate * h))
+    return h * edge * rho / (1.0 - rho)
+
+
+def numpy_rate_tail(prof, edge_major, h, m, rate):
+    """_rate_tail as numpy array arithmetic: the reference."""
+    last = np.asarray(prof[-(m + 1):])
+    if last.size < 2 or not np.all(last[:-1] != 0.0):
+        return None
+    rho = math.exp(-rate * h)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        delta = float(np.max(np.abs(last[1:] / (rho * last[:-1]) - 1.0)))
+    gap = -math.expm1(-rate * h) - rho * delta
+    if not gap > 0.0:
+        return None
+    k = h * rho / -math.expm1(-rate * h)
+    return k * last[-1].item(), k * edge_major * 2.0 * delta / gap
+
+
+def close_within_ulps(x, y, ulps=4):
+    return abs(x - y) <= ulps * np.finfo(float).eps * max(abs(x), abs(y))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_closures_equal_their_numpy_formulas(seed):
+    # the closures work on Python floats and complex numbers; real
+    # arithmetic is the same IEEE operations as numpy's, bitwise, while
+    # Python and numpy divide complex numbers differently
+    rng = np.random.default_rng(seed)
+    h, rate = rng.choice([0.125, 0.25, 0.5, 1.0]), float(rng.uniform(0.05, 3.0))
+    rho = math.exp(-rate * h)
+    for m in (2, 4, 8, 16):
+        v = h * np.arange(m + 5)
+        wobble = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, v.size) * np.exp(-rng.uniform(0.0, 1.0) * v)
+        real = rng.uniform(0.1, 10.0) * np.exp(-rate * v) * wobble
+        assert _geometric_tail(real, h, m, None) == numpy_geometric_tail(real, h, m, None)
+        assert _geometric_tail(real, h, m, rate) == numpy_geometric_tail(real, h, m, rate)
+        major = float(rng.uniform(1.0, 2.0) * real[-1])
+        assert _rate_tail(real, major, h, m, rate) == numpy_rate_tail(real, major, h, m, rate)
+        phase = np.exp(1j * rng.uniform(-0.2, 0.2, v.size))
+        cplx = complex(*rng.normal(size=2)) * real * phase
+        got, want = _rate_tail(cplx, major, h, m, rate), numpy_rate_tail(cplx, major, h, m, rate)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]  # the closure does not divide
+            assert close_within_ulps(got[1], want[1]), (got, want, rho)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("vals", [
+    [0.5],                         # fewer than 2 values
+    [1.0, 0.0, 0.5, 0.25],         # a zero before the edge
+    [1.0, -0.5, 0.25, 0.125],      # a negative value before the edge
+    [1.0, NAN, 0.25, 0.125],       # a NaN before the edge
+    [1.0, 0.5, 0.25, NAN],         # a NaN edge
+    [NAN, 0.5, 0.25, 0.125],       # a NaN beyond the last m + 1 values
+    [1.0, 0.5, 0.6, 0.3],          # a ratio >= 1
+    [1.0, 0.5, 0.5, 0.25],         # a ratio of exactly 1
+    [1.0, 0.5, 0.25, 0.0],         # an edge of exactly 0
+    [1.0, 0.5, 0.25, 1e-300],      # a tiny edge
+    [1.0, 0.5, 0.25, -0.1],        # a negative edge
+    [1e-320, 1e-321, 1e-322, 0.0],  # subnormal values
+    [1e-300, 1e300, 1e299, 1e298],  # a ratio that overflows
+    [1.0, 0.9, 0.81, 0.72],        # ratios just below 1
+])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_edge_closures_refuse_as_their_numpy_formulas_do(vals, kind):
+    h, m = 0.5, 3
+    prof = np.array(vals, dtype=kind)
+    if kind is float:
+        for rate in (None, 0.1):
+            assert _geometric_tail(prof, h, m, rate) == numpy_geometric_tail(prof, h, m, rate)
+    for rate in (0.01, 1.0, 8.0):  # rho near 1, at e^-0.5 and near 0
+        want = numpy_rate_tail(prof, 1.0, h, m, rate)
+        got = _rate_tail(prof, 1.0, h, m, rate)
+        assert (got is None) == (want is None), (got, want)
+        if got is not None:
+            assert got[0] == want[0] and close_within_ulps(got[1], want[1])
+
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_rate_tail_refuses_a_ratio_too_far_above_rho(kind):
+    # step ratios r = rho (1 + delta) with rho (1 + delta) >= 1 leave no
+    # finite bound: a profile that does not decay, at any rate
+    h, m = 0.5, 3
+    profs = [[1.0, 1.1, 1.21, 1.331], [1.0, 0.9, 0.9, 0.95], [1.0, 0.5, 0.25, -0.3]]
+    if kind is complex:  # a finite ratio whose modulus exceeds the largest double
+        profs.append([1.0, 1.0, 1.3e308 * (1.0 + 1.0j)])
+    for prof in profs:
+        prof = np.array(prof, dtype=kind)
+        for rate in (0.01, 1.0, 8.0):
+            assert _rate_tail(prof, 1.0, h, m, rate) is None
+            assert numpy_rate_tail(prof, 1.0, h, m, rate) is None
+
+
+def per_shift_block(side, rule, lv, v, h, eb):
+    """F on the rows v at eb with one lattice_values call per direct term,
+    added in the order atoms, kernels, Gauss nodes: the reference for
+    _Side.block."""
+    def add(out, terms):
+        for shift, c in zip(*terms):
+            out += c * side.source.lattice_values(v - shift, eb, side.q)
+
+    common = np.zeros((len(v), len(eb)), dtype=complex)
+    add(common, side._atom_terms())
+    for kr in lv.kernels:
+        m_k = len(kr.a)
+        n_fft = 1 << (len(v) + m_k - 2).bit_length()
+        u = v[0] - kr.s_max + h * np.arange(len(v) + m_k - 1)
+        g = side.source.lattice_values(u, eb, side.q)
+        conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * np.fft.fft(kr.a, n_fft)[:, None], axis=0)
+        common += conv[m_k - 1:m_k - 1 + len(v)]
+    if not side.finite:
+        return common, common
+    full = common.copy()
+    add(full, side._gauss_terms(rule))
+    add(common, side._gauss_terms(rule - 1))
+    return full, common
+
+
+def stacked_calls(monkeypatch):
+    """Record the complex entries of every lattice_values result."""
+    sizes = []
+    original = HalfPlaneFunction.lattice_values
+
+    def counted(self, w, eith, q):
+        sizes.append(len(w) * len(eith))
+        return original(self, w, eith, q)
+
+    monkeypatch.setattr(HalfPlaneFunction, "lattice_values", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("rule", [1, 2])
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_block_stacks_the_direct_terms_bitwise(rule, with_kernel, monkeypatch):
+    # two atoms plus a finite segment of three log-panels (and an e^-t
+    # segment touching infinity, whose kernel comes between the atoms and
+    # the Gauss nodes): one evaluation call for every direct term gives
+    # F bitwise as one call per term does
+    segments = [DensitySegment.from_spec(0.3, 5.0, ("power", (0.7, 1.3)))]
+    if with_kernel:
+        segments.append(DensitySegment.from_spec(
+            2.0, math.inf, ("exp", (1.0, 1.0)), exp_hi=-math.inf))
+    mu = Measure(atoms=(Atom(0.5, 0.3), Atom(3.0, 0.2)), segments=tuple(segments))
+    f = rational_power(0.4, 1.7)
+    side = _Side(mu, f, f.decay_hint, 2.0, 1e-9)
+    h = 0.25
+    v = -6.0 + h * np.arange(60)
+    eb = np.exp(1j * np.array([0.3, 1.1, 2.0]))
+    lv = side.level(rule, h, len(v))
+    want = per_shift_block(side, rule, lv, v, h, eb)
+    sizes = stacked_calls(monkeypatch)
+    full, lower = side.block(lv, v, h, eb, np.ones(len(eb)))
+    assert len(sizes) == 1 + len(lv.kernels)  # the direct terms take one call
+    assert len(lv.shifts) == 2 + 3 * 3 * (2 ** rule + 2 ** (rule - 1))
+    assert np.array_equal(full, want[0]) and np.array_equal(lower, want[1])
+    assert full is not lower
+
+
+def test_stacked_direct_terms_stay_within_the_stack_bound(monkeypatch):
+    # [0.01, 100] spans 10 log-panels: 240 Gauss nodes at rule 3 and 120
+    # one rule lower, so the direct terms take several calls, each within
+    # _STACK complex entries, and still give F as one call per term does
+    mu = Measure(segments=(DensitySegment.from_spec(0.01, 100.0, ("const", (1.0,))),))
+    f = rational_power(1.0, 2.0)
+    side = _Side(mu, f, f.decay_hint, 2.0, 1e-9)
+    h, rule = 0.125, 3
+    v = -10.0 + h * np.arange(200)
+    eb = np.exp(1j * np.linspace(0.1, 1.5, 8))
+    lv = side.level(rule, h, len(v))
+    assert len(lv.shifts) == 360
+    want = per_shift_block(side, rule, lv, v, h, eb)
+    sizes = stacked_calls(monkeypatch)
+    full, lower = side.block(lv, v, h, eb, np.ones(len(eb)))
+    assert max(sizes) <= _STACK
+    assert 1 < len(sizes) < len(lv.shifts) / 4
+    assert sum(sizes) == len(lv.shifts) * len(v) * len(eb)
+    assert np.array_equal(full, want[0]) and np.array_equal(lower, want[1])
+
+
+def test_window_regrowth_reuses_the_kernels(monkeypatch):
+    # the e^-t kernel on (0, inf) has two ends; the window of this norm
+    # grows once at level 0, and every _level call of a step h takes the
+    # kernels built at its first
+    levels, ends = [], []
+    level, kernel_side = _LogPolarNorm._level, _Side._kernel_side
+
+    def counted_level(self, lvl, rule, v_lo, n_v, h):
+        levels.append(h)
+        return level(self, lvl, rule, v_lo, n_v, h)
+
+    def counted_side(self, seg, anchor, step, rate, h):
+        ends.append(h)
+        return kernel_side(self, seg, anchor, step, rate, h)
+
+    monkeypatch.setattr(_LogPolarNorm, "_level", counted_level)
+    monkeypatch.setattr(_Side, "_kernel_side", counted_side)
+    res = image_norm_power(exp_measure(), 2.0, 2.0, 1.0)
+    assert res.converged
+    assert levels.count(1.0) == 2  # a window regrowth at level 0
+    assert sorted(ends) == sorted(2 * sorted(set(levels)))
