@@ -10,16 +10,23 @@ lattice of norms and pairings, and at points, directly or inside an
 image's inner quadrature.  The decay hint and the mirror factor are
 derived from the terms too.
 
-The kernel takes each term from the modulus and phase of w = z + i shift,
-e^(pre - a log|w|) e^(-i a arg w), in real ufuncs (_power).  arg w comes
-from arctan2, in (-pi, pi]: complex powers always follow the principal
-branch, and no other branch is used anywhere in the package.
+Every point reaches the kernel as a pair (zeta, lam) standing for
+z = e^lam zeta (complex zeta of the points' shape, real lam broadcasting
+against it): point values pass lam = 0, an image's inner nodes
+lam - log t and a lattice row lam = max(w, 0) with
+zeta = e^(w - lam) e^(i theta), so z/t and e^w are never formed.  The kernel takes each term from w = zeta + i shift e^-lam,
+as z + i shift = e^lam w: e^(pre - a lam - a log|w|) e^(-i a arg w), in
+real ufuncs (_power), and no intermediate leaves the float range for
+finite zeta and lam, even where z would.  arg w comes from arctan2, in
+(-pi, pi]: complex powers always follow the principal branch, and no
+other branch is used anywhere in the package.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -47,6 +54,7 @@ __all__ = [
 UNIT = Measure.from_atoms((1.0, 1.0))  # the measure of the identity operator
 _SERIES_RATIO = 0.25  # a group with vanishing moments is expanded at most
                       # where its largest shift over |z| is below this
+_EXP_MAX = 700.0  # e^x is finite for x <= this (the largest double is e^709.78)
 
 
 def _as_z(z):
@@ -140,21 +148,28 @@ def common_mirror(lams) -> complex | None:
     return 1.0 if common is None else common
 
 
-def _power(z, shift: float, a: float, pre, phase: bool):
+def _power(zeta, lam, shift: float, a: float, pre, phase: bool):
     """e^pre (z + i shift)^-a if phase (ratpow), else e^pre |z + i shift|^-a
-    (gmod), at z of any shape; pre is None or broadcasts against z.  With
-    w = z + i shift, the modulus is e^(pre - a log|w|) and the phase
-    e^(-i a arg w), arg w = arctan2(Im w, Re w) in (-pi, pi]: the arithmetic
-    of the principal e^(pre - a log w), in real ufuncs, into three arrays of
-    z's shape."""
-    w = np.empty(np.shape(z), dtype=complex)
-    np.add(z, 1j * shift, out=w)
+    (gmod), at the points z = e^lam zeta; lam and pre (None or an array)
+    broadcast against zeta, which has the points' shape.  With
+    w = zeta + i shift e^-lam, the modulus is e^(pre - a lam - a log|w|)
+    and the phase e^(-i a arg w), arg w from arctan2 in (-pi, pi]: the
+    principal e^(pre - a log(z + i shift)), in real ufuncs, into three
+    arrays of the points' shape.  A point whose shift e^-lam or e^-lam
+    would overflow takes lam = max(log shift, 0) first, its zeta scaled by
+    e^(lam - that)."""
+    lam = np.asarray(lam, dtype=float)
+    top = max(math.log(shift), 0.0)
+    if lam.min(initial=top) < top - _EXP_MAX:
+        mu = np.where(lam < top - _EXP_MAX, top, lam)
+        zeta, lam = zeta * np.exp(lam - mu), mu
+    w = zeta.copy()
+    w.imag += shift * np.exp(-lam)  # a real sum: numpy's complex one is slower
     mag = np.empty(w.shape)
     np.abs(w, out=mag)
     np.log(mag, out=mag)
     mag *= -a
-    if pre is not None:
-        mag += pre
+    mag += -a * lam if pre is None else pre - a * lam
     np.exp(mag, out=mag)
     if not phase:
         return mag[()]  # a numpy scalar for 0-d z, as a ufunc would return
@@ -197,15 +212,13 @@ def _vanishing_moments(terms) -> int:
     return len(terms)
 
 
-def _gegenbauer(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
-    """C_n^lam(x) for n = 0 .. n_max (leading axis), by the three-term recurrence."""
-    c = np.empty((n_max + 1,) + x.shape)
-    c[0] = 1.0
-    if n_max:
-        c[1] = 2.0 * lam * x
-    for n in range(2, n_max + 1):
-        c[n] = (2.0 * x * (n + lam - 1.0) * c[n - 1] - (n + 2.0 * lam - 2.0) * c[n - 2]) / n
-    return c
+def _gegenbauer(lam: float, x: np.ndarray):
+    """C_n^lam(x) for n = 0, 1, ..., by the three-term recurrence."""
+    c_prev, c, n = np.zeros_like(x), np.ones_like(x), 0
+    while True:
+        yield c
+        n += 1
+        c_prev, c = c, (2.0 * x * (n + lam - 1.0) * c - (n + 2.0 * lam - 2.0) * c_prev) / n
 
 
 class _Expansion:
@@ -229,35 +242,38 @@ class _Expansion:
         a = self.a
         self.scale = max(t.shift for t in terms)
         self.ratio = min(_SERIES_RATIO, -math.expm1(-math.log(4.0) / abs(a)) if a else 1.0)
+        self.cut = math.log(self.scale / self.ratio)  # log|z| from which rho <= ratio
         bound, n_max = 1.0, 0  # binom(|a| + n - 1, n) ratio^n
         while n_max < m or (bound > 1e-18 and n_max < 1000):
             n_max += 1
             bound *= (abs(a) + n_max - 1.0) / n_max * self.ratio
-        self.n = np.arange(m, n_max + 1)
-        # M_n / scale^n, rounded from the exact value: a moment rounded
-        # term by term would bring back the cancelled orders
+        # M_n / scale^n for n = m .. n_max, rounded from the exact value: a
+        # moment rounded term by term would bring back the cancelled orders
         self.moments = np.array([complex(float(re), float(im)) for _, (re, im) in
                                  zip(range(n_max + 1), _moments(terms, self.scale))][m:])
         if self.family == "ratpow":
             k = np.arange(n_max)
             binom = np.cumprod(np.concatenate([[1.0], (-a - k) / (1.0 + k)]))
-            self.moments = self.moments * binom[m:] * 1j ** self.n
+            self.moments = self.moments * binom[m:] * 1j ** np.arange(m, n_max + 1)
 
-    def far(self, w: np.ndarray) -> np.ndarray:
-        return self.scale * np.exp(-w) <= self.ratio
-
-    def values(self, w: np.ndarray, theta: np.ndarray, q: float) -> np.ndarray:
-        """e^(q w) times the terms' sum at z = e^(w + i theta), in log space,
-        on the grid w x theta: w (..., r) and theta (..., c) give (..., r, c),
-        for a lattice's rows and angles, or for P points as (P, 1) each."""
-        a, m, n = self.a, self.m, self.n
-        if self.family == "ratpow":  # z^-(a+n) = e^(-(a+n)(w + i theta))
-            basis = np.exp(-1j * (a + n)[:, None] * theta[..., None, :])
+    def values(self, logr: np.ndarray, theta: np.ndarray, pre) -> np.ndarray:
+        """e^pre times the terms' sum at the points z = e^(logr + i theta)
+        with logr >= cut (pre broadcasts against them): e^pre scale^m
+        z^-(a+m) times the sum over k of M_(m+k) (scale/z)^k (ratpow), or
+        e^pre scale^m r^-(a+m) times that of M_(m+k) C_(m+k)(-sin theta)
+        (scale/r)^k (gmod), summed forwards, as its terms shrink like ratio^k."""
+        a, m = self.a, self.m
+        step = np.exp(math.log(self.scale) - logr)
+        lead = pre + m * math.log(self.scale) - (a + m) * logr
+        if self.family == "ratpow":
+            step, lead = step * np.exp(-1j * theta), lead - 1j * (a + m) * theta
+            basis = itertools.repeat(1.0)
         else:
-            basis = np.moveaxis(_gegenbauer(int(n[-1]), 0.5 * a, -np.sin(theta))[m:], 0, -2)
-        rho = self.scale * np.exp(-w)
-        lead = np.exp((q - a - m) * w + m * math.log(self.scale))
-        return lead[..., None] * ((rho[..., None] ** (n - m)) @ (self.moments[:, None] * basis))
+            basis = itertools.islice(_gegenbauer(0.5 * a, -np.sin(theta)), m, None)
+        total, power = 0.0, 1.0
+        for c, b in zip(self.moments, basis):
+            total, power = total + c * b * power, power * step
+        return np.exp(lead) * total
 
 
 @dataclass(frozen=True)
@@ -270,7 +286,9 @@ class HalfPlaneFunction:
     lattice; mirror, lam with f(-conj z) = lam conj f(z) or None, lets it
     evaluate half the angles.  inner_cfg is the inner quadrature of the
     point values of images.  evaluator, the point evaluator, defaults to the
-    one derived from the terms; norms and pairings never call it.
+    one derived from the terms; it takes the points as a pair (zeta, lam)
+    standing for z = e^lam zeta (see the module docstring), and norms and
+    pairings never call it.
     """
 
     terms: tuple[Term, ...]
@@ -336,64 +354,53 @@ class HalfPlaneFunction:
         families, coefficients of different phase)."""
         return common_mirror(t.mirror for t in self.terms if t.coef)
 
-    def _values(self, z):
-        """The point evaluator: per side, its source's values under the unit
-        atom, else one inner quadrature of the operator over them."""
+    def _values(self, zeta, lam):
+        """The point evaluator, at the points z = e^lam zeta (see the module
+        docstring): per side, its source's values under the unit atom, else
+        one inner quadrature of the operator over them."""
         from .hausdorff import image_values  # hausdorff builds on this module
 
-        z = np.asarray(z, dtype=complex)
-        total = None
-        # an image's inner quadrature may take z/t beyond the float range
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            for mu, source, _ in self.sides:
-                vals = source._log_sum(z) if mu is UNIT else image_values(
-                    mu, source._log_sum, z, self.inner_cfg or QuadratureConfig())[0]
-                total = vals if total is None else total + vals
-        return np.zeros(z.shape, dtype=complex) if total is None else total
+        zeta = np.asarray(zeta, dtype=complex)
+        vals = [source._log_sum(zeta, lam) if mu is UNIT else image_values(
+            mu, source._log_sum, zeta, lam, self.inner_cfg or QuadratureConfig())[0]
+                for mu, source, _ in self.sides]
+        return sum(vals[1:], vals[0]) if vals else np.zeros(zeta.shape, dtype=complex)
 
     def lattice_values(self, w: np.ndarray, eith: np.ndarray, q: float) -> np.ndarray:
         """G(w, theta) = e^(q w) f(e^(w + i theta)) of a plain function on
-        the grid w x theta, in log space (_log_sum with the prefactor q w),
-        so G stays accurate where f itself underflows."""
-        return self._log_sum(np.exp(w)[:, None] * eith, (q * w)[:, None], (w, eith, q))
+        the grid w x theta, in log space (_log_sum): row w holds the points
+        e^lam zeta, lam = max(w, 0) and zeta = e^(w - lam) e^(i theta), with
+        the prefactor q w, so G stays accurate where e^w or f leaves the
+        float range."""
+        lam = np.maximum(w, 0.0)[:, None]
+        return self._log_sum(np.exp(w[:, None] - lam) * eith, lam, (q * w)[:, None])
 
-    def _log_sum(self, z, pre=None, grid=None):
+    def _log_sum(self, zeta, lam, pre=None):
         """The evaluation kernel of a plain function: the sum over its terms
-        of coef e^pre (z + i shift)^-a (|...| for gmod; see _power) at z of
-        any shape.  A group with vanishing moments is summed from its expansion
-        (_Expansion) far from its shifts: on the far rows where
-        grid = (w, eith, q) marks z as the lattice's e^(w) x eith with
-        pre = q w, else at the far points.  Point values pass no prefactor,
-        and a non-finite z (z/t of an image's inner quadrature overflowed)
-        maps to each term's limit there."""
-        bad = None if pre is not None or np.all(np.isfinite(z)) else ~np.isfinite(z)
+        of coef e^pre (z + i shift)^-a (|...| for gmod; see _power) at the
+        points z = e^lam zeta, lam (and pre, None or an array) broadcasting
+        against zeta, which has the points' shape.  A group with vanishing moments is
+        summed from its expansion (_Expansion) at the points far from its
+        shifts in the closed upper half-plane (the principal branch would
+        not follow below it), read from log|z| = lam + log|zeta| and
+        arg z = arg zeta."""
         total = None
         for terms, ex in self._split:
             vals = None
             for t in terms:
-                g = _power(z, t.shift, t.exponent, pre, t.family == "ratpow")
-                if bad is not None:
-                    a = t.exponent
-                    g = np.where(bad, 0.0 if a > 0 else 1.0 if a == 0 else math.inf, g)
+                g = _power(zeta, lam, t.shift, t.exponent, pre, t.family == "ratpow")
                 g = g if t.coef == 1.0 else t.coef * g
                 vals = g if vals is None else vals + g
             if ex is not None:
                 vals = np.asarray(vals, dtype=complex)
-                if grid is not None:
-                    w, eith, q = grid
-                    far = ex.far(w)
-                    if np.any(far):
-                        vals[far] = ex.values(w[far], np.angle(eith), q)
-                else:
-                    # log|z| is -inf, so no expansion, where z is not finite or
-                    # lies below the real axis (the principal branch would not follow)
-                    flat = z.ravel()
-                    theta = np.angle(flat)
-                    w = np.where(np.isfinite(flat) & (theta >= 0.0), np.log(np.abs(flat)), -np.inf)
-                    far = ex.far(w)
-                    if np.any(far):
-                        vals[far.reshape(vals.shape)] = ex.values(
-                            w[far, None], theta[far, None], 0.0)[:, 0, 0]
+                zb = np.broadcast_to(zeta, vals.shape)
+                r = np.abs(zb)  # log|z| = lam + log|zeta|, -inf at z = 0
+                logr = np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0) + lam
+                theta = np.angle(zb)
+                far = (logr >= ex.cut) & (theta >= 0.0)
+                if np.any(far):
+                    pre_far = 0.0 if pre is None else np.broadcast_to(pre, vals.shape)[far]
+                    vals[far] = ex.values(logr[far], theta[far], pre_far)
             total = vals if total is None else total + vals
         return total
 
@@ -401,7 +408,7 @@ class HalfPlaneFunction:
         """The values at z only.  On an image each side's inner quadrature
         over its measure has an error, which is dropped here;
         apply_with_error(op, f, z) returns the image's values with it."""
-        return self.evaluator(_as_z(z))
+        return self.evaluator(_as_z(z), 0.0)
 
     def __add__(self, other: "HalfPlaneFunction") -> "HalfPlaneFunction":
         if not isinstance(other, HalfPlaneFunction):

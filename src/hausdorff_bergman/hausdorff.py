@@ -6,7 +6,11 @@ truncate(mu, delta).  Atom contributions are summed exactly; density
 contributions go through the adaptive quadrature, vectorized over
 evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
 implemented through the inversion push-forward of the measure, with direct
-quadrature available as an independent cross-check route.
+quadrature available as an independent cross-check route.  Points reach
+the kernel as pairs (zeta, lam) standing for z = e^lam zeta (see
+halfplane.py): the inner node t takes lam to lam - log t, and to lam + log t
+on the adjoint's direct route, so z/t and tz are never formed and no
+intermediate leaves the float range where they would.
 
 as_function puts the operator's measure on every term of f, and the
 result's terms are grouped by measure once (HalfPlaneFunction.sides).  Its
@@ -108,24 +112,28 @@ def _half_plane_points(z) -> np.ndarray:
     return zz
 
 
-def image_values(mu: Measure, ev, z: np.ndarray,
-                 cfg: QuadratureConfig) -> tuple[np.ndarray, float]:
-    """H g over a complex array z, for H the dilation average against mu
-    and ev the point values of g, with the inner quadrature's error."""
-    shape, z = z.shape, z.ravel()
-    out = np.zeros(z.shape, dtype=complex)
+def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
+                 sign: int = -1) -> tuple[np.ndarray, float]:
+    """The integral of t^sign g(t^sign z) dmu(t) at the points z = e^lam zeta
+    (lam broadcasting against zeta), for ev the point values of g in the
+    same format, with the inner quadrature's error: H g for sign = -1, the
+    adjoint's integral of t g(tz) for sign = +1.  The node t takes the
+    points to (zeta, lam + sign log t), so neither z/t nor tz is formed;
+    zeta goes to ev at the full nodes x points shape, as a view."""
+    shape, zeta = np.shape(zeta), np.ravel(zeta)
+    lam = np.broadcast_to(lam, shape).ravel() if np.ndim(lam) else float(lam)
+    out = np.zeros(zeta.shape, dtype=complex)
     for a in mu.atoms:
-        out = out + (a.weight / a.location) * np.asarray(ev(z / a.location))
-
-    # z's (Re, Im) pairs: scaling them by the real 1/t forms z/t without
-    # numpy's complex division, or its complex product, which is as slow here
-    zf = z.view(float)[None, :]
+        dilated = ev(zeta, lam + sign * math.log(a.location))
+        out = out + a.weight * a.location ** sign * np.asarray(dilated)
 
     def kernel(t):
-        r = 1.0 / np.asarray(t, dtype=float)[:, None]
-        return np.asarray(ev((zf * r).view(complex))) * r
+        t = np.asarray(t, dtype=float)[:, None]
+        nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
+        return np.asarray(ev(nodes, lam + sign * np.log(t))) * t ** sign
 
-    dens_val, err = _density_sum(mu, kernel, cfg, "operator integral")
+    what = "operator integral" if sign < 0 else "adjoint operator integral"
+    dens_val, err = _density_sum(mu, kernel, cfg, what)
     if dens_val is not None:
         out = out + dens_val
     return out.reshape(shape), err
@@ -137,7 +145,7 @@ def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
     cfg = cfg or QuadratureConfig()
     op._guard()
     zz = _half_plane_points(z)
-    vals, err = image_values(op.mu, f.evaluator, zz, cfg)
+    vals, err = image_values(op.mu, f.evaluator, zz, 0.0, cfg)
     value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
     return ApplyResult(value=value, error_estimate=err, converged=True)
 
@@ -164,23 +172,8 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
 
-    zz = _half_plane_points(z).ravel()
-    out = np.zeros(zz.shape, dtype=complex)
-    for a in mu.atoms:
-        out = out + a.weight * a.location * np.asarray(f(a.location * zz))
-    ev = f.evaluator
-    zf = zz.view(float)[None, :]  # t*z as the real product, as in image_values
-
-    def kernel(t):
-        tt = np.asarray(t, dtype=float)[:, None]
-        return np.asarray(ev((zf * tt).view(complex))) * tt
-
-    dens_val, _ = _density_sum(mu, kernel, cfg, "adjoint operator integral")
-    if dens_val is not None:
-        out = out + dens_val
-    if np.ndim(_as_z(z)) == 0:
-        return complex(out[0])
-    return out.reshape(np.asarray(_as_z(z)).shape)
+    vals, _ = image_values(mu, f.evaluator, _half_plane_points(z), 0.0, cfg, sign=1)
+    return complex(vals[0]) if np.ndim(_as_z(z)) == 0 else vals
 
 
 def as_function(op: HausdorffOperator, f: HalfPlaneFunction,

@@ -8,7 +8,11 @@ factor of the integrand is the sum of its sides (HalfPlaneFunction.sides,
 one per distinct measure among its terms), so a plain function is one side
 under the unit atom and sums, multiples and dilations of images stay on
 the lattice.  A source enters only through its log-space lattice values
-G(w, theta) = e^(q w) f(e^(w + i theta)), accurate where f underflows.
+G(w, theta) = e^(q w) f(e^(w + i theta)) (HalfPlaneFunction.lattice_values,
+from the pair zeta = e^(w - lam) e^(i theta), lam = max(w, 0)), accurate
+where f underflows or e^w leaves the float range, so every w = v - s is in
+reach; the window's bound |v| <= _V_CAP only makes an edge that never
+closes stop.
 In z = e^(v + i theta) and t = e^s, H is a convolution in v along every
 ray, so every evaluation of f serves all output points.  A norm sums |F|^p
 over one factor, a pairing F conj(G) over two, on one uniform v-lattice and
@@ -68,8 +72,10 @@ _GAUSS0 = 3        # Gauss-Legendre nodes per log-panel at rule 0; doubled
 _PANEL = 1.0       # widest log-panel of a finite segment
 _MAX_LEVELS = 12
 _EVALS_PER_SUBDIVISION = 10000  # family evaluations per run per max_subdivisions
-_W_CAP = 700.0     # |w| <= _W_CAP for every w = v - s, so that e^w and the
-                   # factor e^(2w/p) stay finite
+_V_CAP = 2000.0    # |v| <= _V_CAP at both window edges: an edge still open
+                   # there ends the run "tail".  It only makes a window that
+                   # never closes stop (the kernel takes any v and s), and
+                   # lies beyond log(shift t) for every double shift and t
 _S_CAP = 250.0     # a kernel reaches at most this far from its anchor
 _MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
                    # unit of v) at one end leaves that end's rate to be measured
@@ -242,8 +248,6 @@ class _SideLevel:
     ffts: list             # the FFT length of each kernel
     g_mass: list           # ||G||_p^p seen by each kernel, added up by block
     evals: int             # family evaluations per theta node
-    s_lo: float            # range of the shifts s in G(v - s)
-    s_hi: float
 
 
 class _Side:
@@ -399,8 +403,8 @@ class _Side:
     def level(self, rule: int, h: float, n_v: int) -> _SideLevel:
         """The inner rules of a level with step h and n_v rows, with the
         Gauss rule of index rule.  Built from the side's kept rules (see
-        _Side): per window try, only the FFT lengths, the shift range and
-        the evaluation count are worked out anew."""
+        _Side): per window try, only the FFT lengths and the evaluation
+        count are worked out anew."""
         shifts, coeffs, n_gauss = self._direct_terms(rule)
         if h not in self.kernels:  # a new level: the last one's kernels are done with
             self.kernels = {h: [self._conv_kernel(seg, h) for seg in self.touching]}
@@ -409,11 +413,8 @@ class _Side:
         # lattice point, and the values under every convolution kernel
         evals = n_v * len(shifts) + sum(n_v + len(kr.a) - 1 for kr in kernels)
         ffts = [1 << (n_v + len(kr.a) - 2).bit_length() for kr in kernels]
-        reach = np.concatenate([shifts] + [[kr.s_max - h * (len(kr.a) - 1), kr.s_max]
-                                           for kr in kernels])
         return _SideLevel(shifts, coeffs, len(self.atoms[0]), n_gauss,
-                          not (self.finite and rule), kernels, ffts, [0.0] * len(kernels),
-                          evals, float(reach.min()), float(reach.max()))
+                          not (self.finite and rule), kernels, ffts, [0.0] * len(kernels), evals)
 
     def _direct(self, lv: _SideLevel, v: np.ndarray, eb: np.ndarray):
         """c_k G(v - s_k) at the theta nodes eb for each direct term in
@@ -471,8 +472,6 @@ class _LevelSums:
                            # (1/pi) int |F||G| dtheta for a pairing
     kernel_tails: list     # (factor, geometric tail of a kernel, ||G||_p^p seen by it)
     own: np.ndarray        # ||F||_2^2 of each factor of a pairing
-    s_lo: float            # range of the shifts s in G(v - s)
-    s_hi: float
 
 
 class _LogPolarNorm:
@@ -596,8 +595,7 @@ class _LogPolarNorm:
             profs[1] = profs[0]
         tails = [(i, kr.tail, gm) for i, factor in enumerate(levels) for lv in factor
                  for kr, gm in zip(lv.kernels, lv.g_mass)]
-        return _LevelSums(profs, major if self.pair else profs[0], tails, own,
-                          min(lv.s_lo for lv in flat), max(lv.s_hi for lv in flat))
+        return _LevelSums(profs, major if self.pair else profs[0], tails, own)
 
     # -- refinement ------------------------------------------------------
 
@@ -612,28 +610,22 @@ class _LogPolarNorm:
             s_hi = math.log(t_hi) if math.isfinite(t_hi) else max(0.0, s_lo) + 4.0
             lo = min(lo, s_lo + math.log(sigma) - 4.0)
             hi = max(hi, s_hi + math.log(sigma) + 8.0)
-        cap = _W_CAP - _S_CAP
-        lo, hi = max(lo, -cap), min(hi, cap)
         self.v_lo, self.v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
         self.h0 = _H0
 
-    def _grow(self, left: bool, sums: _LevelSums) -> bool:
+    def _grow(self, left: bool) -> bool:
         """Move an edge out by half the window (at least 4, a multiple of
-        h0), keeping every w = v - s of this level within the cap; False
-        when there is no room left."""
+        h0); False, the window unchanged, where that would take it beyond
+        _V_CAP."""
         h0 = self.h0
         step = h0 * max(4, math.ceil(0.5 * (self.v_hi - self.v_lo) / h0))
-        if left:
-            room = self.v_lo - sums.s_hi + _W_CAP
-        else:
-            room = _W_CAP + sums.s_lo - self.v_hi
-        step = min(step, h0 * math.floor(room / h0))
-        if step <= 0.0:
+        edge = self.v_lo - step if left else self.v_hi + step
+        if abs(edge) > _V_CAP:
             return False
         if left:
-            self.v_lo -= step
+            self.v_lo = edge
         else:
-            self.v_hi += step
+            self.v_hi = edge
         return True
 
     def _edge(self, prof, major, h: float, m: int, floor, exact):
@@ -679,8 +671,7 @@ class _LogPolarNorm:
             edges = (add_lo + add_hi, err_lo + err_hi)
             if not (open_lo or open_hi):
                 return sums, cores, edges, True
-            if (open_lo and not self._grow(True, sums)) or (
-                    open_hi and not self._grow(False, sums)):
+            if (open_lo and not self._grow(True)) or (open_hi and not self._grow(False)):
                 return sums, cores, edges, False
 
     def run(self) -> IntegralResult:

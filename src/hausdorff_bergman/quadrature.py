@@ -439,8 +439,8 @@ def bergman_norm_p(f, p: float,
     res = bergman_norm_p_power(f, p, cfg)
     ival = max(float(np.real(res.value)), 0.0)
     norm = ival ** (1.0 / p)
-    if ival > 0.0:
-        err = res.error_estimate * norm / (p * ival)
+    if ival > 0.0:  # relative error over p first: error * norm may overflow
+        err = res.error_estimate / ival / p * norm
     else:
         err = res.error_estimate ** (1.0 / p)
     converged = res.converged and (

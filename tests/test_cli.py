@@ -185,6 +185,18 @@ def test_norm_of_rational(capsys):
     np.testing.assert_allclose(float(out[0]), 0.5, rtol=1e-6)
 
 
+def test_norm_of_a_huge_value_has_a_finite_error(capsys):
+    # ||(z + 1e-250 i)^-1.5||_2 = sqrt(2 / pi) 1e125: its error was formed as
+    # error * norm / (p * norm^p), whose product overflowed to "error inf"
+    # with exit 1, although the p-th power converged
+    code = main(["norm", "-f", "ratpow:shift=1e-250,exp=1.5", "-p", "2"])
+    out = capsys.readouterr().out.split()
+    assert code == 0
+    value, err = float(out[0]), float(out[2])
+    exact = math.sqrt(2.0 / math.pi) * 1e125
+    assert abs(value - exact) <= err <= 1e-8 * exact
+
+
 @pytest.mark.parametrize("spec", [
     "ratpow:shift=nan,exp=2", "ratpow:shift=1,exp=inf", "ratpow:shift=inf,exp=2",
     "ratpow:shift=1,exp=nan", "gmod:lambda=inf,delta=1,p=2", "gmod:lambda=1,delta=nan,p=2",

@@ -276,9 +276,9 @@ def test_evaluator_passed_in_is_kept():
     f = rational_power(1.0, 2.0)
     calls = []
 
-    def spy(z):
-        calls.append(np.size(z))
-        return f.evaluator(z)
+    def spy(zeta, lam):
+        calls.append(np.size(zeta))
+        return f.evaluator(zeta, lam)
 
     np.testing.assert_allclose(dataclasses.replace(f, evaluator=spy)(1j), f(1j), rtol=0)
     assert calls == [1]
@@ -339,35 +339,48 @@ def test_point_values_of_cancelling_groups_against_mpmath():
 @pytest.mark.parametrize("family", ["ratpow", "gmod"])
 @pytest.mark.parametrize("a", [-0.5, 0.0, 0.45, 2.0, 2.1, 4.05])
 def test_single_term_against_mpmath(family, a):
-    # a term is e^pre (z + i shift)^-a from log|w| and arctan2 of
-    # w = z + i shift: within 64 eps (1 + |a log|w||) relative, at points
-    # (scalar and array) and on the lattice, for |w| from the shift up to
-    # 1e300 and arg z next to 0 and pi; an exact value below the float
-    # range reads 0, within a few subnormal ulps
+    # a term is e^(pre - a lam) w^-a from log|w| and arctan2 of
+    # w = zeta + i shift e^-lam, at z = e^lam zeta: within
+    # 64 eps (1 + |a log|z + i shift||) relative, at points (scalar and
+    # array) and on the lattice, for |z + i shift| from the shift up to
+    # 1e300 and arg z next to 0 and pi, and on lattice rows whose e^w
+    # leaves the float range (w = +-720, +-800); an exact value below the
+    # float range reads 0, within a few subnormal ulps
     mpmath = pytest.importorskip("mpmath")
     shift = 0.75
     f = HalfPlaneFunction((Term(1.0, UNIT, family, shift, a),))
     eith = np.exp(1j * np.array([1e-12, 1e-6, 1.0, math.pi / 2.0,
                                  math.pi - 1e-6, math.pi - 1e-12]))
     radii = np.array([0.0, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e30, 1e150, 1e300])
-    w = np.log(radii[1:])
-    q = a  # keeps e^(q w) |z|^-a near 1 on the lattice out to 1e300
+    w = np.concatenate([np.log(radii[1:]), [720.0, 800.0]])
+    q = a  # keeps e^(q w) |z|^-a near 1 on the lattice out to e^800
+    # where e^w underflows, z + i shift is i shift to the last bit; there
+    # q = 0 keeps the value's exponent small, as the bound counts the
+    # rounding of a log|z + i shift|, not that of the prefactor q w
+    w_below = np.array([-800.0, -720.0])
     z = radii[:, None] * eith
     no_pre = np.zeros((len(radii), 1))
-    cases = [(z, f(z), no_pre),
-             (z, np.array([[f(complex(x)) for x in row] for row in z]), no_pre),
-             # the points and prefactors lattice_values evaluates
-             (np.exp(w)[:, None] * eith, f.lattice_values(w, eith, q), (q * w)[:, None])]
     eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        for zz, got, pre in cases:
-            for (i, j), x in np.ndenumerate(zz):
-                wm = mpmath.mpc(x.real, x.imag) + mpmath.mpc(0, shift)
-                base = wm if family == "ratpow" else abs(wm)
-                exact = mpmath.exp(mpmath.mpf(pre[i, 0]) - a * mpmath.log(base))
-                tol = 64 * eps * (1 + abs(a * mpmath.log(abs(wm))))
-                err = abs(mpmath.mpc(complex(got[i, j])) - exact)
-                assert err <= tol * abs(exact) + 4 * math.ulp(0.0), (x, got[i, j], exact)
+        at_z = [[mpmath.mpc(x.real, x.imag) for x in row] for row in z]
+
+        def lattice(rows, q):
+            """the points e^w e^(i theta) and prefactors lattice_values evaluates"""
+            points = [[mpmath.exp(x) * mpmath.mpc(e.real, e.imag) for e in eith] for x in rows]
+            return points, f.lattice_values(rows, eith, q), (q * rows)[:, None]
+
+        cases = [(at_z, f(z), no_pre),
+                 (at_z, np.array([[f(complex(x)) for x in row] for row in z]), no_pre),
+                 lattice(w, q), lattice(w_below, 0.0)]
+        for points, got, pre in cases:
+            for i, row in enumerate(points):
+                for j, x in enumerate(row):
+                    wm = x + mpmath.mpc(0, shift)
+                    base = wm if family == "ratpow" else abs(wm)
+                    exact = mpmath.exp(mpmath.mpf(pre[i, 0]) - a * mpmath.log(base))
+                    tol = 64 * eps * (1 + abs(a * mpmath.log(abs(wm))))
+                    err = abs(mpmath.mpc(complex(got[i, j])) - exact)
+                    assert err <= tol * abs(exact) + 4 * math.ulp(0.0), (x, got[i, j], exact)
 
 
 def test_function_arithmetic():

@@ -212,22 +212,15 @@ def test_image_of_a_cancelling_pair_against_mpmath():
     assert abs(hf(z) - exact) <= rel_tol * abs(exact)
 
 
-_LIMIT_MISSES = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "z/t beyond the float range takes the term's limit 0; for t < 0.167 the "
-    "true |z/t|^-0.5 is still some 1e-155, a third of the integral, which the "
-    "error estimate does not see"))
-
-
 @pytest.mark.parametrize("z", [1e307j, 3e307 + 1e307j])
 @pytest.mark.parametrize("family,a", [
     ("ratpow", 0.5), ("ratpow", 2.0), ("gmod", 0.5), ("gmod", 2.0)])
-def test_image_where_z_over_t_overflows(family, a, z, request):
-    # under uniform[0.01, 1], z/t leaves the float range for small t, where
-    # each term takes its limit at infinity: the value is finite, no
-    # warning escapes, and it lies within its error estimate of the integral
+def test_image_where_z_over_t_overflows(family, a, z):
+    # under uniform[0.01, 1], z/t would leave the float range for small t;
+    # the inner nodes reach the kernel as (z, -log t), so the value is
+    # finite, no warning escapes, and it lies within its error estimate of
+    # the integral
     mpmath = pytest.importorskip("mpmath")
-    if a == 0.5 and z.real:
-        request.applymarker(_LIMIT_MISSES)
     f = HalfPlaneFunction((Term(1.0, UNIT, family, 1.0, a),))
     mu = Measure(segments=(DensitySegment.from_spec(0.01, 1.0, ("const", (1.0,))),))
     with warnings.catch_warnings():
@@ -248,6 +241,34 @@ def test_image_where_z_over_t_overflows(family, a, z, request):
 # ---------------------------------------------------------------------------
 # quasi (adjoint) operator
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ["direct", "pushforward"])
+@pytest.mark.parametrize("family", ["ratpow", "gmod"])
+def test_quasi_where_tz_overflows(family, route):
+    # at z = 3e307 + 1e307i under uniform[1, 100], tz leaves the float
+    # range for t > 5.7 on the direct route, and z/s for s < 0.18 under the
+    # push-forward; the nodes reach the kernel as (z, +-log t), so both
+    # routes land on the integral (they read 1.3e-153 and 1.4e-153 for
+    # 1.2e-151 when those terms took their limit 0).  The value is some
+    # 1e-151, so abs_tol goes below it
+    mpmath = pytest.importorskip("mpmath")
+    z = 3e307 + 1e307j
+    f = HalfPlaneFunction((Term(1.0, UNIT, family, 1.0, 0.5),))
+    mu = Measure(segments=(DensitySegment.from_spec(1.0, 100.0, ("const", (1.0,))),))
+    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = apply_quasi(mu, f, z, cfg, route=route)
+    with mpmath.workdps(30):
+        zm = mpmath.mpc(z.real, z.imag)
+
+        def integrand(t):
+            w = zm * t + 1j
+            return (w ** -0.5 if family == "ratpow" else abs(w) ** -0.5) * t
+
+        exact = complex(mpmath.quad(integrand, [1.0, 10.0, 100.0]))
+    assert abs(value - exact) <= 1e-9 * abs(exact)
 
 
 def test_quasi_identity_atom():

@@ -706,14 +706,14 @@ def test_wrapped_evaluator_gives_bitwise_identical_norm(monkeypatch):
              (dilate(hf, 2.0), [mu]))
     # nor is the point evaluator of any record the engine builds called
     monkeypatch.setattr(HalfPlaneFunction, "_values",
-                        lambda self, z: pytest.fail("a point evaluator was called"))
+                        lambda self, zeta, lam: pytest.fail("a point evaluator was called"))
     for fn, measures in cases:
         assert [t.measure for t in fn.terms] == measures  # the images stay images
         calls = []
 
-        def wrapped(z, fn=fn):
-            calls.append(np.size(z))
-            return fn.evaluator(z)
+        def wrapped(zeta, lam, fn=fn):
+            calls.append(np.size(zeta))
+            return fn.evaluator(zeta, lam)
 
         traced = dataclasses.replace(fn, evaluator=wrapped)
         assert traced.evaluator is wrapped

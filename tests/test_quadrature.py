@@ -155,6 +155,20 @@ def test_triangle_inequality():
         assert nfg <= nf + ng + 1e-8 * (nf + ng)
 
 
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_norm_root_of_a_huge_norm_has_a_finite_error(p):
+    # ||f(./s)||_p = s^(2/p) ||f||_p is 1e200 at p = 1.5 for s = 1e150: the
+    # root's error, error * norm / (p * norm^p), overflowed in the product,
+    # read inf and left a converged p-th power unconverged with no reason
+    a, s = 2.0 / p + 0.5, 1e150
+    res = bergman_norm_p(dilate(rational_power(1.0, a), s), p, CFG)
+    pa = p * a
+    power = math.gamma((pa - 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(pa / 2.0)) / (pa - 2.0)
+    exact = s ** (2.0 / p) * power ** (1.0 / p)
+    assert res.converged and res.failure_reason is None
+    assert abs(res.value - exact) <= res.error_estimate <= CFG.rel_tol * exact
+
+
 def test_pairing_self_is_norm_squared():
     f = rational_power(1.0, 2.0)
     res = pairing(f, f, CFG)
