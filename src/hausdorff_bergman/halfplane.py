@@ -14,10 +14,11 @@ Every point reaches the kernel as a pair (zeta, lam) standing for
 z = e^lam zeta (complex zeta of the points' shape, real lam broadcasting
 against it): point values pass lam = 0, an image's inner nodes
 lam - log t and a lattice row lam = max(w, 0) with
-zeta = e^(w - lam) e^(i theta), so z/t and e^w are never formed.  The kernel takes each term from w = zeta + i shift e^-lam,
-as z + i shift = e^lam w: e^(pre - a lam - a log|w|) e^(-i a arg w), in
-real ufuncs (_power), and no intermediate leaves the float range for
-finite zeta and lam, even where z would.  arg w comes from arctan2, in
+zeta = e^(w - lam) e^(i theta), so z/t and e^w are never formed.  The
+kernel takes each term from w = zeta + i shift e^-lam, as
+z + i shift = e^lam w: e^(pre - a lam - a log|w|) e^(-i a arg w), in real
+ufuncs (_power), and no intermediate leaves the float range for finite
+zeta and lam, even where z would.  arg w comes from arctan2, in
 (-pi, pi]: complex powers always follow the principal branch, and no
 other branch is used anywhere in the package.
 """
