@@ -12,7 +12,8 @@ derived from the terms too.
 
 Every point reaches the kernel as a pair (zeta, lam) standing for
 z = e^lam zeta (complex zeta of the points' shape, real lam broadcasting
-against it): point values pass lam = 0, an image's inner nodes
+against it): point values pass lam = 0 (lam = log 2 and zeta = z/2 at a
+point whose modulus overflows, _point_pair), an image's inner nodes
 lam - log t and a lattice row lam = max(w, 0) with
 zeta = e^(w - lam) e^(i theta), so z/t and e^w are never formed.  The
 kernel takes each term from w = zeta + i shift e^-lam, as
@@ -62,6 +63,19 @@ def _as_z(z):
     """Accept complex scalars or array-likes of complex."""
     arr = np.asarray(z)
     return complex(arr) if arr.ndim == 0 else arr
+
+
+def _point_pair(z):
+    """Points z (a complex scalar or array) as the pair (zeta, lam) of the
+    point format (see the module docstring): (z, 0), except that a point
+    whose modulus overflows passes (z/2, log 2), as |z|/2 is below the
+    largest double wherever both parts of z are.  Done once per call at the
+    entry points: the kernel (_power) takes |zeta| as it is."""
+    z = _as_z(z)
+    big = np.isinf(np.abs(z))
+    if not big.any():
+        return z, 0.0
+    return np.where(big, 0.5 * z, z), np.where(big, math.log(2.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -409,7 +423,7 @@ class HalfPlaneFunction:
         """The values at z only.  On an image each side's inner quadrature
         over its measure has an error, which is dropped here;
         apply_with_error(op, f, z) returns the image's values with it."""
-        return self.evaluator(_as_z(z), 0.0)
+        return self.evaluator(*_point_pair(z))
 
     def __add__(self, other: "HalfPlaneFunction") -> "HalfPlaneFunction":
         if not isinstance(other, HalfPlaneFunction):

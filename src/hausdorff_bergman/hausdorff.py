@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergentIntegral
-from .halfplane import HalfPlaneFunction, _as_z
+from .halfplane import HalfPlaneFunction, _as_z, _point_pair
 from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse
 from .quadrature import IntegralResult, QuadratureConfig, integrate_segment, pairing
 
@@ -145,7 +145,7 @@ def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
     cfg = cfg or QuadratureConfig()
     op._guard()
     zz = _half_plane_points(z)
-    vals, err = image_values(op.mu, f.evaluator, zz, 0.0, cfg)
+    vals, err = image_values(op.mu, f.evaluator, *_point_pair(zz), cfg)
     value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
     return ApplyResult(value=value, error_estimate=err, converged=True)
 
@@ -172,7 +172,7 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
 
-    vals, _ = image_values(mu, f.evaluator, _half_plane_points(z), 0.0, cfg, sign=1)
+    vals, _ = image_values(mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg, sign=1)
     return complex(vals[0]) if np.ndim(_as_z(z)) == 0 else vals
 
 

@@ -2,12 +2,13 @@
 half-plane engine.
 
 `bergman_norm_p_power` and `pairing` (quadrature.py) send every function
-here.  The engine works on sides.  A side is a measure mu and a plain
-source f, standing for Hf(z) = integral of (1/t) f(z/t) dmu(t).  Each
-factor of the integrand is the sum of its sides (HalfPlaneFunction.sides,
-one per distinct measure among its terms), so a plain function is one side
-under the unit atom and sums, multiples and dilations of images stay on
-the lattice.  A source enters only through its log-space lattice values
+here, through one entry (integral).  The engine works on sides.  A side is
+a measure mu and a plain source f, standing for
+Hf(z) = integral of (1/t) f(z/t) dmu(t).  Each factor of the integrand is
+the sum of its sides (HalfPlaneFunction.sides, one per distinct measure
+among its terms), so a plain function is one side under the unit atom and
+sums, multiples and dilations of images stay on the lattice.  A source
+enters only through its log-space lattice values
 G(w, theta) = e^(q w) f(e^(w + i theta)) (HalfPlaneFunction.lattice_values,
 from the pair zeta = e^(w - lam) e^(i theta), lam = max(w, 0)), accurate
 where f underflows or e^w leaves the float range, so every w = v - s is in
@@ -215,8 +216,8 @@ def _lattice_error(diffs) -> float:
 
 
 class _Stop(Exception):
-    """The run cannot go on: args[0] is the failure reason, "tail" (a window
-    edge or a kernel end cannot be closed within the caps) or "budget"."""
+    """The lattice run's only early exit, caught in one place (run):
+    args[0] is the failure reason, "tail" or "budget"."""
 
 
 @dataclass
@@ -600,8 +601,9 @@ class _LogPolarNorm:
     # -- refinement ------------------------------------------------------
 
     def _initial_window(self) -> None:
-        """Window [v_lo, v_hi] and level-0 step h0: edges around the scales
-        the sides' shifts and measures' supports set; they grow in _sums."""
+        """Window [v_lo, v_hi]: edges around the scales the sides' shifts
+        and measures' supports set, on the level-0 lattice; they grow in
+        _sums."""
         lo, hi = math.inf, -math.inf
         for side in self.sides:
             sigma = side.shift if side.shift > 0.0 else 1.0
@@ -611,14 +613,12 @@ class _LogPolarNorm:
             lo = min(lo, s_lo + math.log(sigma) - 4.0)
             hi = max(hi, s_hi + math.log(sigma) + 8.0)
         self.v_lo, self.v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
-        self.h0 = _H0
 
     def _grow(self, left: bool) -> bool:
         """Move an edge out by half the window (at least 4, a multiple of
-        h0); False, the window unchanged, where that would take it beyond
+        _H0); False, the window unchanged, where that would take it beyond
         _V_CAP."""
-        h0 = self.h0
-        step = h0 * max(4, math.ceil(0.5 * (self.v_hi - self.v_lo) / h0))
+        step = _H0 * max(4, math.ceil(0.5 * (self.v_hi - self.v_lo) / _H0))
         edge = self.v_lo - step if left else self.v_hi + step
         if abs(edge) > _V_CAP:
             return False
@@ -645,22 +645,20 @@ class _LogPolarNorm:
         return fit if fit is not None and fit[1] < best[1] else best
 
     def _sums(self, lvl: int, rule: int, h: float):
-        """One level on a window grown until the error counted for its
-        edges (_edge) is below an eighth of the tolerance.  Returns
+        """One completed level, on a window grown until the error counted
+        for its edges (_edge) is below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower), (edge amounts
-        added to the value, edge amounts counted in the error), whether both
-        edges closed), or a failure reason."""
+        added to the value, edge amounts counted in the error)).  Raises
+        _Stop: "tail" for a non-finite sum or an edge still open at _V_CAP,
+        "budget" (from _level) for evaluations beyond the budget."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         while True:
             n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-            try:
-                sums = self._level(lvl, rule, self.v_lo, n_v, h)
-            except _Stop as stop:
-                return stop.args[0]
+            sums = self._level(lvl, rule, self.v_lo, n_v, h)
             cores = tuple(h * np.sum(pr).item() for pr in sums.profs)
             if not all(map(cmath.isfinite, cores)):
-                return "tail"
+                raise _Stop("tail")
             tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
             prof = sums.profs[0]
             add_lo, err_lo = self._edge(prof[m::-1], sums.major[m::-1], h, m,
@@ -668,11 +666,10 @@ class _LogPolarNorm:
             add_hi, err_hi = self._edge(prof[-(m + 1):], sums.major[-(m + 1):], h, m,
                                         self.rate_hi, self.exact_hi)
             open_lo, open_hi = err_lo > tau, err_hi > tau
-            edges = (add_lo + add_hi, err_lo + err_hi)
             if not (open_lo or open_hi):
-                return sums, cores, edges, True
+                return sums, cores, (add_lo + add_hi, err_lo + err_hi)
             if (open_lo and not self._grow(True)) or (open_hi and not self._grow(False)):
-                return sums, cores, edges, False
+                raise _Stop("tail")
 
     def run(self) -> IntegralResult:
         """Refine level by level; converged once the error budget
@@ -681,71 +678,69 @@ class _LogPolarNorm:
         (inner-rule plus lattice difference) contract.  The lattice
         difference compares two levels on one Gauss rule and one Gregory
         order.  The Gauss rule starts at index 0, which has no lower rule to
-        be measured against, so it advances at least once."""
+        be measured against, so it advances at least once.
+
+        A run stops "tail" on a non-finite sum or an edge still open at
+        _V_CAP (_sums), a kernel end open at _S_CAP (_kernel_side) or
+        kernel cut-offs above the tolerance, and "budget" on evaluations
+        beyond the budget (_level) or after _MAX_LEVELS levels.  It reports
+        its last completed level's value and count, with that level's error
+        for "budget" (inf for level 0, which has none) and inf for "tail"."""
         cfg, p = self.cfg, self.p
         levels = "lattice levels"
         self._initial_window()
         self.budget = _EVALS_PER_SUBDIVISION * cfg.max_subdivisions
         self.evals = 0
-        prev_value = prev_d = None
+        prev_d = None
         diffs = []  # the lattice difference of each level after the first
         rule, held = 0, False
-        value, err, reason = 0.0, math.inf, "budget"
-        for lvl in range(_MAX_LEVELS):
-            out = self._sums(lvl, rule, self.h0 / 2.0 ** lvl)
-            if isinstance(out, str):
-                reason = out
-                break
-            sums, (core, core_g), (add, edge_err), closed = out
-            value, value_j = core + add, core_g + add
-            if not closed:  # an edge stayed open at the cap
-                err, reason = math.inf, "tail"
-                break
-            if self.pair:
-                # a kernel cut off with tail mass T moves its factor by at most
-                # T ||G||_2 (Minkowski), hence the pairing by that times the
-                # other factor's ||F||_2 (Cauchy-Schwarz)
-                fixed = sum(t * math.sqrt(g * sums.own[1 - i])
-                            for i, t, g in sums.kernel_tails)
-            else:
-                # ... and a norm's p-th power by p ||F||_p^(p-1) T ||G||_p
-                fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
-                            for _, t, g in sums.kernel_tails)
-            if prev_value is None:
-                prev_value, rule = value, 1
-                continue
-            # the lattice difference compares sums on one Gauss rule and one
-            # Gregory order: this level's own rule if it was held, the
-            # one-lower rule (which the last level used) if it advanced
-            inner = abs(value - value_j)
-            diffs.append(abs((value if held else value_j) - prev_value))
-            d = inner + diffs[-1]
-            err = inner + _lattice_error(diffs) + edge_err + fixed
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if fixed > tol:  # no refinement can shrink these
-                reason = "tail"
-                break
-            contracting = prev_d is not None and (d < prev_d or d <= 1e-13 * abs(value))
-            prev_value, prev_d = value, d
-            if contracting and err <= tol:
-                return IntegralResult(value, err, lvl + 1, True, unit=levels)
-            held = abs(core - core_g) <= tol / 8.0
-            if not held:
-                rule += 1
-        return IntegralResult(value, err, lvl + 1, False, reason, unit=levels)
+        value, err, done = 0.0, math.inf, 0  # the last completed level
+        try:
+            for lvl in range(_MAX_LEVELS):
+                sums, (core, core_g), (add, edge_err) = self._sums(lvl, rule, _H0 / 2.0 ** lvl)
+                prev_value, value, value_j, done = value, core + add, core_g + add, lvl + 1
+                if not lvl:
+                    rule = 1
+                    continue
+                if self.pair:
+                    # a kernel cut off with tail mass T moves its factor by at
+                    # most T ||G||_2 (Minkowski), hence the pairing by that
+                    # times the other factor's ||F||_2 (Cauchy-Schwarz)
+                    fixed = sum(t * math.sqrt(g * sums.own[1 - i])
+                                for i, t, g in sums.kernel_tails)
+                else:
+                    # ... and a norm's p-th power by p ||F||_p^(p-1) T ||G||_p
+                    fixed = sum(p * value ** (1.0 - 1.0 / p) * t * g ** (1.0 / p)
+                                for _, t, g in sums.kernel_tails)
+                # the lattice difference compares sums on one Gauss rule and
+                # one Gregory order: this level's own rule if it was held, the
+                # one-lower rule (which the last level used) if it advanced
+                inner = abs(value - value_j)
+                diffs.append(abs((value if held else value_j) - prev_value))
+                d = inner + diffs[-1]
+                err = inner + _lattice_error(diffs) + edge_err + fixed
+                tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+                if fixed > tol:  # no refinement can shrink these
+                    raise _Stop("tail")
+                contracting = prev_d is not None and (d < prev_d or d <= 1e-13 * abs(value))
+                prev_d = d
+                if contracting and err <= tol:
+                    return IntegralResult(value, err, done, True, unit=levels)
+                held = abs(core - core_g) <= tol / 8.0
+                if not held:
+                    rule += 1
+            reason = "budget"
+        except _Stop as stop:
+            reason = stop.args[0]
+        return IntegralResult(value, err if reason == "budget" else math.inf, done,
+                              False, reason, unit=levels)
 
 
-def _run(factors, p: float, cfg: QuadratureConfig) -> IntegralResult:
+def integral(functions, p: float, cfg: QuadratureConfig) -> IntegralResult:
+    """||f||_p^p = (1/pi) int |f|^p dA of one function f, or the pairing
+    (1/pi) int f conj(g) dA of two (at p = 2, q = 1 on both), on the
+    lattice; exactly 0 where a function is zero (has no sides)."""
+    factors = [f.sides for f in functions]
     if all(factors):
         return _LogPolarNorm(factors, p, cfg).run()
     return IntegralResult(0j if len(factors) == 2 else 0.0, 0.0, 1, True, unit="lattice levels")
-
-
-def norm_power(f, p: float, cfg: QuadratureConfig) -> IntegralResult:
-    """||f||_p^p = (1/pi) int |f|^p dA on the lattice."""
-    return _run([f.sides], p, cfg)
-
-
-def pairing(f, g, cfg: QuadratureConfig) -> IntegralResult:
-    """(1/pi) int f conj(g) dA on the lattice, with q = 1 on both factors."""
-    return _run([f.sides, g.sides], 2.0, cfg)

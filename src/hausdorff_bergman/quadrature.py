@@ -11,9 +11,14 @@ integrand decays exponentially for every integrand this package produces;
 the half-line in u is swept in doubling blocks until the remainder is
 negligible.
 
-Bergman norms and pairings over the upper half-plane are computed on the
-log-polar lattice of logpolar.py, for operator images and plain functions
-alike.
+The half-plane entry points bergman_norm_p_power and pairing check
+integrability and call logpolar.integral, the log-polar lattice of
+logpolar.py, for operator images and plain functions alike; bergman_norm_p
+takes the p-th root of the former.
+
+Every result states why refinement stopped by one rule (IntegralResult):
+converged; "budget", with the last completed value and its error; or
+"tail", with the last completed value and error inf.
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -122,11 +127,20 @@ class QuadratureConfig:
 class IntegralResult:
     """Outcome of an integration.
 
-    failure_reason is None when converged, otherwise 'budget' (subdivision
-    or evaluation budget exhausted) or 'tail' (an improper tail kept
-    contributing up to the representable limit).  subdivisions_used counts
-    what unit names: panel bisections ("subdivisions") in one dimension,
-    refinement levels ("lattice levels") on the log-polar lattice.
+    failure_reason is None exactly when converged.  Otherwise the value is
+    the last one completed (the panels refined so far in one dimension, the
+    last completed level on the lattice) and failure_reason says why
+    refinement stopped:
+
+    - 'budget': the subdivision or evaluation budget is spent; the error
+      estimate is that of the value (inf where it has none yet);
+    - 'tail': an improper tail, a window edge or a kernel end kept
+      contributing up to the representable limit, or a sum was not finite;
+      the error estimate is inf, as no finite error can be vouched for.
+
+    subdivisions_used counts what unit names: panel bisections
+    ("subdivisions") in one dimension, completed refinement levels
+    ("lattice levels") on the log-polar lattice.
     """
 
     value: complex | float
@@ -322,12 +336,13 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str
 
 def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
             reason: str | None = None) -> IntegralResult:
-    """Reserve the tail allowance, refine, certify and report."""
+    """Reserve the tail allowance, refine, certify and report; a "tail"
+    failure reports error inf (see IntegralResult)."""
     pool.reserved_error = tail_rem
     pool.refine()
     if reason is None and pool.exhausted:
         reason = "budget"
-    total_err = float(pool.error + tail_rem)
+    total_err = math.inf if reason == "tail" else float(pool.error + tail_rem)
     # converged must certify the reported error against the raw tolerance
     val_sup = _sup(pool.value)
     ok = bool(reason is None and math.isfinite(val_sup) and total_err <= max(
@@ -367,12 +382,13 @@ def integrate_segment(f, lo: float, hi: float,
     if math.isinf(hi) and lo == 0.0:
         left = integrate_segment(f, 0.0, 1.0, cfg)
         right = integrate_segment(f, 1.0, math.inf, cfg)
+        reasons = (left.failure_reason, right.failure_reason)
         return IntegralResult(
             value=left.value + right.value,
             error_estimate=left.error_estimate + right.error_estimate,
             subdivisions_used=left.subdivisions_used + right.subdivisions_used,
             converged=left.converged and right.converged,
-            failure_reason=left.failure_reason or right.failure_reason,
+            failure_reason="tail" if "tail" in reasons else reasons[0] or reasons[1],
         )
     if math.isinf(hi):
         a = lo
@@ -423,37 +439,52 @@ def bergman_norm_p_power(f, p: float,
             "f is not in A^p"
         )
     # imported here: logpolar builds on this module
-    from .logpolar import norm_power
+    from .logpolar import integral
 
-    return norm_power(f, p, cfg)
+    return integral([f], p, cfg)
 
 
 def bergman_norm_p(f, p: float,
                    cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Bergman space norm ||f||_p = ((1/pi) * integral |f|^p dA)^(1/p).
 
-    All internal work happens on the p-th power; the root is applied once
-    at the end and the error estimate is transformed accordingly.
+    All internal work happens on the p-th power; the root is applied at
+    the end and the error estimate is transformed accordingly.  A power
+    that converged on abs_tol can leave the root's error above the root's
+    own tolerance max(abs_tol, rel_tol * norm); the power then runs once
+    more at the abs_tol that gives the root that tolerance, and a root
+    still above it reports "budget".
     """
     cfg = cfg or QuadratureConfig()
     res = bergman_norm_p_power(f, p, cfg)
+    norm, err, ok = _root(res, p, cfg)
+    if res.converged and not ok:
+        # d norm = d power / (p norm^(p-1)), and norm^(p-1) = power / norm
+        power = float(np.real(res.value))
+        abs_tol = p * (power / norm) * max(cfg.abs_tol, cfg.rel_tol * norm)
+        res = bergman_norm_p_power(f, p, replace(cfg, abs_tol=max(abs_tol, math.ulp(0.0))))
+        norm, err, ok = _root(res, p, cfg)
+    return IntegralResult(
+        value=norm,
+        error_estimate=err,
+        subdivisions_used=res.subdivisions_used,
+        converged=ok,
+        failure_reason=None if ok else res.failure_reason or "budget",
+        unit=res.unit,
+    )
+
+
+def _root(res: IntegralResult, p: float, cfg: QuadratureConfig):
+    """(norm, its error, whether it is converged within the root's own
+    tolerance) from the p-th power res."""
     ival = max(float(np.real(res.value)), 0.0)
     norm = ival ** (1.0 / p)
     if ival > 0.0:  # relative error over p first: error * norm may overflow
         err = res.error_estimate / ival / p * norm
     else:
         err = res.error_estimate ** (1.0 / p)
-    converged = res.converged and (
-        norm == 0.0 or err <= max(cfg.abs_tol, cfg.rel_tol * norm)
-    )
-    return IntegralResult(
-        value=norm,
-        error_estimate=err,
-        subdivisions_used=res.subdivisions_used,
-        converged=converged,
-        failure_reason=res.failure_reason,
-        unit=res.unit,
-    )
+    ok = res.converged and (norm == 0.0 or err <= max(cfg.abs_tol, cfg.rel_tol * norm))
+    return norm, err, ok
 
 
 def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
@@ -465,6 +496,6 @@ def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
         raise NonIntegrableAtInfinity(
             f"decay powers sum to {total_power:.3g} <= 2; pairing not integrable"
         )
-    from .logpolar import pairing as lattice_pairing
+    from .logpolar import integral
 
-    return lattice_pairing(f, g, cfg)
+    return integral([f, g], 2.0, cfg)

@@ -95,6 +95,18 @@ def test_apply_divergent_needs_delta(measures, capsys):
     assert "moment diverges" in err
 
 
+def test_apply_tail_failure_exits_1(tmp_path, capsys):
+    # a constant density on [1, inf) without exponents: boundedness is
+    # inconclusive, so the operator evaluates, and its inner integral's
+    # tail does not converge
+    path = tmp_path / "flat.json"
+    path.write_text('{"atoms": [], "segments": [{"lo": 1.0, "hi": "inf", '
+                    '"density": {"kind": "const", "params": [1.0]}}]}', encoding="utf-8")
+    code = main(["apply", "-m", str(path), "-f", "ratpow:shift=1,exp=2", "-z", "0+1i"])
+    assert code == 1
+    assert "tail fails to converge" in capsys.readouterr().err
+
+
 def test_apply_divergent_with_delta(measures, capsys):
     code = main(["apply", "-m", measures["divergent"], "-f",
                  "ratpow:shift=1,exp=2", "-z", "0+1i", "--delta", "0.25"])
@@ -195,6 +207,17 @@ def test_norm_of_a_huge_value_has_a_finite_error(capsys):
     value, err = float(out[0]), float(out[2])
     exact = math.sqrt(2.0 / math.pi) * 1e125
     assert abs(value - exact) <= err <= 1e-8 * exact
+
+
+def test_norm_root_converged_on_abs_tol(capsys):
+    # ||(z + 1000 i)^-2||_2 = 1/2000: the p-th power, some 2.5e-7, converged
+    # on abs_tol, its root's error (3.4e-9) missed the root's tolerance
+    # 5e-10 and the command exited 1
+    code = main(["norm", "-f", "ratpow:shift=1000,exp=2", "-p", "2"])
+    out = capsys.readouterr().out.split()
+    assert code == 0
+    value, err = float(out[0]), float(out[2])
+    assert abs(value - 5e-4) <= err <= 5e-10
 
 
 @pytest.mark.parametrize("spec", [

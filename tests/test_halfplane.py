@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,6 +382,32 @@ def test_single_term_against_mpmath(family, a):
                     tol = 64 * eps * (1 + abs(a * mpmath.log(abs(wm))))
                     err = abs(mpmath.mpc(complex(got[i, j])) - exact)
                     assert err <= tol * abs(exact) + 4 * math.ulp(0.0), (x, got[i, j], exact)
+
+
+HUGE_Z = 1.5e308 + 1.5e308j  # finite parts, |z| beyond the largest double
+
+
+@pytest.mark.parametrize("build,exact", [
+    (lambda: rational_power(1.0, 0.5), 6.343255686650054e-155 - 2.627462535010712e-155j),
+    (lambda: ModulusFunction(1.0, 1.0, 6.0), 6.865890479690392e-155),  # exponent 0.5
+])
+def test_point_whose_modulus_overflows(build, exact):
+    # |z| overflows to inf (it read 0); the point enters as (z/2, log 2),
+    # at a scalar and inside an array, and the mpmath values of
+    # (z + i)^-0.5 and |z + i|^-0.5 are met within 1e-12 relative
+    f = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar, batch = f(HUGE_Z), f(np.array([HUGE_Z, 1j]))
+    assert abs(scalar - exact) <= 1e-12 * abs(exact)
+    assert batch[0] == scalar and batch[1] == f(1j)
+
+
+def test_kernel_rescales_a_point_whose_shift_term_overflows():
+    # lam = -720: shift e^-lam overflows, so _power takes lam = 0 with zeta
+    # scaled by e^-720, and z + i is i to the last bit
+    got = rational_power(1.0, 0.5)._log_sum(np.array([1.0 + 1.0j]), -720.0)
+    assert got[0] == 1j ** -0.5
 
 
 def test_function_arithmetic():

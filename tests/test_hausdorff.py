@@ -12,6 +12,7 @@ from hausdorff_bergman import (
     HausdorffOperator,
     Measure,
     QuadratureConfig,
+    QuadratureFailure,
     adjoint_pairing_check,
     apply,
     apply_quasi,
@@ -236,6 +237,38 @@ def test_image_where_z_over_t_overflows(family, a, z):
 
         exact = complex(mpmath.quad(integrand, [0.01, 0.1, 1.0]))  # 0 below the float range
     assert abs(res.value - exact) <= res.error_estimate
+
+
+# (1/2) (z/2 + i)^-0.5 at z = 1.5e308 + 1.5e308i, from mpmath
+HALVED_AT_HUGE_Z = 4.485359110830383e-155 - 1.857896575819671e-155j
+
+
+@pytest.mark.parametrize("route", ["apply", "direct", "pushforward"])
+def test_point_whose_modulus_overflows(route):
+    # |z| overflows to inf (every route read 0); the point enters as
+    # (z/2, log 2).  The atom (2, 1) gives H f(z) = f(z/2) / 2, and the
+    # adjoint under the atom (0.5, 1) the same value
+    z, f = 1.5e308 + 1.5e308j, rational_power(1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if route == "apply":
+            value = apply_with_error(HausdorffOperator(Measure.from_atoms((2.0, 1.0))), f, z).value
+        else:
+            value = apply_quasi(Measure.from_atoms((0.5, 1.0)), f, z, route=route)
+    assert abs(value - HALVED_AT_HUGE_Z) <= 1e-12 * abs(HALVED_AT_HUGE_Z)
+
+
+def test_operator_integral_failures_raise():
+    # a budget failure of the inner quadrature raises QuadratureFailure; a
+    # tail failure (const density on [1, inf), whose boundedness is
+    # inconclusive without exponents, so the operator evaluates) raises
+    # DivergentIntegral
+    wide = Measure(segments=(DensitySegment.from_spec(1e-3, 1e3, ("const", (1.0,))),))
+    with pytest.raises(QuadratureFailure, match="reason: budget"):
+        apply_with_error(HausdorffOperator(wide), F, 1j, QuadratureConfig(max_subdivisions=1))
+    flat = Measure(segments=(DensitySegment.from_spec(1.0, math.inf, ("const", (1.0,))),))
+    with pytest.raises(DivergentIntegral, match="tail"):
+        apply_with_error(HausdorffOperator(flat), F, 1j)
 
 
 # ---------------------------------------------------------------------------

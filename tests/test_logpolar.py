@@ -25,6 +25,7 @@ import pytest
 
 from hausdorff_bergman import (
     Atom,
+    Boundedness,
     DensitySegment,
     HalfPlaneFunction,
     HausdorffOperator,
@@ -36,6 +37,7 @@ from hausdorff_bergman import (
     as_function,
     bergman_norm_p,
     bergman_norm_p_power,
+    classify_boundedness,
     dilate,
     pairing,
     quasi_as_function,
@@ -807,12 +809,41 @@ def test_zero_measure_has_zero_norm():
     assert res.converged and res.value == 0.0 and res.subdivisions_used > 0
 
 
-def test_budget_failure_is_reported():
+def completed_levels(monkeypatch) -> list:
+    """The value of every level a run completes, in order (the sums of
+    _sums plus their edge amounts), recorded from then on."""
+    values = []
+    sums = _LogPolarNorm._sums
+
+    def recorded(self, lvl, rule, h):
+        out = sums(self, lvl, rule, h)
+        values.append(out[1][0] + out[2][0])
+        return out
+
+    monkeypatch.setattr(_LogPolarNorm, "_sums", recorded)
+    return values
+
+
+def assert_stopped(res, reason: str, values: list) -> None:
+    """A stopped run reports its last completed level (value 0 before
+    level 0 completes), with error inf for "tail" and that level's error
+    for "budget", finite from level 1 on."""
+    assert not res.converged and res.failure_reason == reason
+    assert res.subdivisions_used == len(values)
+    assert res.value == (values[-1] if values else 0.0)
+    if reason == "tail" or len(values) < 2:
+        assert res.error_estimate == math.inf
+    else:
+        assert 0.0 < res.error_estimate < math.inf
+
+
+def test_budget_failure_is_reported(monkeypatch):
+    # the fourth level would exceed 10,000 evaluations
+    values = completed_levels(monkeypatch)
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14, max_subdivisions=1)
     res = image_norm_power(exp_measure(), 2.0, 2.0, 1.0, cfg)
-    assert not res.converged
-    assert res.failure_reason == "budget"
-    assert res.subdivisions_used > 0
+    assert_stopped(res, "budget", values)
+    assert len(values) == 3
 
 
 def test_budget_counts_direct_gauss_terms():
@@ -859,14 +890,56 @@ def test_slowest_far_field_closes_with_its_rate():
     assert_within(image_norm_power(uniform_12(), 2.0, a, 1.0), exact)
 
 
-def test_tail_failure_is_reported():
+def test_tail_failure_is_reported(monkeypatch):
     # p * a = 2: f = (z + i)^-1 is not in A^2, |F|^2 does not decay, and no
-    # rule closes the far edge.  bergman_norm_p_power refuses such an f
-    # from its decay hint, so the engine is run directly
+    # rule closes the far edge, which is still open at _V_CAP on level 0.
+    # bergman_norm_p_power refuses such an f from its decay hint, so the
+    # engine is run directly
+    values = completed_levels(monkeypatch)
     f = rational_power(1.0, 1.0)
     res = _LogPolarNorm([[(uniform_12(), f, f.decay_hint)]], 2.0, CFG).run()
-    assert not res.converged
-    assert res.failure_reason == "tail"
+    assert_stopped(res, "tail", values)
+
+
+def test_kernel_that_does_not_decay_is_a_tail_failure(monkeypatch):
+    # a constant density on [1, inf) without endpoint exponents: boundedness
+    # is inconclusive, so as_function accepts it, but its kernel e^s grows
+    # out to _S_CAP
+    values = completed_levels(monkeypatch)
+    flat = Measure(segments=(DensitySegment.from_spec(1.0, math.inf, ("const", (1.0,))),))
+    assert classify_boundedness(flat, 2.0) is Boundedness.INCONCLUSIVE
+    res = image_norm_power(flat, 2.0, 2.0, 1.0)
+    assert_stopped(res, "tail", values)
+
+
+def test_slowly_decaying_kernel_extends_its_reach():
+    # e^(-0.01 t) on [0.1, inf) with no decay rate given: the kernel's first
+    # reach of 8 units of s = log t leaves most of its mass beyond it, and
+    # the reach doubles until the tail closes.  The nested path computes
+    # the same norm from point values
+    slow = Measure(segments=(DensitySegment.from_spec(
+        0.1, math.inf, ("exp", (1.0, 0.01)), exp_hi=-math.inf),))
+    cfg = QuadratureConfig(rel_tol=1e-6)
+    hf = as_function(HausdorffOperator(slow, 2.0), rational_power(1.0, 2.0), cfg.tighter())
+    res, ref = bergman_norm_p_power(hf, 2.0, cfg), nested_norm_power(hf, 2.0, cfg)
+    assert res.converged and res.failure_reason is None and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+@pytest.mark.xfail(reason=(
+    "the near window edge grows into the FFT convolution's rounding floor "
+    "(|F| some 1e-28, noise some 1e-17 with step ratios near 1) and never closes"))
+@pytest.mark.parametrize("eps,ref,ref_err", [
+    (0.2, 4.019157318529185, 3.6e-10),     # scipy + mpmath hyp2f1: 4.019157318529184
+    (0.05, 14.936981044606851, 2.4e-10),
+])
+def test_rsqrt_image_norm_at_tight_tolerance(eps, ref, ref_err):
+    # ||H f_eps||_1^1 under t^-1/2 dt on (0, 1] at rel_tol 1e-9: the
+    # references are nested_norm_power's values and estimates
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+    res = image_norm_power(rsqrt_01(), 1.0, 2.0 + eps, eps, cfg)
+    assert res.converged, res
+    assert abs(res.value - ref) <= res.error_estimate + ref_err
 
 
 def test_cli_norm_with_measure_and_radius(tmp_path, capsys):

@@ -169,6 +169,37 @@ def test_norm_root_of_a_huge_norm_has_a_finite_error(p):
     assert abs(res.value - exact) <= res.error_estimate <= CFG.rel_tol * exact
 
 
+@pytest.mark.parametrize("f", [1e-4 * rational_power(1.0, 2.0), rational_power(1000.0, 2.0)],
+                         ids=["scaled", "wide-shift"])
+def test_norm_root_meets_its_own_tolerance(f):
+    # ||c (z + i delta)^-2||_2 = c / (2 delta) is 5e-5 and 5e-4 here: the
+    # p-th power converged on abs_tol, which left the root's error (5.3e-9
+    # and 3.4e-9) above the root's tolerance, converged=False with no reason
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
+    c = f.terms[0].coef
+    exact = abs(c) / (2.0 * f.terms[0].shift)
+    res = bergman_norm_p(f, 2.0, cfg)
+    assert res.converged and res.failure_reason is None
+    assert abs(res.value - exact) <= res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * exact)
+
+
+def test_one_dimensional_tail_reports_error_inf():
+    # 1/(1 + t) is not integrable at infinity: the sweep reaches its cap
+    # with mass in its last block, and no finite error can be vouched for
+    res = integrate_segment(lambda t: 1.0 / (1.0 + t), 0.0, math.inf, CFG)
+    assert not res.converged and res.failure_reason == "tail"
+    assert res.error_estimate == math.inf
+
+
+def test_one_dimensional_budget_reports_its_error():
+    # one bisection cannot resolve cos t e^(-t/50) on the sweep's blocks:
+    # the sweep stops on the budget with the panels' finite error
+    res = integrate_segment(lambda t: np.cos(t) * np.exp(-t / 50.0), 0.0, math.inf,
+                            QuadratureConfig(max_subdivisions=1))
+    assert not res.converged and res.failure_reason == "budget"
+    assert 0.0 < res.error_estimate < math.inf and res.subdivisions_used == 1
+
+
 def test_pairing_self_is_norm_squared():
     f = rational_power(1.0, 2.0)
     res = pairing(f, f, CFG)
