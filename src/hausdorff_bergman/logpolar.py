@@ -680,12 +680,11 @@ class _LogPolarNorm:
         order.  The Gauss rule starts at index 0, which has no lower rule to
         be measured against, so it advances at least once.
 
-        A run stops "tail" on a non-finite sum or an edge still open at
-        _V_CAP (_sums), a kernel end open at _S_CAP (_kernel_side) or
-        kernel cut-offs above the tolerance, and "budget" on evaluations
-        beyond the budget (_level) or after _MAX_LEVELS levels.  It reports
-        its last completed level's value and count, with that level's error
-        for "budget" (inf for level 0, which has none) and inf for "tail"."""
+        A run stops "tail" on a non-finite sum or an edge open at _V_CAP
+        (_sums), a kernel end open at _S_CAP (_kernel_side) or kernel
+        cut-offs above the tolerance, "budget" on the evaluation budget
+        (_level) or at _MAX_LEVELS.  It reports its last completed level:
+        value, count, and error ("budget"; inf for level 0) or inf ("tail")."""
         cfg, p = self.cfg, self.p
         levels = "lattice levels"
         self._initial_window()

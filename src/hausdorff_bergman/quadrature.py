@@ -11,14 +11,10 @@ integrand decays exponentially for every integrand this package produces;
 the half-line in u is swept in doubling blocks until the remainder is
 negligible.
 
-The half-plane entry points bergman_norm_p_power and pairing check
-integrability and call logpolar.integral, the log-polar lattice of
-logpolar.py, for operator images and plain functions alike; bergman_norm_p
-takes the p-th root of the former.
-
-Every result states why refinement stopped by one rule (IntegralResult):
-converged; "budget", with the last completed value and its error; or
-"tail", with the last completed value and error inf.
+Bergman norms and pairings over the upper half-plane (bergman_norm_p_power
+and pairing check integrability) are computed by logpolar.integral on the
+log-polar lattice, for operator images and plain functions alike.  Every
+result follows one stop rule (IntegralResult).
 
 All refinement decisions and accumulation orders are deterministic, so
 repeated runs produce bitwise identical results.
@@ -127,17 +123,13 @@ class QuadratureConfig:
 class IntegralResult:
     """Outcome of an integration.
 
-    failure_reason is None exactly when converged.  Otherwise the value is
-    the last one completed (the panels refined so far in one dimension, the
-    last completed level on the lattice) and failure_reason says why
-    refinement stopped:
-
-    - 'budget': the subdivision or evaluation budget is spent; the error
-      estimate is that of the value (inf where it has none yet);
-    - 'tail': an improper tail, a window edge or a kernel end kept
-      contributing up to the representable limit, or a sum was not finite;
-      the error estimate is inf, as no finite error can be vouched for.
-
+    failure_reason is None exactly when converged.  Otherwise it says why
+    refinement stopped, and the value is the last one completed (of the
+    panels so far in one dimension, of the last completed lattice level):
+    'budget' (subdivision or evaluation budget spent) with that value's
+    error, inf where it has none yet; 'tail' (an improper tail, window edge
+    or kernel end kept contributing up to the representable limit, or a sum
+    was not finite) with error inf, as no finite error can be vouched for.
     subdivisions_used counts what unit names: panel bisections
     ("subdivisions") in one dimension, completed refinement levels
     ("lattice levels") on the log-polar lattice.
@@ -456,14 +448,21 @@ def bergman_norm_p(f, p: float,
     still above it reports "budget".
     """
     cfg = cfg or QuadratureConfig()
-    res = bergman_norm_p_power(f, p, cfg)
-    norm, err, ok = _root(res, p, cfg)
-    if res.converged and not ok:
+    run_cfg = cfg
+    for _ in range(2):
+        res = bergman_norm_p_power(f, p, run_cfg)
+        ival = max(float(np.real(res.value)), 0.0)
+        norm = ival ** (1.0 / p)
+        if ival > 0.0:  # relative error over p first: error * norm may overflow
+            err = res.error_estimate / ival / p * norm
+        else:
+            err = res.error_estimate ** (1.0 / p)
+        ok = res.converged and (norm == 0.0 or err <= max(cfg.abs_tol, cfg.rel_tol * norm))
+        if ok or not res.converged:
+            break
         # d norm = d power / (p norm^(p-1)), and norm^(p-1) = power / norm
-        power = float(np.real(res.value))
-        abs_tol = p * (power / norm) * max(cfg.abs_tol, cfg.rel_tol * norm)
-        res = bergman_norm_p_power(f, p, replace(cfg, abs_tol=max(abs_tol, math.ulp(0.0))))
-        norm, err, ok = _root(res, p, cfg)
+        abs_tol = p * (ival / norm) * max(cfg.abs_tol, cfg.rel_tol * norm)
+        run_cfg = replace(cfg, abs_tol=max(abs_tol, math.ulp(0.0)))
     return IntegralResult(
         value=norm,
         error_estimate=err,
@@ -472,19 +471,6 @@ def bergman_norm_p(f, p: float,
         failure_reason=None if ok else res.failure_reason or "budget",
         unit=res.unit,
     )
-
-
-def _root(res: IntegralResult, p: float, cfg: QuadratureConfig):
-    """(norm, its error, whether it is converged within the root's own
-    tolerance) from the p-th power res."""
-    ival = max(float(np.real(res.value)), 0.0)
-    norm = ival ** (1.0 / p)
-    if ival > 0.0:  # relative error over p first: error * norm may overflow
-        err = res.error_estimate / ival / p * norm
-    else:
-        err = res.error_estimate ** (1.0 / p)
-    ok = res.converged and (norm == 0.0 or err <= max(cfg.abs_tol, cfg.rel_tol * norm))
-    return norm, err, ok
 
 
 def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:
