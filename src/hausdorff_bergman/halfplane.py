@@ -19,9 +19,11 @@ zeta = e^(w - lam) e^(i theta), so z/t and e^w are never formed.  The
 kernel takes each term from w = zeta + i shift e^-lam, as
 z + i shift = e^lam w: e^(pre - a lam - a log|w|) e^(-i a arg w), in real
 ufuncs (_power), and no intermediate leaves the float range for finite
-zeta and lam, even where z would.  arg w comes from arctan2, in
+zeta and lam, even where z would.  The phase is that of arg w in
 (-pi, pi]: complex powers always follow the principal branch, and no
-other branch is used anywhere in the package.
+other branch is used anywhere in the package.  For an integer a it is
+(conj(w)/|w|)^a by repeated squaring, with no trigonometric function
+(_unit_power); otherwise arg w comes from arctan2.
 """
 
 from __future__ import annotations
@@ -163,16 +165,37 @@ def common_mirror(lams) -> complex | None:
     return 1.0 if common is None else common
 
 
+def _unit_power(w, r, n: int):
+    """(conj(w)/r)^n, r = |w|, in w's storage: the phase e^(-i n arg w) of an
+    integer power, by repeated squaring (floor(log2|n|) squarings and a
+    product per further set bit of |n|), with no trigonometric function;
+    (w/r)^|n| for n < 0, and 1 for n = 0."""
+    if n == 0:
+        w.fill(1.0)
+        return
+    w.real /= r
+    w.imag /= r
+    if n > 0:
+        np.negative(w.imag, out=w.imag)
+    bits = bin(abs(n))[3:]
+    u = w.copy() if "1" in bits else w
+    for bit in bits:
+        w *= w
+        if bit == "1":
+            w *= u
+
+
 def _power(zeta, lam, shift: float, a: float, pre, phase: bool):
     """e^pre (z + i shift)^-a if phase (ratpow), else e^pre |z + i shift|^-a
     (gmod), at the points z = e^lam zeta; lam and pre (None or an array)
     broadcast against zeta, which has the points' shape.  With
     w = zeta + i shift e^-lam, the modulus is e^(pre - a lam - a log|w|)
-    and the phase e^(-i a arg w), arg w from arctan2 in (-pi, pi]: the
-    principal e^(pre - a log(z + i shift)), in real ufuncs, into three
-    arrays of the points' shape.  A point whose shift e^-lam or e^-lam
-    would overflow takes lam = max(log shift, 0) first, its zeta scaled by
-    e^(lam - that)."""
+    and the phase e^(-i a arg w): the principal e^(pre - a log(z + i shift)),
+    in real ufuncs, into three arrays of the points' shape.  For an integer
+    a the phase is u^a, u = conj(w)/|w| (_unit_power, from the |w| of the
+    modulus); otherwise it takes arg w from arctan2, in (-pi, pi], and its
+    cos and sin.  A point whose shift e^-lam or e^-lam would overflow takes
+    lam = max(log shift, 0) first, its zeta scaled by e^(lam - that)."""
     lam = np.asarray(lam, dtype=float)
     top = max(math.log(shift), 0.0)
     if lam.min(initial=top) < top - _EXP_MAX:
@@ -182,10 +205,16 @@ def _power(zeta, lam, shift: float, a: float, pre, phase: bool):
     w.imag += shift * np.exp(-lam)  # a real sum: numpy's complex one is slower
     mag = np.empty(w.shape)
     np.abs(w, out=mag)
+    integer = phase and float(a).is_integer()
+    if integer:
+        _unit_power(w, mag, int(a))
     np.log(mag, out=mag)
     mag *= -a
     mag += -a * lam if pre is None else pre - a * lam
     np.exp(mag, out=mag)
+    if integer:
+        w *= mag
+        return w[()]
     if not phase:
         return mag[()]  # a numpy scalar for 0-d z, as a ufunc would return
     theta = np.empty(w.shape)

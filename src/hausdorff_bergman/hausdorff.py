@@ -85,24 +85,6 @@ def _raise_for(res: IntegralResult, what: str) -> None:
     res.require_converged(what)
 
 
-def _density_sum(mu: Measure, kernel, cfg: QuadratureConfig, what: str):
-    """Sum of per-segment integrals of kernel(t) (vector payload allowed)."""
-    total = None
-    err = 0.0
-    for seg in mu.segments:
-
-        def integrand(t, dens=seg.density):
-            kv = np.asarray(kernel(t))
-            d = np.asarray(dens(t), dtype=float).reshape((-1,) + (1,) * (kv.ndim - 1))
-            return kv * d
-
-        res = integrate_segment(integrand, seg.lower, seg.upper, cfg)
-        _raise_for(res, what)
-        total = res.value if total is None else total + res.value
-        err += res.error_estimate
-    return total, err
-
-
 def _half_plane_points(z) -> np.ndarray:
     """z as an at least 1-D complex array; ValueError unless every point is
     finite with Im z > 0."""
@@ -119,7 +101,9 @@ def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
     same format, with the inner quadrature's error: H g for sign = -1, the
     adjoint's integral of t g(tz) for sign = +1.  The node t takes the
     points to (zeta, lam + sign log t), so neither z/t nor tz is formed;
-    zeta goes to ev at the full nodes x points shape, as a view."""
+    zeta goes to ev at the full nodes x points shape, as a view.  Atoms are
+    summed exactly; each density segment is one quadrature whose integrand
+    scales ev's values by one real column, t^sign times the density."""
     shape, zeta = np.shape(zeta), np.ravel(zeta)
     lam = np.broadcast_to(lam, shape).ravel() if np.ndim(lam) else float(lam)
     out = np.zeros(zeta.shape, dtype=complex)
@@ -127,15 +111,20 @@ def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
         dilated = ev(zeta, lam + sign * math.log(a.location))
         out = out + a.weight * a.location ** sign * np.asarray(dilated)
 
-    def kernel(t):
-        t = np.asarray(t, dtype=float)[:, None]
-        nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
-        return np.asarray(ev(nodes, lam + sign * np.log(t))) * t ** sign
-
     what = "operator integral" if sign < 0 else "adjoint operator integral"
-    dens_val, err = _density_sum(mu, kernel, cfg, what)
-    if dens_val is not None:
-        out = out + dens_val
+    err = 0.0
+    for seg in mu.segments:
+
+        def integrand(t, dens=seg.density):
+            t = np.asarray(t, dtype=float)
+            col = (t ** sign * np.asarray(dens(t), dtype=float))[:, None]
+            nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
+            return np.asarray(ev(nodes, lam + sign * np.log(t)[:, None])) * col
+
+        res = integrate_segment(integrand, seg.lower, seg.upper, cfg)
+        _raise_for(res, what)
+        out = out + res.value
+        err += res.error_estimate
     return out.reshape(shape), err
 
 

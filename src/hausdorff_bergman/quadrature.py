@@ -127,7 +127,8 @@ class IntegralResult:
     refinement stopped, and the value is the last one completed (of the
     panels so far in one dimension, of the last completed lattice level):
     'budget' (subdivision or evaluation budget spent) with that value's
-    error, inf where it has none yet; 'tail' (an improper tail, window edge
+    error, inf where it has none yet (a lattice run before its second level,
+    a half-line sweep before its tail); 'tail' (an improper tail, window edge
     or kernel end kept contributing up to the representable limit, or a sum
     was not finite) with error inf, as no finite error can be vouched for.
     subdivisions_used counts what unit names: panel bisections
@@ -293,7 +294,8 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str
     panel each; the sweep ends once two consecutive blocks are negligible
     (and either some mass has been seen or a minimum extent has been
     covered), or at u_cap.  Returns the tail allowance and the failure
-    reason (None, 'budget' or 'tail').
+    reason (None, 'budget' or 'tail'); a 'budget' stop leaves the tail
+    unswept, so its allowance is inf (see IntegralResult).
     """
     lo, width = 0.0, 1.0
     quiet = 0
@@ -304,7 +306,7 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str
         block = _sup(k)
         pool.refine()
         if pool.exhausted:
-            return 0.0, "budget"
+            return math.inf, "budget"
         size = block + block_err
         stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
         seen_mass = _tol_scale(pool.value) > 10.0 * cfg.abs_tol

@@ -27,6 +27,7 @@ from hausdorff_bergman.halfplane import (
     ModulusFunction,
     Term,
     TestFunction,
+    _point_pair,
     case_constant,
 )
 
@@ -340,8 +341,9 @@ def test_point_values_of_cancelling_groups_against_mpmath():
 @pytest.mark.parametrize("family", ["ratpow", "gmod"])
 @pytest.mark.parametrize("a", [-0.5, 0.0, 0.45, 2.0, 2.1, 4.05])
 def test_single_term_against_mpmath(family, a):
-    # a term is e^(pre - a lam) w^-a from log|w| and arctan2 of
-    # w = zeta + i shift e^-lam, at z = e^lam zeta: within
+    # a term is e^(pre - a lam) w^-a from log|w| and the phase of
+    # w = zeta + i shift e^-lam (arctan2, or (conj w/|w|)^a for the integer
+    # a = 0 and 2), at z = e^lam zeta: within
     # 64 eps (1 + |a log|z + i shift||) relative, at points (scalar and
     # array) and on the lattice, for |z + i shift| from the shift up to
     # 1e300 and arg z next to 0 and pi, and on lattice rows whose e^w
@@ -408,6 +410,55 @@ def test_kernel_rescales_a_point_whose_shift_term_overflows():
     # scaled by e^-720, and z + i is i to the last bit
     got = rational_power(1.0, 0.5)._log_sum(np.array([1.0 + 1.0j]), -720.0)
     assert got[0] == 1j ** -0.5
+
+
+@pytest.mark.parametrize("shift", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("a", [0, 1, 2, 3, 7, 40, -2])
+def test_integer_exponents_against_mpmath(a, shift):
+    # an integer exponent takes its phase as (conj w / |w|)^a by repeated
+    # squaring, with no arctan2, cos or sin: within 1e-14 relative of
+    # mpmath for |a| <= 7 and 1e-13 at a = 40, at points with |x| and y
+    # from 1e-3 to 1e3
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng([abs(a), a < 0, round(math.log10(shift)) + 3])
+    n = 200
+    x = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    z = x + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    got = rational_power(shift, float(a))(z)
+    tol = 1e-13 if abs(a) > 7 else 1e-14
+    with mpmath.workdps(40):
+        for zz, g in zip(z, got):
+            exact = (mpmath.mpc(zz.real, zz.imag + shift)) ** -a
+            assert abs(mpmath.mpc(complex(g)) - exact) <= tol * abs(exact), (zz, g)
+
+
+def test_integer_power_at_the_edges_of_the_float_range():
+    # (z + i)^-2 on its integer path, against mpmath: a 0-d point gives a
+    # numpy complex scalar; a point whose modulus overflows enters as
+    # (z/2, log 2) (_point_pair) and, under the prefactor e^1400, has a
+    # representable value; lattice rows whose e^w leaves the float range
+    # (w = +-720, +-800) keep theirs.  The bound is that of
+    # test_single_term_against_mpmath
+    mpmath = pytest.importorskip("mpmath")
+    f = rational_power(1.0, 2.0)
+    eps = np.finfo(float).eps
+    eith = np.exp(1j * np.array([1e-9, 1.0, math.pi / 2.0, math.pi - 1e-9]))
+    point = f(0.3 + 0.7j)
+    assert type(point) is np.complex128
+    huge = f._log_sum(*_point_pair(HUGE_Z), np.array(1400.0))
+    assert type(huge) is np.complex128 and huge != 0.0
+    rows = np.array([720.0, 800.0]), np.array([-800.0, -720.0])
+    cases = [(0.3 + 0.7j, 0.0, point), (HUGE_Z, 1400.0, huge)]
+    for w, q in zip(rows, (1.5, 0.5)):  # q keeps e^(q w) f(e^(w + i theta)) in range
+        for wi, row in zip(w, f.lattice_values(w, eith, q)):
+            cases += [(mpmath.exp(wi) * mpmath.mpc(e.real, e.imag), q * wi, g)
+                      for e, g in zip(eith, row)]
+    with mpmath.workdps(50):
+        for z, pre, got in cases:
+            zi = mpmath.mpc(z) + 1j
+            exact = mpmath.exp(pre) * zi ** -2
+            tol = 64 * eps * (1 + abs(2 * mpmath.log(abs(zi))))
+            assert abs(mpmath.mpc(complex(got)) - exact) <= tol * abs(exact), (z, got, exact)
 
 
 def test_function_arithmetic():

@@ -61,6 +61,22 @@ def test_single_atom_dilation_value():
     np.testing.assert_allclose(val, -2.0 / 9.0, atol=1e-15)
 
 
+def test_integer_power_under_atoms_against_mpmath():
+    # under atoms H (z + i)^-2 is the finite sum of (w/t) (z/t + i)^-2,
+    # each term from the integer phase: within 1e-14 of the sum of the
+    # terms' moduli, with error estimate 0, at points with y from 1e-3 to 1e3
+    mpmath = pytest.importorskip("mpmath")
+    atoms = ((0.5, 0.3), (2.0, 1.2), (7.0, 0.25))
+    rng = np.random.default_rng(41)
+    z = rng.uniform(-10.0, 10.0, 50) + 1j * np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 50))
+    res = apply_with_error(HausdorffOperator(Measure.from_atoms(*atoms), 2.0), F, z)
+    assert res.error_estimate == 0.0
+    with mpmath.workdps(40):
+        for zz, got in zip(z, res.value):
+            terms = [w / t * (mpmath.mpc(zz.real, zz.imag) / t + 1j) ** -2 for t, w in atoms]
+            assert abs(mpmath.mpc(complex(got)) - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms)
+
+
 def test_uniform_segment_value():
     # oracle: -(ln 1.5 - 1/6) via the antiderivative of -t/(1+t)^2
     op = HausdorffOperator(uniform_12(), p=2.0)
