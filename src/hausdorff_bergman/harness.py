@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -477,12 +477,19 @@ def lower_bound_constant(p: float, eps: float, theta0: float | None,
     Case I (p > 2):      2^(-p(eps+1)) * int_0^(pi/2) cos^p / (4 pi)
     Case II (1 < p <= 2): C(p) * 2^(-p(eps+1)) * int_(pi/4)^(pi/2) sin^p / (4 pi)
     Case III (p = 1):    2^(-(eps+1)) * (1 - cos(theta0)) / (4 pi)
+
+    The bound must hold outright, so an integral counts its value less its
+    error estimate, and raises QuadratureFailure unless converged.  It runs
+    at rel_tol 1e-12 and abs_tol 1e-15 or cfg's, whichever is tighter, so
+    that k stays within about 1e-12 of its closed form.
     """
     cfg = cfg or QuadratureConfig()
+    tight = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-12), abs_tol=min(cfg.abs_tol, 1e-15))
 
     def power_integral(trig, lo: float, hi: float) -> float:
-        res = integrate_segment(lambda th: trig(th) ** p, lo, hi, cfg)
-        return float(np.real(res.value))
+        res = integrate_segment(lambda th: trig(th) ** p, lo, hi, tight)
+        res.require_converged(f"k(p) integral of {trig.__name__}^{p:g}")
+        return float(np.real(res.value)) - res.error_estimate
 
     if p > 2.0:
         case = "I"

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .halfplane import common_mirror
-from .quadrature import IntegralResult, QuadratureConfig, _nodes_dot
+from .quadrature import _STACK, IntegralResult, QuadratureConfig, _nodes_dot
 
 
 # Gregory end corrections: for g smooth on [x_0, inf) the integral equals
@@ -82,8 +82,6 @@ _MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
                    # unit of v) at one end leaves that end's rate to be measured
 _BLOCK = 1 << 12  # complex entries per (row, theta) array of a theta block
                   # (64 KiB): sets the block's width from n_v and the FFT lengths
-_STACK = 1 << 14  # complex entries per stacked temporary of a block's direct
-                  # terms (256 KiB): sets how many shifts one evaluation call takes
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,15 @@ integrand decays exponentially for every integrand this package produces;
 the half-line in u is swept in doubling blocks until the remainder is
 negligible.
 
+Panels are evaluated stacked: one integrand call takes the nodes of
+several panels, and one batched reduction gives each panel's Kronrod
+value and error.  A split's two children share a call, and the sweep
+evaluates its next blocks ahead in one call, then takes them one at a time
+through its stop rule, dropping those past the stop.  Stacking is capped at
+_STACK entries (nodes x payload values), so a wide payload takes one panel
+a call.  Each panel's numbers, and so every refinement decision, are those
+of the panel evaluated alone.
+
 Bergman norms and pairings over the upper half-plane (bergman_norm_p_power
 and pairing check integrability) are computed by logpolar.integral on the
 log-polar lattice, for operator images and plain functions alike.  Every
@@ -23,6 +32,7 @@ repeated runs produce bitwise identical results.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -77,7 +87,7 @@ _WG_HALF = np.array(
 
 _XGK = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
-_GAUSS_IDX = np.arange(1, 15, 2)
+_GAUSS = slice(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
 # log-substituted sweeps stop here; e^u stays finite in double precision
@@ -88,6 +98,15 @@ _U_MIN_EMPTY = 30.0
 # widest sweep block: bounded strides keep a quiet-then-stop decision from
 # sampling far beyond the representable range of the integrand
 _U_BLOCK_MAX = 32.0
+# sweep blocks evaluated ahead in one stacked call: after the first block
+# (taken alone, as the payload's size is not yet known) six reach u = 64; a
+# verify pass makes no fewer calls with more, only more dropped blocks
+_LOOKAHEAD = 6
+# entries per stacked temporary of one evaluation call (256 KiB of complex
+# values): nodes x payload values of stacked panels here, so that a payload
+# of more than 546 values takes one panel a call, and on the log-polar
+# lattice a block's direct terms, where it sets how many shifts a call takes
+_STACK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -179,25 +198,40 @@ def _nodes_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (out.view(complex) if cplx else out).reshape(np.shape(v)[1:])
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Kronrod/Gauss evaluation on [a, b].
+def _gk_panels(f, los, his):
+    """Kronrod/Gauss evaluation of the M panels [los[i], his[i]] in one call
+    of f.
 
-    f maps a node array (15,) to values of shape (15, ...); returns the
-    Kronrod estimate (shape ...) and the panel error in sup norm.
+    f maps a node array (15 M,) to values of shape (15 M, ...); returns the
+    Kronrod estimates, shape (M, ...), and each panel's error in sup norm, a
+    list of M floats.  Every sum over nodes is one batched matrix product
+    over the stack (M, 15, n) of the panels' values (a complex payload viewed
+    as pairs of reals), which runs each panel's product as _nodes_dot runs
+    it alone, on one thread.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XGK
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    m = len(los)
+    h = (0.5 * (his - los))[:, None]
+    x = (0.5 * (los + his))[:, None] + h * _XGK
+
+    def dot(w, vals):
+        cplx = np.iscomplexobj(vals)
+        out = w @ (vals.view(float) if cplx else vals)
+        return out.view(complex) if cplx else out
+
     with np.errstate(over="ignore", under="ignore", invalid="ignore",
                      divide="ignore"):
-        v = np.asarray(f(x))
-        k = h * _nodes_dot(_WGK, v)
-        g = h * _nodes_dot(_WG, v[_GAUSS_IDX])
+        v = np.asarray(f(x.ravel()))
+        payload = v.shape[1:]
+        v = np.ascontiguousarray(v).reshape(m, 15, -1)
+        k = h * dot(_WGK, v)
+        # a contiguous copy: BLAS rounds a strided stack differently
+        g = h * dot(_WG, np.ascontiguousarray(v[:, _GAUSS]))
         raw = np.abs(k - g)
         # QUADPACK-style sharpening keeps the estimate meaningful when the
         # integrand is rough on the panel.
-        mean = k / (b - a)
-        resasc = h * _nodes_dot(_WGK, np.abs(v - mean))
+        mean = k / (his - los)[:, None]
+        resasc = h * dot(_WGK, np.abs(v - mean[:, None]))
         err = np.where(
             resasc > 0.0,
             resasc
@@ -206,15 +240,15 @@ def _gk_panel(f, a: float, b: float):
             ),
             raw,
         )
-    esup = _sup(err)
-    if not np.all(np.isfinite(np.atleast_1d(k))):
-        esup = math.inf
-    return k, esup
+    esup = err.max(axis=1, initial=0.0)
+    esup[~np.isfinite(k).all(axis=1)] = math.inf
+    return k.reshape((m,) + payload), esup.tolist()
 
 
 class _Pool:
     """Global worst-panel-first refinement of one integrand over Kronrod
-    panels; splitting halves a panel.  Running sums are maintained
+    panels; splitting halves a panel, and a split's two children are
+    evaluated in one stacked call.  Running sums are maintained
     incrementally; the final value is re-summed over the surviving panels
     in a deterministic order.
     """
@@ -224,6 +258,8 @@ class _Pool:
         self._heap: list[tuple[float, int, float, float, object]] = []
         self._final: list[object] = []
         self._counter = 0
+        # panels per stacked call: one until the payload's size is known
+        self.width = 1
         # running sum: a Python scalar for scalar payloads, an array for
         # vector ones
         self.value = 0.0
@@ -236,13 +272,22 @@ class _Pool:
         with np.errstate(invalid="ignore"):
             self.value = self.value + sign * k
 
-    def add(self, lo: float, hi: float) -> tuple[object, float]:
-        k, err = _gk_panel(self.g, lo, hi)
+    def evaluate(self, edges) -> list[tuple[float, float, object, float]]:
+        """(lo, hi, Kronrod value, error) of the panels edges = [(lo, hi),
+        ...], in stacked calls of at most width panels each."""
+        out = []
+        for i in range(0, len(edges), self.width):
+            los, his = zip(*edges[i:i + self.width])
+            k, err = _gk_panels(self.g, los, his)
+            out += zip(los, his, k, err)
+            self.width = max(1, _STACK // (15 * max(k[0].size, 1)))
+        return out
+
+    def push(self, lo: float, hi: float, k, err: float) -> None:
         self._acc(k, 1.0)
         self._err_sum += err
         heapq.heappush(self._heap, (-err, self._counter, lo, hi, k))
         self._counter += 1
-        return k, err
 
     @property
     def error(self) -> float:
@@ -268,8 +313,8 @@ class _Pool:
             self._acc(k, -1.0)
             self._err_sum -= err
             mid = 0.5 * (lo + hi)
-            self.add(lo, mid)
-            self.add(mid, hi)
+            for panel in self.evaluate([(lo, mid), (mid, hi)]):
+                self.push(*panel)
             self.subdivisions += 1
 
     def final_value(self):
@@ -286,46 +331,62 @@ def _as_scalar(value):
     return value
 
 
+def _blocks(u_cap: float):
+    """The sweep's doubling blocks [0,1], [1,2], [2,4], ..., of width at
+    most _U_BLOCK_MAX, the last one ending at u_cap."""
+    lo, width = 0.0, 1.0
+    while True:
+        hi = min(lo + width, u_cap)
+        yield lo, hi
+        if hi >= u_cap:
+            return
+        lo = hi
+        width = min(width * 2.0, _U_BLOCK_MAX)
+
+
 def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str | None]:
     """Integrate the pool's integrand over u in [0, inf) assuming eventual
     exponential decay.
 
-    Doubling blocks [0,1], [1,2], [2,4], ... feed the shared pool as one
-    panel each; the sweep ends once two consecutive blocks are negligible
-    (and either some mass has been seen or a minimum extent has been
-    covered), or at u_cap.  Returns the tail allowance and the failure
-    reason (None, 'budget' or 'tail'); a 'budget' stop leaves the tail
-    unswept, so its allowance is inf (see IntegralResult).
+    Doubling blocks (_blocks) feed the shared pool as one panel each; the
+    sweep ends once two consecutive blocks are negligible (and either some
+    mass has been seen or a minimum extent has been covered), or at u_cap.
+    Blocks are evaluated _LOOKAHEAD at a time in one stacked call (at most
+    the pool's width), then pushed one by one, each followed by the pool's
+    refinement and the stop rule, so every decision is the one a sweep of
+    single blocks takes; blocks evaluated past the stop are dropped.
+    Returns the tail allowance and the failure reason (None, 'budget' or
+    'tail'); a 'budget' stop leaves the tail unswept, so its allowance is
+    inf (see IntegralResult).
     """
-    lo, width = 0.0, 1.0
+    blocks = _blocks(u_cap)
     quiet = 0
     prev_block = None
     while True:
-        hi = min(lo + width, u_cap)
-        k, block_err = pool.add(lo, hi)
-        block = _sup(k)
-        pool.refine()
-        if pool.exhausted:
-            return math.inf, "budget"
-        size = block + block_err
-        stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
-        seen_mass = _tol_scale(pool.value) > 10.0 * cfg.abs_tol
-        if size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
-            quiet += 1
-            if quiet >= 2:
-                rho = min(size / prev_block, 0.9) if prev_block else 0.5
-                return size * rho / (1.0 - rho) + stop_tol, None
-        else:
-            quiet = 0
-        prev_block = size
-        if hi >= u_cap:
-            # the sweep cannot extend further; only a block that still
-            # carries mass makes this a genuine divergent-tail failure
-            if size <= stop_tol:
-                return size + stop_tol, None
-            return 0.0, "tail"
-        lo = hi
-        width = min(width * 2.0, _U_BLOCK_MAX)
+        ahead = list(itertools.islice(blocks, min(pool.width, _LOOKAHEAD)))
+        for lo, hi, k, block_err in pool.evaluate(ahead):
+            pool.push(lo, hi, k, block_err)
+            block = _sup(k)
+            pool.refine()
+            if pool.exhausted:
+                return math.inf, "budget"
+            size = block + block_err
+            stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
+            seen_mass = _tol_scale(pool.value) > 10.0 * cfg.abs_tol
+            if size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
+                quiet += 1
+                if quiet >= 2:
+                    rho = min(size / prev_block, 0.9) if prev_block else 0.5
+                    return size * rho / (1.0 - rho) + stop_tol, None
+            else:
+                quiet = 0
+            prev_block = size
+            if hi >= u_cap:
+                # the sweep cannot extend further; only a block that still
+                # carries mass makes this a genuine divergent-tail failure
+                if size <= stop_tol:
+                    return size + stop_tol, None
+                return 0.0, "tail"
 
 
 def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
@@ -400,7 +461,7 @@ def integrate_segment(f, lo: float, hi: float,
             return _jac_apply(f, t, t)
     else:
         pool = _Pool(cfg, f)
-        pool.add(lo, hi)
+        pool.push(*pool.evaluate([(lo, hi)])[0])
         return _finish(pool, cfg)
     pool = _Pool(cfg, g)
     tail_rem, reason = _sweep(pool, cfg, u_cap)

@@ -277,6 +277,14 @@ def test_lower_bound_constant_closed_forms():
     )
 
 
+def test_lower_bound_constant_refuses_an_unconverged_integral():
+    # one bisection cannot reach rel_tol 1e-14 on int_0^(pi/2) cos^4: a bound
+    # that must hold outright may not rest on the value
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(QuadratureFailure):
+        harness.lower_bound_constant(4.0, 0.25, None, cfg)
+
+
 def test_feps_norm_experiment():
     reports = harness.run_feps_norm_experiment(2.0, (0.2, 0.1), CFG)
     assert all(r.passed for r in reports)

@@ -273,3 +273,113 @@ def test_deterministic_results():
     r1 = integrate_segment(lambda t: np.exp(-t) * np.sin(t), 0.0, math.inf, CFG)
     r2 = integrate_segment(lambda t: np.exp(-t) * np.sin(t), 0.0, math.inf, CFG)
     assert r1.value == r2.value
+
+
+# ---------------------------------------------------------------------------
+# stacked panel evaluation: the same refinement, fewer integrand calls
+# ---------------------------------------------------------------------------
+
+PINNED_CFG = {
+    "default": CFG,
+    "budget-3": QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3),
+    "budget-1": QuadratureConfig(max_subdivisions=1),
+}
+# (integrand, lo, hi, config): value, error_estimate, subdivisions_used and
+# failure_reason of the single-panel pool, as float.hex
+PINNED = {
+    "polynomial": ((lambda t: t**7 - 3 * t**2, 0.5, 3.0, "default"),
+                   (["0x1.8c9ff00000001p+9"], "0x1.0108260d98524p-58", 0, None)),
+    "rsqrt": ((lambda t: t**-0.5, 0.0, 1.0, "default"),
+              (["0x1.0000000000001p+1"], "0x1.9af843f2056c8p-29", 0, None)),
+    "gamma-2": ((lambda t: t * np.exp(-t), 0.0, math.inf, "default"),
+                (["0x1.0000000000000p+0"], "0x1.f47a63fb229d2p-30", 3, None)),
+    "gamma-1/2": ((lambda t: np.exp(-t) / np.sqrt(t), 0.0, math.inf, "default"),
+                  (["0x1.c5bf891b4efa0p+0"], "0x1.e0a3b670ab2fdp-29", 1, None)),
+    "vector": ((lambda t: np.stack([t, t**2], axis=-1), 0.0, 1.0, "default"),
+               (["0x1.0000000000001p-1", "0x1.5555555555555p-2"], "0x1.14dda8d074cc0p-29",
+                0, None)),
+    "oscillating": ((lambda t: np.sin(50.0 * t) ** 2 / (1e-3 + t), 1e-4, 1.0, "budget-3"),
+                    (["0x1.41223a6c9ba99p+1"], "0x1.0775eb8351729p-1", 3, "budget")),
+    "tail": ((lambda t: 1.0 / (1.0 + t), 0.0, math.inf, "default"),
+             (["0x1.5900000000000p+9"], "inf", 0, "tail")),
+    "budget": ((lambda t: np.cos(t) * np.exp(-t / 50.0), 0.0, math.inf, "budget-1"),
+               (["0x1.4b72a45f1701ep-1"], "inf", 1, "budget")),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_stacked_panels_refine_as_single_panels_did(name):
+    # every refinement decision, and so every figure, is the one the pool
+    # made when it evaluated one panel per integrand call
+    (f, lo, hi, cfg), (value, error, subdivisions, reason) = PINNED[name]
+    res = integrate_segment(f, lo, hi, PINNED_CFG[cfg])
+    assert [float(v).hex() for v in np.ravel(res.value)] == value
+    assert float(res.error_estimate).hex() == error
+    assert (res.subdivisions_used, res.failure_reason) == (subdivisions, reason)
+
+
+def _recording(f, nodes: list):
+    def g(t):
+        nodes.append(np.array(t))
+        return f(t)
+    return g
+
+
+def test_quasi_route_check_stacks_its_integrand_calls(monkeypatch):
+    # the 50 apply_quasi calls of the built-in suite's quasi experiment took
+    # 386 integrand calls at one panel each
+    from hausdorff_bergman import harness, hausdorff
+
+    calls = []
+    segment = hausdorff.integrate_segment
+    monkeypatch.setattr(hausdorff, "integrate_segment",
+                        lambda f, lo, hi, cfg: segment(_recording(f, calls), lo, hi, cfg))
+    assert harness.run_quasi_equivalence(n_samples=25, seed=20240801).passed
+    assert 0 < len(calls) <= 200
+
+
+def test_wide_payload_takes_one_panel_per_call():
+    # 15 nodes x 2,000 values exceed the stacking cap: no stacked call
+    nodes = []
+    cols = np.linspace(1.0, 2.0, 2000)
+    res = integrate_segment(_recording(lambda t: np.exp(-t)[:, None] * cols, nodes),
+                            0.0, math.inf, CFG)
+    assert res.converged and len(nodes) > 4
+    assert {len(t) for t in nodes} == {15}
+    narrow = []
+    integrate_segment(_recording(lambda t: np.exp(-t)[:, None] * cols[:2], narrow),
+                      0.0, math.inf, CFG)
+    assert max(len(t) for t in narrow) > 15 and len(narrow) < len(nodes)
+
+
+def test_sweep_look_ahead_stays_below_the_cap():
+    # from lo = e^680 the sweep may reach u = 10 only (t = lo e^u stays below
+    # e^700); 1/t^2 carries no representable mass there, so the sweep runs
+    # to its cap, and the look-ahead must stop where the blocks do
+    nodes = []
+    lo = math.exp(680.0)
+    res = integrate_segment(_recording(lambda t: 1.0 / t**2, nodes), lo, math.inf, CFG)
+    u = np.log(np.concatenate(nodes) / lo)
+    assert res.failure_reason is None and 8.0 < u.max() < 10.0
+
+
+def test_values_past_the_sweep_stop_are_never_used(monkeypatch):
+    # poison the integrand beyond the last block the sweep keeps: the
+    # look-ahead samples it, but drops those blocks with the values unread
+    from hausdorff_bergman import quadrature
+
+    kept = []
+    push = quadrature._Pool.push
+    monkeypatch.setattr(quadrature._Pool, "push",
+                        lambda self, lo, hi, k, err: (kept.append(hi), push(self, lo, hi, k, err)))
+    clean = integrate_segment(lambda t: t * np.exp(-t), 1.0, math.inf, CFG)
+    t_stop = math.exp(max(kept))
+    nodes = []
+
+    def poisoned(t):
+        return np.where(t > t_stop, np.nan, t * np.exp(-np.minimum(t, t_stop)))
+
+    res = integrate_segment(_recording(poisoned, nodes), 1.0, math.inf, CFG)
+    assert np.concatenate(nodes).max() > t_stop
+    assert (res.value, res.error_estimate, res.subdivisions_used, res.failure_reason) == (
+        clean.value, clean.error_estimate, clean.subdivisions_used, clean.failure_reason)

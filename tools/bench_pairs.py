@@ -16,7 +16,8 @@ workload the pair count, each side's medians and every run.
 --summarize prints, per workload and end-to-end metric, each side's median
 and quartiles, the change's wins (pairs where it reads better; ties count
 for neither) and the parent's interquartile range, the spread a claimed
-gain must exceed.
+gain must exceed.  A metric whose change median lies above the parent's
+upper quartile is marked WORSE.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ def quartiles(values) -> tuple[float, float, float]:
 
 def summarize(bench: dict) -> dict:
     """Per workload and metric: each side's (q1, median, q3), the change's
-    wins over the pairs, the pair count and the parent's interquartile
-    range.  Pairs are the runs of the same index on both sides."""
+    wins over the pairs, the pair count, the parent's interquartile range
+    and whether the change's median lies above the parent's upper quartile
+    (worse).  Pairs are the runs of the same index on both sides."""
     out = {}
     for name, wl in bench["workloads"].items():
         rows = {}
@@ -63,6 +65,7 @@ def summarize(bench: dict) -> dict:
                 "wins": sum(c < p for p, c in zip(parent, change)),
                 "pairs": min(len(parent), len(change)),
                 "parent_iqr": p_q[2] - p_q[0],
+                "worse": c_q[1] > p_q[2],
             }
         out[name] = rows
     return out
@@ -77,7 +80,8 @@ def format_summary(summary: dict) -> str:
             rel = (cm - pm) / pm if pm else float("nan")
             lines.append(f"  {metric:12s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
                          f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {rel:+.1%}  "
-                         f"wins {r['wins']}/{r['pairs']}  parent IQR {r['parent_iqr']:.3g}")
+                         f"wins {r['wins']}/{r['pairs']}  parent IQR {r['parent_iqr']:.3g}"
+                         + ("  WORSE" if r["worse"] else ""))
     return "\n".join(lines)
 
 
