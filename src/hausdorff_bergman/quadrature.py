@@ -173,8 +173,9 @@ class IntegralResult:
 
 
 def _sup(x) -> float:
-    x = np.asarray(x)
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    # the method form: np.max's dispatch costs as much as the reduction
+    # on the scalars and panel payloads the pool passes
+    return float(np.abs(x).max(initial=0.0))
 
 
 def _tol_scale(x) -> float:
@@ -198,9 +199,9 @@ def _nodes_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (out.view(complex) if cplx else out).reshape(np.shape(v)[1:])
 
 
-def _gk_panels(f, los, his):
-    """Kronrod/Gauss evaluation of the M panels [los[i], his[i]] in one call
-    of f.
+def _gk_panels(f, edges):
+    """Kronrod/Gauss evaluation of the M panels edges = [(lo, hi), ...] in
+    one call of f.
 
     f maps a node array (15 M,) to values of shape (15 M, ...); returns the
     Kronrod estimates, shape (M, ...), and each panel's error in sup norm, a
@@ -209,10 +210,11 @@ def _gk_panels(f, los, his):
     as pairs of reals), which runs each panel's product as _nodes_dot runs
     it alone, on one thread.
     """
-    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-    m = len(los)
-    h = (0.5 * (his - los))[:, None]
-    x = (0.5 * (los + his))[:, None] + h * _XGK
+    ends = np.array(edges, dtype=float)
+    lo, hi = ends[:, :1], ends[:, 1:]
+    m = len(ends)
+    h = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi) + h * _XGK
 
     def dot(w, vals):
         cplx = np.iscomplexobj(vals)
@@ -230,7 +232,7 @@ def _gk_panels(f, los, his):
         raw = np.abs(k - g)
         # QUADPACK-style sharpening keeps the estimate meaningful when the
         # integrand is rough on the panel.
-        mean = k / (his - los)[:, None]
+        mean = k / (hi - lo)
         resasc = h * dot(_WGK, np.abs(v - mean[:, None]))
         err = np.where(
             resasc > 0.0,
@@ -255,7 +257,7 @@ class _Pool:
 
     def __init__(self, cfg: QuadratureConfig, g: Callable):
         self.cfg, self.g = cfg, g
-        self._heap: list[tuple[float, int, float, float, object]] = []
+        self._heap: list[tuple[float, int, tuple[float, float], object]] = []
         self._final: list[object] = []
         self._counter = 0
         # panels per stacked call: one until the payload's size is known
@@ -272,21 +274,21 @@ class _Pool:
         with np.errstate(invalid="ignore"):
             self.value = self.value + sign * k
 
-    def evaluate(self, edges) -> list[tuple[float, float, object, float]]:
-        """(lo, hi, Kronrod value, error) of the panels edges = [(lo, hi),
-        ...], in stacked calls of at most width panels each."""
+    def evaluate(self, edges: list) -> list[tuple[tuple[float, float], object, float]]:
+        """((lo, hi), Kronrod value, error) of each panel of edges, a list
+        of (lo, hi), in stacked calls of at most width panels each."""
         out = []
         for i in range(0, len(edges), self.width):
-            los, his = zip(*edges[i:i + self.width])
-            k, err = _gk_panels(self.g, los, his)
-            out += zip(los, his, k, err)
-            self.width = max(1, _STACK // (15 * max(k[0].size, 1)))
+            chunk = edges[i:i + self.width]
+            k, err = _gk_panels(self.g, chunk)
+            out += zip(chunk, k, err)
+            self.width = max(1, _STACK // (15 * (k[0].size or 1)))
         return out
 
-    def push(self, lo: float, hi: float, k, err: float) -> None:
+    def push(self, edge: tuple[float, float], k, err: float) -> None:
         self._acc(k, 1.0)
         self._err_sum += err
-        heapq.heappush(self._heap, (-err, self._counter, lo, hi, k))
+        heapq.heappush(self._heap, (-err, self._counter, edge, k))
         self._counter += 1
 
     @property
@@ -300,7 +302,7 @@ class _Pool:
     def refine(self) -> None:
         """Refine until converged or the subdivision budget is spent."""
         while self._err_sum > self._target() and self._heap:
-            neg_err, _, lo, hi, k = self._heap[0]
+            neg_err, _, (lo, hi), k = self._heap[0]
             err = -neg_err
             if err <= 0.0 or hi - lo <= 1e-14 * max(abs(lo), abs(hi), 1.0):
                 heapq.heappop(self._heap)
@@ -340,8 +342,7 @@ def _blocks(u_cap: float):
         yield lo, hi
         if hi >= u_cap:
             return
-        lo = hi
-        width = min(width * 2.0, _U_BLOCK_MAX)
+        lo, width = hi, min(width * 2.0, _U_BLOCK_MAX)
 
 
 def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str | None]:
@@ -364,15 +365,17 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str
     prev_block = None
     while True:
         ahead = list(itertools.islice(blocks, min(pool.width, _LOOKAHEAD)))
-        for lo, hi, k, block_err in pool.evaluate(ahead):
-            pool.push(lo, hi, k, block_err)
+        for edge, k, block_err in pool.evaluate(ahead):
+            pool.push(edge, k, block_err)
+            hi = edge[1]
             block = _sup(k)
             pool.refine()
             if pool.exhausted:
                 return math.inf, "budget"
             size = block + block_err
-            stop_tol = max(cfg.abs_tol, cfg.rel_tol * _tol_scale(pool.value)) / 8.0
-            seen_mass = _tol_scale(pool.value) > 10.0 * cfg.abs_tol
+            scale = _tol_scale(pool.value)
+            stop_tol = max(cfg.abs_tol, cfg.rel_tol * scale) / 8.0
+            seen_mass = scale > 10.0 * cfg.abs_tol
             if size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
                 quiet += 1
                 if quiet >= 2:

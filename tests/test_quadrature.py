@@ -371,7 +371,7 @@ def test_values_past_the_sweep_stop_are_never_used(monkeypatch):
     kept = []
     push = quadrature._Pool.push
     monkeypatch.setattr(quadrature._Pool, "push",
-                        lambda self, lo, hi, k, err: (kept.append(hi), push(self, lo, hi, k, err)))
+                        lambda self, edge, k, err: (kept.append(edge[1]), push(self, edge, k, err)))
     clean = integrate_segment(lambda t: t * np.exp(-t), 1.0, math.inf, CFG)
     t_stop = math.exp(max(kept))
     nodes = []
