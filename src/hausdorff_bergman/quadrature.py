@@ -173,8 +173,8 @@ class IntegralResult:
 
 
 def _sup(x) -> float:
-    # the method form: np.max's dispatch costs as much as the reduction
-    # on the scalars and panel payloads the pool passes
+    # np.abs(x).max(): np.asarray and np.max's dispatch cost more than the
+    # reduction itself on the scalars and panel values the pool passes
     return float(np.abs(x).max(initial=0.0))
 
 
@@ -213,7 +213,8 @@ def _gk_panels(f, edges):
     ends = np.array(edges, dtype=float)
     lo, hi = ends[:, :1], ends[:, 1:]
     m = len(ends)
-    h = 0.5 * (hi - lo)
+    width = hi - lo
+    h = 0.5 * width
     x = 0.5 * (lo + hi) + h * _XGK
 
     def dot(w, vals):
@@ -232,7 +233,7 @@ def _gk_panels(f, edges):
         raw = np.abs(k - g)
         # QUADPACK-style sharpening keeps the estimate meaningful when the
         # integrand is rough on the panel.
-        mean = k / (hi - lo)
+        mean = k / width
         resasc = h * dot(_WGK, np.abs(v - mean[:, None]))
         err = np.where(
             resasc > 0.0,
