@@ -279,30 +279,27 @@ def test_deterministic_results():
 # stacked panel evaluation: the same refinement, fewer integrand calls
 # ---------------------------------------------------------------------------
 
-PINNED_CFG = {
-    "default": CFG,
-    "budget-3": QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3),
-    "budget-1": QuadratureConfig(max_subdivisions=1),
-}
 # (integrand, lo, hi, config): value, error_estimate, subdivisions_used and
 # failure_reason of the single-panel pool, as float.hex
 PINNED = {
-    "polynomial": ((lambda t: t**7 - 3 * t**2, 0.5, 3.0, "default"),
+    "polynomial": ((lambda t: t**7 - 3 * t**2, 0.5, 3.0, CFG),
                    (["0x1.8c9ff00000001p+9"], "0x1.0108260d98524p-58", 0, None)),
-    "rsqrt": ((lambda t: t**-0.5, 0.0, 1.0, "default"),
+    "rsqrt": ((lambda t: t**-0.5, 0.0, 1.0, CFG),
               (["0x1.0000000000001p+1"], "0x1.9af843f2056c8p-29", 0, None)),
-    "gamma-2": ((lambda t: t * np.exp(-t), 0.0, math.inf, "default"),
+    "gamma-2": ((lambda t: t * np.exp(-t), 0.0, math.inf, CFG),
                 (["0x1.0000000000000p+0"], "0x1.f47a63fb229d2p-30", 3, None)),
-    "gamma-1/2": ((lambda t: np.exp(-t) / np.sqrt(t), 0.0, math.inf, "default"),
+    "gamma-1/2": ((lambda t: np.exp(-t) / np.sqrt(t), 0.0, math.inf, CFG),
                   (["0x1.c5bf891b4efa0p+0"], "0x1.e0a3b670ab2fdp-29", 1, None)),
-    "vector": ((lambda t: np.stack([t, t**2], axis=-1), 0.0, 1.0, "default"),
+    "vector": ((lambda t: np.stack([t, t**2], axis=-1), 0.0, 1.0, CFG),
                (["0x1.0000000000001p-1", "0x1.5555555555555p-2"], "0x1.14dda8d074cc0p-29",
                 0, None)),
-    "oscillating": ((lambda t: np.sin(50.0 * t) ** 2 / (1e-3 + t), 1e-4, 1.0, "budget-3"),
+    "oscillating": ((lambda t: np.sin(50.0 * t) ** 2 / (1e-3 + t), 1e-4, 1.0,
+                     QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)),
                     (["0x1.41223a6c9ba99p+1"], "0x1.0775eb8351729p-1", 3, "budget")),
-    "tail": ((lambda t: 1.0 / (1.0 + t), 0.0, math.inf, "default"),
+    "tail": ((lambda t: 1.0 / (1.0 + t), 0.0, math.inf, CFG),
              (["0x1.5900000000000p+9"], "inf", 0, "tail")),
-    "budget": ((lambda t: np.cos(t) * np.exp(-t / 50.0), 0.0, math.inf, "budget-1"),
+    "budget": ((lambda t: np.cos(t) * np.exp(-t / 50.0), 0.0, math.inf,
+                QuadratureConfig(max_subdivisions=1)),
                (["0x1.4b72a45f1701ep-1"], "inf", 1, "budget")),
 }
 
@@ -312,7 +309,7 @@ def test_stacked_panels_refine_as_single_panels_did(name):
     # every refinement decision, and so every figure, is the one the pool
     # made when it evaluated one panel per integrand call
     (f, lo, hi, cfg), (value, error, subdivisions, reason) = PINNED[name]
-    res = integrate_segment(f, lo, hi, PINNED_CFG[cfg])
+    res = integrate_segment(f, lo, hi, cfg)
     assert [float(v).hex() for v in np.ravel(res.value)] == value
     assert float(res.error_estimate).hex() == error
     assert (res.subdivisions_used, res.failure_reason) == (subdivisions, reason)
