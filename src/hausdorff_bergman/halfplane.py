@@ -351,16 +351,15 @@ class HalfPlaneFunction:
     @functools.cached_property
     def sides(self) -> tuple:
         """(measure, source, decay hint) per distinct nonzero measure of the
-        terms, by identity (segments compare without their densities; one
-        equal to the unit atom counts as it): the source holds the measure's
-        terms made plain, the hint is that of the terms themselves."""
+        terms, by value (a segment is its density spec; the plain terms'
+        measure is UNIT itself): the source holds the measure's terms made
+        plain, the hint is that of the terms themselves."""
         groups = {}
         for t in self.terms:
-            mu = UNIT if t.plain else t.measure
-            groups.setdefault(id(mu), (mu, []))[1].append(t)
+            groups.setdefault(UNIT if t.plain else t.measure, []).append(t)
         return tuple((mu, HalfPlaneFunction(tuple(replace(t, measure=UNIT) for t in terms)),
                       HalfPlaneFunction(tuple(terms)).decay_hint)
-                     for mu, terms in groups.values() if not mu.is_zero)
+                     for mu, terms in groups.items() if not mu.is_zero)
 
     @functools.cached_property
     def _split(self) -> list:

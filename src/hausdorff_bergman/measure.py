@@ -12,8 +12,9 @@ from __future__ import annotations
 import ast
 import json
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -58,10 +59,12 @@ class Atom:
 _SLOPE_TOL = 0.25  # a finite endpoint exponent against the density's log-slope
 _TINY = np.finfo(float).tiny
 
-# serialized density kinds: ("const", [c]) -> c, ("power", [c, a]) -> c*t^a,
+# density kinds, the only description of a segment's density and the form
+# it is serialized in: ("const", [c]) -> c, ("power", [c, a]) -> c*t^a,
 # ("exp", [c, b]) -> c*exp(-b*t), ("expr", [source]) -> arithmetic expression
 # in t over the names below
 DensitySpec = tuple[str, tuple]
+_ARITY = {"const": 1, "power": 2, "exp": 2}  # the kinds whose params are numbers
 
 _EXPR_FUNCTIONS = {
     "exp": np.exp,
@@ -123,24 +126,16 @@ def _check_expr(node: ast.AST) -> float | None:
 def _density_from_spec(spec: DensitySpec) -> Callable:
     kind, params = spec
     if kind == "const":
-        (c,) = params
-        return lambda t: np.full_like(np.asarray(t, dtype=float), float(c))
+        (c,) = map(float, params)
+        return lambda t: np.full_like(np.asarray(t, dtype=float), c)
     if kind == "power":
-        c, a = params
-        return lambda t: float(c) * np.asarray(t, dtype=float) ** float(a)
+        c, a = map(float, params)
+        return lambda t: c * np.asarray(t, dtype=float) ** a
     if kind == "exp":
-        c, b = params
-        return lambda t: float(c) * np.exp(-float(b) * np.asarray(t, dtype=float))
+        c, b = map(float, params)
+        return lambda t: c * np.exp(-b * np.asarray(t, dtype=float))
     if kind == "expr":
-        (source,) = params
-        if not isinstance(source, str):
-            raise ValueError(f"density expression must be a string, got {source!r}")
-        try:
-            _check_expr(ast.parse(source, mode="eval"))
-        except (SyntaxError, RecursionError, MemoryError) as exc:
-            raise ValueError(f"density expression {source[:40]!r} does not parse: "
-                             f"{type(exc).__name__}") from None
-        code = compile(source, "<density-expr>", "eval")
+        code = compile(_parsed_expr(params), "<density-expr>", "eval")
 
         def f(t):
             return np.asarray(
@@ -152,34 +147,68 @@ def _density_from_spec(spec: DensitySpec) -> Callable:
     raise ValueError(f"unknown density kind {kind!r}")
 
 
+def _parsed_expr(params) -> ast.Expression:
+    """The checked tree of an expr density's source (see _check_expr)."""
+    (source,) = params
+    if not isinstance(source, str):
+        raise ValueError(f"density expression must be a string, got {source!r}")
+    try:
+        tree = ast.parse(source, mode="eval")
+        _check_expr(tree)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"density expression {source[:40]!r} does not parse: "
+                         f"{type(exc).__name__}") from None
+    return tree
+
+
 @dataclass(frozen=True)
 class DensitySegment:
-    """An absolutely continuous piece: density on (lower, upper).
+    """An absolutely continuous piece: the density given by spec on
+    (lower, upper).
 
-    lower may be 0 and upper may be inf; in those cases exp_lo / exp_hi
-    must describe the endpoint behaviour density(t) ~ c * t^exponent
-    (exp_hi = -inf marks faster-than-any-power decay).  The density callable
-    must accept numpy arrays and return non-negative values.
+    A segment is its spec (see DensitySpec): segments compare and hash by
+    endpoints, spec and exponents, and density, the callable built from the
+    spec, counts for neither.  lower may be 0 and upper may be inf; in those
+    cases exp_lo / exp_hi must describe the endpoint behaviour
+    density(t) ~ c * t^exponent (exp_hi = -inf marks faster-than-any-power
+    decay).  from_spec is the validating constructor for outside input.
+    density is an init field only so that a wrapper of the built callable
+    (a tracing one, say) can be put in with dataclasses.replace; when none
+    is passed it is built from the spec.
     """
 
     lower: float
     upper: float
-    density: Callable = field(compare=False)
+    spec: DensitySpec
     exp_lo: float | None = None
     exp_hi: float | None = None
-    spec: DensitySpec | None = None
+    density: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.lower < 0:
             raise ValueError("segment lower endpoint must be >= 0")
         if not (self.lower < self.upper):
             raise ValueError("segment needs lower < upper")
+        if self.density is None:
+            object.__setattr__(self, "density", _density_from_spec(self.spec))
 
     @classmethod
     def from_spec(cls, lower: float, upper: float, spec: DensitySpec,
                   exp_lo: float | None = None,
                   exp_hi: float | None = None) -> "DensitySegment":
-        seg = cls(lower, upper, _density_from_spec(spec), exp_lo, exp_hi, spec)
+        """The validating constructor: the params of a const, power or exp
+        density must be finite numbers of the kind's arity, and are stored
+        as floats; the density may not be negative, and the declared
+        exponents must match it."""
+        kind, params = spec
+        values = tuple(params)
+        if kind in _ARITY:
+            values = tuple(float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool)
+                           else math.nan for x in values)
+            if len(values) != _ARITY[kind] or not all(map(math.isfinite, values)):
+                raise ValueError(f"density {kind} needs {_ARITY[kind]} finite number(s) "
+                                 f"as params, got {list(params)!r}")
+        seg = cls(lower, upper, (kind, values), exp_lo, exp_hi)
         seg._check_nonnegative()
         seg._check_exponents()
         return seg
@@ -338,19 +367,18 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> In
     err = 0.0
     subdivisions = 0
     for seg in mu.segments:
-        dens = seg.density
-
-        if seg.spec is not None and seg.spec[0] == "power":
+        kind, params = seg.spec
+        if kind == "power":
             # fuse the exponents: c * t^(alpha + a) cannot overflow at
             # extreme t where the separate factors would
-            c, a = seg.spec[1]
+            c, a = map(float, params)
 
-            def integrand(t, c=float(c), a=float(a)):
+            def integrand(t, c=c, a=a):
                 return c * np.asarray(t, dtype=float) ** (alpha + a)
 
         else:
 
-            def integrand(t, dens=dens):
+            def integrand(t, dens=seg.density):
                 return np.asarray(t, dtype=float) ** alpha * np.asarray(dens(t))
 
         res = integrate_segment(integrand, seg.lower, seg.upper, cfg)
@@ -380,12 +408,10 @@ def restrict(mu: Measure, lo: float, hi: float) -> Measure:
         if new_lo >= new_hi:
             continue
         # clipped segments have proper endpoints, exponents no longer needed
-        keep_lo = seg.exp_lo if new_lo == seg.lower else None
-        keep_hi = seg.exp_hi if new_hi == seg.upper else None
-        keep_spec = seg.spec
-        segments.append(
-            DensitySegment(new_lo, new_hi, seg.density, keep_lo, keep_hi, keep_spec)
-        )
+        segments.append(replace(
+            seg, lower=new_lo, upper=new_hi,
+            exp_lo=seg.exp_lo if new_lo == seg.lower else None,
+            exp_hi=seg.exp_hi if new_hi == seg.upper else None))
     return Measure(atoms=atoms, segments=tuple(segments))
 
 
@@ -396,10 +422,15 @@ def truncate(mu: Measure, delta: float) -> Measure:
     return restrict(mu, delta, 1.0 / delta)
 
 
-def _pushforward_spec(spec: DensitySpec | None) -> DensitySpec | None:
-    """Serialized form of u(1/t)/t^2 where representable."""
-    if spec is None:
-        return None
+class _Invert(ast.NodeTransformer):
+    """Replaces every t of a density expression with (1/t)."""
+
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        return ast.parse("1/t", mode="eval").body if node.id == "t" else node
+
+
+def _pushforward_spec(spec: DensitySpec) -> DensitySpec:
+    """The spec of u(1/t)/t^2, u the density of spec."""
     kind, params = spec
     if kind == "const":
         (c,) = params
@@ -410,38 +441,29 @@ def _pushforward_spec(spec: DensitySpec | None) -> DensitySpec | None:
     if kind == "exp":
         c, b = params
         return ("expr", (f"({float(c)!r})*exp(-({float(b)!r})/t)*t**-2.0",))
-    return None
+    body = _Invert().visit(_parsed_expr(params)).body
+    return ("expr", (f"({ast.unparse(body)})*t**-2.0",))
 
 
 def pushforward_inverse(mu: Measure) -> Measure:
     """Image of mu under t -> 1/t.
 
     Atoms move from s to 1/s with unchanged weight; a segment [a, b] with
-    density u becomes [1/b, 1/a] with density t -> u(1/t)/t^2, and endpoint
-    exponents swap roles via a -> -a - 2.
+    density u becomes [1/b, 1/a] with density t -> u(1/t)/t^2, given by its
+    spec (_pushforward_spec), and endpoint exponents swap roles via
+    a -> -a - 2.
     """
     atoms = tuple(Atom(1.0 / a.location, a.weight) for a in mu.atoms)
-    segments = []
-    for seg in mu.segments:
-        new_lo = 0.0 if math.isinf(seg.upper) else 1.0 / seg.upper
-        new_hi = math.inf if seg.lower == 0.0 else 1.0 / seg.lower
-        dens = seg.density
-
-        def new_density(t, dens=dens):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(dens(1.0 / t)) / t**2
-
-        segments.append(
-            DensitySegment(
-                new_lo,
-                new_hi,
-                new_density,
-                exp_lo=None if seg.exp_hi is None else -seg.exp_hi - 2.0,
-                exp_hi=None if seg.exp_lo is None else -seg.exp_lo - 2.0,
-                spec=_pushforward_spec(seg.spec),
-            )
+    segments = tuple(
+        DensitySegment(
+            0.0 if math.isinf(seg.upper) else 1.0 / seg.upper,
+            math.inf if seg.lower == 0.0 else 1.0 / seg.lower,
+            _pushforward_spec(seg.spec),
+            exp_lo=None if seg.exp_hi is None else -seg.exp_hi - 2.0,
+            exp_hi=None if seg.exp_lo is None else -seg.exp_lo - 2.0,
         )
-    return Measure(atoms=atoms, segments=tuple(segments))
+        for seg in mu.segments)
+    return Measure(atoms=atoms, segments=segments)
 
 
 def classify_boundedness(mu: Measure, p: float) -> Boundedness:
@@ -474,44 +496,21 @@ SCHEMA_VERSION = 1
 
 
 def _num_to_json(x: float | None):
-    if x is None:
-        return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+    """x, or "inf" / "-inf" for an infinity, which JSON cannot hold."""
+    return str(x) if x is not None and math.isinf(x) else x
 
 
 def _num_from_json(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        return float(x)
-    return float(x)
+    """A number, "inf" or "-inf" (see _num_to_json) as a float; None stays."""
+    return None if x is None else float(x)
 
 
 def measure_to_json(mu: Measure) -> dict:
-    """JSON-ready dict; raises for segments built from raw closures."""
-    segments = []
-    for seg in mu.segments:
-        if seg.spec is None:
-            raise ValueError(
-                "segment density has no serializable spec "
-                "(build it with DensitySegment.from_spec)"
-            )
-        kind, params = seg.spec
-        segments.append(
-            {
-                "lo": seg.lower,
-                "hi": _num_to_json(seg.upper),
-                "density": {"kind": kind, "params": list(params)},
-                "exp_lo": _num_to_json(seg.exp_lo),
-                "exp_hi": _num_to_json(seg.exp_hi),
-            }
-        )
+    """JSON-ready dict."""
+    segments = [{"lo": seg.lower, "hi": _num_to_json(seg.upper),
+                 "density": {"kind": seg.spec[0], "params": list(seg.spec[1])},
+                 "exp_lo": _num_to_json(seg.exp_lo), "exp_hi": _num_to_json(seg.exp_hi)}
+                for seg in mu.segments]
     return {
         "schema_version": SCHEMA_VERSION,
         "atoms": [{"t": a.location, "w": a.weight} for a in mu.atoms],

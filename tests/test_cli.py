@@ -345,6 +345,24 @@ def test_negative_density_is_usage_error(tmp_path, capsys, lo, hi, density):
     assert "takes negative values" in err
 
 
+@pytest.mark.parametrize("density", [
+    {"kind": "power", "params": [1.0, [2]]},
+    {"kind": "const", "params": [math.inf]},
+    {"kind": "exp", "params": [1.0]},
+    {"kind": "const", "params": ["1.0"]},
+])
+def test_malformed_density_params_are_usage_error(tmp_path, capsys, density):
+    # params are read when the measure loads, not at the first density call
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"atoms": [], "segments": [
+        {"lo": 1.0, "hi": 2.0, "density": density}]}))
+    code = main(["moment", "-m", str(path), "--alpha", "0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot load measure") and err.count("\n") == 1
+    assert "finite number" in err
+
+
 @pytest.mark.parametrize("doc, reason", [
     ([], "must be a JSON object"),
     # t^-3 on [1, inf) does not decay faster than every power

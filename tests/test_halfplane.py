@@ -17,6 +17,7 @@ from hausdorff_bergman import (
     as_function,
     check_sector_inequality,
     dilate,
+    measure_from_json,
     parse_function_spec,
     rational_power,
     sample_sector,
@@ -284,7 +285,8 @@ def test_evaluator_passed_in_is_kept():
 
     np.testing.assert_allclose(dataclasses.replace(f, evaluator=spy)(1j), f(1j), rtol=0)
     assert calls == [1]
-    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, np.ones_like),)), 2.0)
+    op = HausdorffOperator(Measure(segments=(DensitySegment.from_spec(
+        1.0, 2.0, ("const", (1.0,))),)), 2.0)
     res = apply_with_error(op, dataclasses.replace(f, evaluator=spy), np.array([1j, 2j]))
     assert len(calls) > 1
     np.testing.assert_allclose(res.value, apply_with_error(op, f, np.array([1j, 2j])).value,
@@ -301,13 +303,33 @@ def test_dilate_out_of_float_range_is_refused():
 
 
 def test_images_with_different_inner_configs_do_not_add():
-    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, np.ones_like),)), 2.0)
+    op = HausdorffOperator(Measure(segments=(DensitySegment.from_spec(
+        1.0, 2.0, ("const", (1.0,))),)), 2.0)
     f = rational_power(1.0, 2.0)
     loose, tight = QuadratureConfig(), QuadratureConfig().tighter()
     with pytest.raises(ValueError, match="inner_cfg"):
         as_function(op, f, loose) + as_function(op, f, tight)
     both = as_function(op, f, tight) + as_function(op, f, tight) + f
     assert both.inner_cfg == tight
+
+
+def test_images_under_equal_measures_share_a_side():
+    # a segment is its spec: two measures read from one document are equal
+    # and hash alike, and images under them make one side, as under one measure
+    doc = {"atoms": [{"t": 3.0, "w": 0.5}], "segments": [
+        {"lo": 1.0, "hi": 2.0, "density": {"kind": "expr", "params": ["1 + t"]}},
+        {"lo": 0.5, "hi": "inf", "density": {"kind": "exp", "params": [1.0, 2.0]},
+         "exp_hi": "-inf"}]}
+    mu1, mu2 = measure_from_json(doc), measure_from_json(doc)
+    assert mu1 is not mu2 and mu1 == mu2 and hash(mu1) == hash(mu2)
+    f, g = rational_power(1.0, 2.0), rational_power(0.5, 3.0)
+    inner = QuadratureConfig().tighter()
+    total = (as_function(HausdorffOperator(mu1, 2.0), f, inner)
+             + as_function(HausdorffOperator(mu2, 2.0), g, inner))
+    assert len(total.sides) == 1
+    z = np.array([0.3 + 1j, -2.0 + 0.5j])
+    one = as_function(HausdorffOperator(mu1, 2.0), f + g, inner)
+    np.testing.assert_array_equal(total(z), one(z))
 
 
 def test_dilate_decay_hint():

@@ -198,7 +198,8 @@ def test_sum_of_images_under_one_measure_is_one_inner_quadrature():
         calls.append(np.array(t, copy=True))
         return np.ones_like(t)
 
-    op = HausdorffOperator(Measure(segments=(DensitySegment(1.0, 2.0, density),)), p=2.0)
+    seg = DensitySegment(1.0, 2.0, ("const", (1.0,)), density=density)
+    op = HausdorffOperator(Measure(segments=(seg,)), p=2.0)
     f, g = rational_power(1.0, 2.0), rational_power(0.5, 3.0)
     inner = CFG.tighter()
     both = as_function(op, f + g, inner)

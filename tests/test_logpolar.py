@@ -743,14 +743,14 @@ def test_sum_of_images_against_double_moment():
 
 
 def test_images_under_equal_looking_measures_stay_apart():
-    # segments compare without their densities: 1 and t on [1, 2], given as
-    # callables, make two sides, and the norm is that of H_(1 + t) f
+    # segments compare by their specs: 1 and t on [1, 2] make two sides, and
+    # the norm is that of H_(1 + t) f
     eps = 0.1
     a = 1.0 + eps
     f = rational_power(eps, a)
-    one, t = (Measure(segments=(DensitySegment(1.0, 2.0, d),))
-              for d in (np.ones_like, lambda t: t))
-    assert one == t
+    one, t = (Measure(segments=(DensitySegment.from_spec(1.0, 2.0, spec),))
+              for spec in (("const", (1.0,)), ("power", (1.0, 1.0))))
+    assert one != t
     h_one = as_function(HausdorffOperator(one, 2.0), f, CFG.tighter())
     h_t = as_function(HausdorffOperator(t, 2.0), f, CFG.tighter())
     total = h_one + h_t

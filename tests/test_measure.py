@@ -129,10 +129,10 @@ def test_closure_integrand_with_overflowing_factors():
 
 
 def test_moment_missing_metadata_raises():
-    seg = DensitySegment(0.0, 1.0, lambda t: np.ones_like(t))
+    seg = DensitySegment.from_spec(0.0, 1.0, ("const", (1.0,)))
     with pytest.raises(MissingExponentMetadata):
         moment(Measure(segments=(seg,)), 0.0, CFG)
-    seg = DensitySegment(1.0, math.inf, lambda t: np.exp(-t))
+    seg = DensitySegment.from_spec(1.0, math.inf, ("exp", (1.0, 1.0)))
     with pytest.raises(MissingExponentMetadata):
         moment(Measure(segments=(seg,)), 0.0, CFG)
 
@@ -298,7 +298,7 @@ def test_classify_borderline_is_unbounded():
 
 
 def test_classify_missing_metadata_inconclusive():
-    seg = DensitySegment(0.0, 1.0, lambda t: np.ones_like(t))
+    seg = DensitySegment.from_spec(0.0, 1.0, ("const", (1.0,)))
     assert (
         classify_boundedness(Measure(segments=(seg,)), 2.0)
         is Boundedness.INCONCLUSIVE
@@ -366,26 +366,38 @@ def test_json_expr_density():
     np.testing.assert_allclose(moment(mu, 0.0, CFG).value, expected, rtol=1e-12)
 
 
-def test_closure_density_not_serializable():
-    seg = DensitySegment(1.0, 2.0, lambda t: np.ones_like(t))
-    with pytest.raises(ValueError):
-        measure_to_json(Measure(segments=(seg,)))
+PUSHED = [
+    DensitySegment.from_spec(1.0, 2.0, ("const", (1.5,))),
+    DensitySegment.from_spec(0.5, 3.0, ("power", (0.7, 1.3))),
+    DensitySegment.from_spec(0.5, math.inf, ("exp", (1.2, 0.8)), exp_hi=-math.inf),
+    DensitySegment.from_spec(1.0, 2.0, ("expr", ("1 + t",))),
+]
 
 
 def test_pushforward_specs_survive_roundtrip(tmp_path):
-    mu = Measure(segments=(
-        DensitySegment.from_spec(1.0, 2.0, ("const", (1.0,))),
-        DensitySegment.from_spec(0.5, 3.0, ("power", (1.0, 1.0))),
-        DensitySegment.from_spec(0.5, math.inf, ("exp", (1.0, 1.0)),
-                                 exp_hi=-math.inf),
-    ))
-    nu = pushforward_inverse(mu)
+    # every density kind, pushed once and twice
+    mu = Measure(segments=tuple(PUSHED))
     path = tmp_path / "nu.json"
-    dump_measure(nu, path)
-    back = load_measure(path)
-    np.testing.assert_allclose(
-        moment(back, 0.5, CFG).value, moment(nu, 0.5, CFG).value, rtol=1e-10
-    )
+    for nu in (pushforward_inverse(mu), pushforward_inverse(pushforward_inverse(mu))):
+        dump_measure(nu, path)
+        back = load_measure(path)
+        assert back == nu and hash(back) == hash(nu)
+        np.testing.assert_allclose(
+            moment(back, 0.5, CFG).value, moment(nu, 0.5, CFG).value, rtol=1e-10
+        )
+
+
+@pytest.mark.parametrize("seg", PUSHED, ids=lambda seg: seg.spec[0])
+def test_pushforward_density_is_the_change_of_variables(seg):
+    # on t in [1/2, 2] the exponents and exp arguments stay of order 1, so
+    # the rounding of 1/t moves neither form by more than a few ulps
+    t = np.geomspace(0.5, 2.0, 101)
+    u = seg.density
+    pushed = pushforward_inverse(Measure(segments=(seg,))).segments[0]
+    np.testing.assert_array_max_ulp(pushed.density(t), u(1.0 / t) / t**2, maxulp=4)
+    twice = pushforward_inverse(Measure(segments=(pushed,))).segments[0]
+    assert (twice.lower, twice.upper) == (seg.lower, seg.upper)
+    np.testing.assert_array_max_ulp(twice.density(t), u(t), maxulp=4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,16 @@ def test_summary_of_alternating_pairs():
     assert "wall_s" in text and "wins 4/5" in text
     marked = [line.split()[0] for line in text.splitlines() if line.endswith("WORSE")]
     assert marked == ["cpu_s"]
+
+
+def test_summarize_prints_the_src_line_counts(tmp_path, capsys):
+    bench = {"parent": {"commit": "a", "src_lines": 4126},
+             "change": {"commit": "b", "src_lines": 4100},
+             "workloads": {"w": {"pairs": 1, "runs": {"parent": [_run(2.0)],
+                                                       "change": [_run(1.0)]}}}}
+    path = tmp_path / "BENCH_t.json"
+    path.write_text(json.dumps(bench), encoding="utf-8")
+    assert bench_pairs.main(["--summarize", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["src_lines", "parent", "4126", "change", "4100", "-26"]
+    assert lines[1] == "w"

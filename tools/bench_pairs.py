@@ -13,8 +13,8 @@ parent first), each run `bench/run.py --workload W --seed N --seconds S
 to BENCH_<tag>.json: the commits with their src line counts, and per
 workload the pair count, each side's medians and every run.
 
---summarize prints, per workload and end-to-end metric, each side's median
-and quartiles, the change's wins (pairs where it reads better; ties count
+--summarize prints each side's src line count and their difference, then,
+per workload and end-to-end metric, each side's median and quartiles, the change's wins (pairs where it reads better; ties count
 for neither) and the parent's interquartile range, the spread a claimed
 gain must exceed.  A metric whose change median lies above the parent's
 upper quartile is marked WORSE.
@@ -69,6 +69,12 @@ def summarize(bench: dict) -> dict:
             }
         out[name] = rows
     return out
+
+
+def format_src_lines(bench: dict) -> str:
+    """Each side's src line count and the change's difference."""
+    parent, change = bench["parent"]["src_lines"], bench["change"]["src_lines"]
+    return f"src_lines    parent {parent}  change {change}  {change - parent:+d}"
 
 
 def format_summary(summary: dict) -> str:
@@ -177,6 +183,7 @@ def main(argv=None) -> int:
 
     if args.summarize:
         bench = json.loads(Path(args.summarize).read_text(encoding="utf-8"))
+        print(format_src_lines(bench))
         print(format_summary(summarize(bench)))
         return 0
     missing = [k for k in ("parent", "change", "tag", "seed", "seconds", "pairs")
@@ -186,6 +193,7 @@ def main(argv=None) -> int:
     bench = run_pairs(args.parent, args.change, dict(args.pairs), args.seed, args.seconds)
     out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(format_src_lines(bench))
     print(format_summary(summarize(bench)))
     print(f"wrote {out}", file=sys.stderr)
     return 0
