@@ -30,6 +30,15 @@ factor has none (mixed exponents, coefficients of different phase), the
 run evaluates every factor on the full rule.  The budget counts the
 evaluations made.
 
+A level's work is one evaluation of the sources on its lattice (a _level
+call), whose cost is mostly fixed per call, so a level evaluates once where
+it can.  Level 0 starts from a guessed window and grows it until both
+edges close: it evaluates the window grown _GROW_AHEAD times on both sides
+once and tries each window on a slice of those rows, evaluating again only
+if a window grows beyond them.  A level from 1 on starts from the window
+the last level closed, seldom grows it, and evaluates each window it
+tries.
+
 The lattice is finite; the sum beyond each edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
 exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
@@ -53,6 +62,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +92,8 @@ _MARGIN = 1.0      # a kernel decaying within this of the source's rate (per
                    # unit of v) at one end leaves that end's rate to be measured
 _BLOCK = 1 << 12  # complex entries per (row, theta) array of a theta block
                   # (64 KiB): sets the block's width from n_v and the FFT lengths
+_GROW_AHEAD = 2   # level 0 evaluates its window grown this many times on both
+                  # sides (_grow) and finds its edges on slices of those rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,6 +113,19 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(step)) < 1e-16:
             break
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_rule(lvl: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """e^(i theta) at the Gauss-Legendre theta nodes of level lvl and their
+    weights with the norm's 1/pi, (1/pi) * (pi/2) * wx.  With half, only the
+    nodes with theta < pi/2: pi - theta are the others, with the same
+    weights.  Cached, as _gauss_legendre is: a level's window tries and
+    runs share them."""
+    x, wx = _gauss_legendre(_THETA0 << lvl)
+    if half:
+        x, wx = x[:len(x) // 2], wx[:len(x) // 2]
+    return np.exp(0.5j * math.pi * (x + 1.0)), 0.5 * wx
 
 
 def _gregory_weights(order: int) -> np.ndarray:
@@ -465,12 +490,19 @@ class _Side:
 
 @dataclass
 class _LevelSums:
-    profs: np.ndarray      # P(v_j) with this level's inner rules (row 0)
-                           # and with the Gauss rule one lower (row 1)
+    profs: np.ndarray      # P(v_j) with this level's inner rules (row 0) and
+                           # with the Gauss rule one lower (row 1; none where
+                           # no side has a lower rule: P with it is P itself)
     major: np.ndarray      # the majorant profile: P itself for a norm,
                            # (1/pi) int |F||G| dtheta for a pairing
     kernel_tails: list     # (factor, geometric tail of a kernel, ||G||_p^p seen by it)
     own: np.ndarray        # ||F||_2^2 of each factor of a pairing
+
+    def rows(self, j: int, n: int) -> _LevelSums:
+        """The profiles on rows j, ..., j + n - 1 alone.  kernel_tails and
+        own are left None: they were measured on all the rows, and run
+        reads neither at level 0, where the rows are evaluated ahead."""
+        return _LevelSums(self.profs[:, j:j + n], self.major[j:j + n], None, None)
 
 
 class _LogPolarNorm:
@@ -508,10 +540,13 @@ class _LogPolarNorm:
     Once per run: the sides and their atom terms.  Once per level, i.e.
     per step h: each side's kernels; once per Gauss rule index: its direct
     terms (atoms and Gauss nodes).  Both are kept on the side (see _Side),
-    so a window regrowth rebuilds neither.  Once per window try (_level):
-    a kernel's FFT, only at an FFT length not met before at that h, and
-    the evaluations, one lattice_values call per theta block for a side's
+    so a window regrowth rebuilds neither.  Once per _level call: a
+    kernel's FFT, only at an FFT length not met before at that h, and the
+    evaluations, one lattice_values call per theta block for a side's
     direct terms (both Gauss rules' nodes among them) and one per kernel.
+    From level 1 on a _level call is a window try; level 0 makes one call
+    for all its tries, on rows evaluated ahead (_sums), and a second only
+    if its window grows beyond them.
     """
 
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
@@ -550,48 +585,44 @@ class _LogPolarNorm:
     def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
                h: float) -> _LevelSums:
         """Profiles P(v_j) = (1/pi) int of the integrand dtheta with the
-        Gauss rule of index rule and with the rule one lower, plus the side
-        data."""
-        x, wx = _gauss_legendre(_THETA0 << lvl)
-        if self.mirror is not None:
-            # the nodes with theta < pi/2; pi - theta are the others, same weights
-            x, wx = x[:len(x) // 2], wx[:len(x) // 2]
-        eith = np.exp(0.5j * math.pi * (x + 1.0))
-        w_th = 0.5 * wx  # (1/pi) * (pi/2) * wx
+        Gauss rule of index rule and, where some side has a lower rule,
+        with the rule one lower; plus the side data."""
+        eith, w_th = _theta_rule(lvl, self.mirror is not None)
         v = v_lo + h * np.arange(n_v)
         levels = [[side.level(rule, h, n_v) for side in factor] for factor in self.factors]
         flat = [lv for factor in levels for lv in factor]
-        evals = len(x) * sum(lv.evals for lv in flat)
+        evals = len(eith) * sum(lv.evals for lv in flat)
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
         nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
-        # with no lower Gauss rule anywhere, P with it is P itself
-        same_g = all(lv.same_g for lv in flat)
-        rows = (0,) if same_g else (0, 1)
+        # with no lower Gauss rule anywhere, P with it is P itself: one row
+        n_rows = 1 if all(lv.same_g for lv in flat) else 2
 
-        profs = np.zeros((2, n_v), dtype=complex if self.pair else float)
+        profs = np.zeros((n_rows, n_v), dtype=complex if self.pair else float)
         major = np.zeros(n_v)
         own = np.zeros(len(self.factors))
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
                          divide="ignore"):
-            for b0 in range(0, len(x), nb):
+            for b0 in range(0, len(eith), nb):
                 eb, wb = eith[b0:b0 + nb], w_th[b0:b0 + nb]
                 # the weights of sums even in theta -> pi - theta
                 w_even = wb if self.mirror is None else 2.0 * wb
-                vals = [[sum(parts) for parts in zip(*(
+                # a factor is the sum of its sides, added without sum's 0 + copy
+                vals = [[functools.reduce(operator.add, parts) for parts in zip(*(
                     side.block(lv, v, h, eb, w_even) for side, lv in zip(factor, lvs)))]
                         for factor, lvs in zip(self.factors, levels)]
                 fx, gx = vals[0], vals[-1]
-                for k in rows:
+                for k in range(n_rows):
                     r = _nodes_dot(wb, self._integrand(fx[k], gx[k]).T)
-                    profs[k] += r if self.mirror is None else r + self.mirror * np.conj(r)
+                    if self.mirror is not None:
+                        # a norm's r is real and its mirror 1: r + conj(r) is 2 r
+                        r = r + self.mirror * np.conj(r) if self.pair else 2.0 * r
+                    profs[k] += r
                 if self.pair:
                     major += _nodes_dot(w_even, (np.abs(fx[0]) * np.abs(gx[0])).T)
                     own += [h * float(np.sum(_nodes_dot(w_even, (np.abs(val[0]) ** 2).T)))
                             for val in vals]
-        if same_g:
-            profs[1] = profs[0]
         tails = [(i, kr.tail, gm) for i, factor in enumerate(levels) for lv in factor
                  for kr, gm in zip(lv.kernels, lv.g_mass)]
         return _LevelSums(profs, major if self.pair else profs[0], tails, own)
@@ -642,19 +673,46 @@ class _LogPolarNorm:
         fit = None if exact is None else _rate_tail(prof, float(major[-1]), h, m, exact)
         return fit if fit is not None and fit[1] < best[1] else best
 
+    def _ahead(self, rule: int, h: float):
+        """Level 0's rows, evaluated once on the window grown _GROW_AHEAD
+        times on both sides (by _grow, so an edge stops short of _V_CAP).
+        Returns (v of the first row, v of the last, their _LevelSums); the
+        window itself is left as it was."""
+        window = self.v_lo, self.v_hi
+        for _ in range(_GROW_AHEAD):
+            self._grow(True)
+            self._grow(False)
+        lo, hi = self.v_lo, self.v_hi
+        self.v_lo, self.v_hi = window
+        return lo, hi, self._level(0, rule, lo, int(round((hi - lo) / h)) + 1, h)
+
     def _sums(self, lvl: int, rule: int, h: float):
         """One completed level, on a window grown until the error counted
         for its edges (_edge) is below an eighth of the tolerance.  Returns
         (sums, (sum, sum with the Gauss rule one lower), (edge amounts
         added to the value, edge amounts counted in the error)).  Raises
         _Stop: "tail" for a non-finite sum or an edge still open at _V_CAP,
-        "budget" (from _level) for evaluations beyond the budget."""
+        "budget" (from _level) for evaluations beyond the budget.
+
+        A window try costs a _level call, mostly a fixed cost per call, and
+        level 0 starts from a guess that often grows.  So level 0 evaluates
+        its rows once, ahead (_ahead), and tries each window on a slice of
+        them; only a window grown beyond those rows evaluates again, ahead
+        of itself.  The rows ahead are real evaluations and count against
+        the budget.  A level from 1 on starts from level 0's window, which
+        seldom grows again, and evaluates each window it tries."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
+        ahead = None
         while True:
             n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-            sums = self._level(lvl, rule, self.v_lo, n_v, h)
-            cores = tuple(h * np.sum(pr).item() for pr in sums.profs)
+            if lvl:
+                sums = self._level(lvl, rule, self.v_lo, n_v, h)
+            else:
+                if ahead is None or not ahead[0] <= self.v_lo <= self.v_hi <= ahead[1]:
+                    ahead = self._ahead(rule, h)
+                sums = ahead[2].rows(int(round((self.v_lo - ahead[0]) / h)), n_v)
+            cores = [h * np.sum(pr).item() for pr in sums.profs]
             if not all(map(cmath.isfinite, cores)):
                 raise _Stop("tail")
             tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
@@ -665,7 +723,8 @@ class _LogPolarNorm:
                                         self.rate_hi, self.exact_hi)
             open_lo, open_hi = err_lo > tau, err_hi > tau
             if not (open_lo or open_hi):
-                return sums, cores, (add_lo + add_hi, err_lo + err_hi)
+                # the last row holds P with the lower Gauss rule, or P itself
+                return sums, (cores[0], cores[-1]), (add_lo + add_hi, err_lo + err_hi)
             if (open_lo and not self._grow(True)) or (open_hi and not self._grow(False)):
                 raise _Stop("tail")
 
@@ -696,7 +755,7 @@ class _LogPolarNorm:
             for lvl in range(_MAX_LEVELS):
                 sums, (core, core_g), (add, edge_err) = self._sums(lvl, rule, _H0 / 2.0 ** lvl)
                 prev_value, value, value_j, done = value, core + add, core_g + add, lvl + 1
-                if not lvl:
+                if not lvl:  # level 0's kernel_tails and own are not read
                     rule = 1
                     continue
                 if self.pair:

@@ -171,8 +171,10 @@ class DensitySegment:
     spec, counts for neither.  lower may be 0 and upper may be inf; in those
     cases exp_lo / exp_hi must describe the endpoint behaviour
     density(t) ~ c * t^exponent (exp_hi = -inf marks faster-than-any-power
-    decay).  from_spec is the validating constructor for outside input.
-    density is an init field only so that a wrapper of the built callable
+    decay).  Every constructor checks the endpoints and the params of a
+    const, power or exp density (__post_init__); from_spec, the validating
+    constructor for outside input, also samples an expr density for its
+    sign and checks the declared exponents against the density.  density is an init field only so that a wrapper of the built callable
     (a tracing one, say) can be put in with dataclasses.replace; when none
     is passed it is built from the spec.
     """
@@ -185,22 +187,15 @@ class DensitySegment:
     density: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        """The cheap checks, made by every constructor: the endpoints, and
+        the params of a const, power or exp density, which must be finite
+        numbers of the kind's arity (stored as floats) with a coefficient
+        >= 0.  The params are stored as a tuple."""
         if self.lower < 0:
             raise ValueError("segment lower endpoint must be >= 0")
         if not (self.lower < self.upper):
             raise ValueError("segment needs lower < upper")
-        if self.density is None:
-            object.__setattr__(self, "density", _density_from_spec(self.spec))
-
-    @classmethod
-    def from_spec(cls, lower: float, upper: float, spec: DensitySpec,
-                  exp_lo: float | None = None,
-                  exp_hi: float | None = None) -> "DensitySegment":
-        """The validating constructor: the params of a const, power or exp
-        density must be finite numbers of the kind's arity, and are stored
-        as floats; the density may not be negative, and the declared
-        exponents must match it."""
-        kind, params = spec
+        kind, params = self.spec
         values = tuple(params)
         if kind in _ARITY:
             values = tuple(float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -208,25 +203,35 @@ class DensitySegment:
             if len(values) != _ARITY[kind] or not all(map(math.isfinite, values)):
                 raise ValueError(f"density {kind} needs {_ARITY[kind]} finite number(s) "
                                  f"as params, got {list(params)!r}")
-        seg = cls(lower, upper, (kind, values), exp_lo, exp_hi)
-        seg._check_nonnegative()
+            if values[0] < 0.0:
+                raise ValueError(f"density {kind} {list(params)!r} on "
+                                 f"({self.lower}, {self.upper}) takes negative values")
+        object.__setattr__(self, "spec", (kind, values))
+        if self.density is None:
+            object.__setattr__(self, "density", _density_from_spec(self.spec))
+
+    @classmethod
+    def from_spec(cls, lower: float, upper: float, spec: DensitySpec,
+                  exp_lo: float | None = None,
+                  exp_hi: float | None = None) -> "DensitySegment":
+        """The validating constructor: on top of the checks every
+        constructor makes (__post_init__), an expr density may not be
+        negative, and the declared exponents must match the density."""
+        seg = cls(lower, upper, spec, exp_lo, exp_hi)
+        if seg.spec[0] == "expr":
+            seg._check_expr_nonnegative()
         seg._check_exponents()
         return seg
 
-    def _check_nonnegative(self) -> None:
-        """Raise ValueError if the density takes negative values: decided from
-        the coefficient of a const, power or exp density, and by sampling
-        an expr density at 16 nodes spread in log t over the segment."""
-        kind, params = self.spec
-        if kind == "expr":
-            lo = self.lower if self.lower > 0.0 else min(1.0, self.upper) * 1e-6
-            hi = self.upper if math.isfinite(self.upper) else max(1.0, self.lower) * 1e6
-            with np.errstate(all="ignore"):
-                ok = bool(np.all(self.density(np.geomspace(lo, hi, 18)[1:-1]) >= 0.0))
-        else:
-            ok = float(params[0]) >= 0.0
+    def _check_expr_nonnegative(self) -> None:
+        """Raise ValueError if an expr density takes negative values at 16
+        nodes spread in log t over the segment."""
+        lo = self.lower if self.lower > 0.0 else min(1.0, self.upper) * 1e-6
+        hi = self.upper if math.isfinite(self.upper) else max(1.0, self.lower) * 1e6
+        with np.errstate(all="ignore"):
+            ok = bool(np.all(self.density(np.geomspace(lo, hi, 18)[1:-1]) >= 0.0))
         if not ok:
-            raise ValueError(f"density {kind} {list(params)!r} on "
+            raise ValueError(f"density expr {list(self.spec[1])!r} on "
                              f"({self.lower}, {self.upper}) takes negative values")
 
     def _check_exponents(self) -> None:
