@@ -174,9 +174,10 @@ class DensitySegment:
     decay).  Every constructor checks the endpoints and the params of a
     const, power or exp density (__post_init__); from_spec, the validating
     constructor for outside input, also samples an expr density for its
-    sign and checks the declared exponents against the density.  density is an init field only so that a wrapper of the built callable
-    (a tracing one, say) can be put in with dataclasses.replace; when none
-    is passed it is built from the spec.
+    sign and checks the declared exponents against the density.  density is
+    an init field only so that a wrapper of the built callable (a tracing
+    one, say) can be put in with dataclasses.replace; when none is passed
+    it is built from the spec.
     """
 
     lower: float

@@ -16,6 +16,7 @@ integral of (ts)^(a-1) (t+s)^(2-2a) dmu(t) dmu(s).
 """
 
 import cmath
+import collections
 import dataclasses
 import functools
 import math
@@ -1266,10 +1267,29 @@ def test_stacked_direct_terms_stay_within_the_stack_bound(monkeypatch):
     assert np.array_equal(full, want[0]) and np.array_equal(lower, want[1])
 
 
+def power_tail_measure() -> Measure:
+    """t^-3 on [1, inf): a kernel with one end, a Gregory one, at s = 0."""
+    return Measure(segments=(DensitySegment.from_spec(
+        1.0, math.inf, ("power", (1.0, -3.0)), exp_hi=-3.0),))
+
+
+def level_calls(monkeypatch) -> collections.Counter:
+    """The _level calls made from then on, per level index."""
+    calls = collections.Counter()
+    level = _LogPolarNorm._level
+
+    def counted(self, lvl, *args):
+        calls[lvl] += 1
+        return level(self, lvl, *args)
+
+    monkeypatch.setattr(_LogPolarNorm, "_level", counted)
+    return calls
+
+
 def test_window_regrowth_reuses_the_kernels(monkeypatch):
-    # the e^-t kernel on (0, inf) has two ends; the window of this norm
-    # grows once at level 0, and every _level call of a step h takes the
-    # kernels built at its first
+    # every _level call of a step h takes the kernels built at its first:
+    # each end of a kernel is built once per level, however often the
+    # window is evaluated there
     levels, ends = [], []
     level, kernel_side = _LogPolarNorm._level, _Side._kernel_side
 
@@ -1283,7 +1303,107 @@ def test_window_regrowth_reuses_the_kernels(monkeypatch):
 
     monkeypatch.setattr(_LogPolarNorm, "_level", counted_level)
     monkeypatch.setattr(_Side, "_kernel_side", counted_side)
-    res = image_norm_power(exp_measure(), 2.0, 2.0, 1.0)
+    for mu, p, a, h, n_ends in (
+            # e^-t: a kernel with two ends; the window grows again at level 1
+            (exp_measure(), 1.5, 2.0 / 1.5 + 0.1, 0.5, 2),
+            # t^-3 on [1, inf): the far edge grows beyond the rows level 0
+            # evaluated ahead, which it evaluates again
+            (power_tail_measure(), 1.0, 2.1, 1.0, 1)):
+        levels.clear()
+        ends.clear()
+        res = image_norm_power(mu, p, a, 1.0)
+        assert res.converged
+        assert levels.count(h) == 2  # a regrowth at step h
+        assert collections.Counter(ends) == {step: n_ends for step in set(levels)}
+
+
+# Value, error estimate and level count of each run, and the value of its
+# level 0, as float.hex, computed by the engine before level 0 evaluated its
+# rows ahead (commit 04ddf0c), when every window try of level 0 was a
+# _level call of its own.  On these runs, trying the windows on slices of
+# rows evaluated ahead makes every refinement decision as before and gives
+# the same numbers bit for bit.  Level 0's own value is the same bit for bit
+# where no kernel convolves; a kernel's FFT now runs at the length of the
+# rows ahead, which moves it by rounding alone.
+PINNED_RUNS = {
+    # the window grows at both edges at level 0 (three tries before)
+    "feps": (lambda: bergman_norm_p_power(rational_power(0.0125, 1.05), 2.0, CFG),
+             "0x1.d089a47f9b5a5p+3", "0x1.86245e73dab0fp-28", 3, "0x1.d088c70baf0e0p+3"),
+    "pairing": (lambda: pairing(rational_power(0.05, 1.5), rational_power(0.2, 1.5), CFG),
+                "0x1.45f306dc9c881p+2", "0x1.a50c664b0a738p-26", 3, "0x1.45ff5b96a6a4dp+2"),
+    # Gauss nodes
+    "uniform": (lambda: image_norm_power(uniform_12(), 2.0, 1.5, 1.0),
+                "0x1.42d34aada6c6ap-1", "0x1.26348287099fap-24", 3, "0x1.42bc3649f7bf1p-1"),
+    # a kernel with two ends
+    "exp": (lambda: image_norm_power(exp_measure(), 2.0, 2.0, 1.0),
+            "0x1.555555555555dp-3", "0x1.72ec4155ff647p-27", 3, "0x1.558f7eb55dcdep-3"),
+    # a kernel with a Gregory end
+    "rsqrt": (lambda: image_norm_power(rsqrt_01(), 2.0, 1.5, 0.2),
+              "0x1.1a69de4fcd6d8p+3", "0x1.dcfe132455ae0p-18", 3, "0x1.1aa51d7e36046p+3"),
+    "atoms-and-segment": (lambda: image_norm_power(Measure(
+        atoms=(Atom(0.5, 0.3), Atom(3.0, 0.2)),
+        segments=(DensitySegment.from_spec(0.5, 4.0, ("const", (1.0,))),)), 2.0, 1.5, 0.5),
+        "0x1.2afdcef25642cp+4", "0x1.2497331ea4110p-20", 3, "0x1.2af51a3306967p+4"),
+    # six window tries at level 0 before; the far edge grows beyond the
+    # rows evaluated ahead once
+    "walk-off": (lambda: image_norm_power(power_tail_measure(), 1.0, 2.1, 1.0),
+                 "0x1.2a2acf8bbed77p+3", "0x1.c3d3c71ab697cp-22", 4, "0x1.2a4d7082ef9e7p+3"),
+}
+CONVOLVED = {"exp", "rsqrt", "walk-off"}
+
+
+@pytest.mark.parametrize("case", PINNED_RUNS)
+def test_rows_evaluated_ahead_give_the_same_numbers(monkeypatch, case):
+    run, value, error, levels, level_0 = PINNED_RUNS[case]
+    values = completed_levels(monkeypatch)
+    calls = level_calls(monkeypatch)
+    res = run()
     assert res.converged
-    assert levels.count(1.0) == 2  # a window regrowth at level 0
-    assert sorted(ends) == sorted(2 * sorted(set(levels)))
+    assert complex(res.value).real.hex() == value and complex(res.value).imag == 0.0
+    assert res.error_estimate.hex() == error
+    assert res.subdivisions_used == levels
+    first, pinned = complex(values[0]).real, float.fromhex(level_0)
+    assert abs(first - pinned) <= (4 * math.ulp(pinned) if case in CONVOLVED else 0.0)
+    # level 0 evaluates once where its rows ahead cover the window search
+    assert calls[0] == (2 if case == "walk-off" else 1)
+
+
+def test_level_0_window_grows_at_both_edges_on_the_rows_ahead(monkeypatch):
+    # the first of PINNED_RUNS: level 0 closes its window beyond the initial
+    # guess at both edges, from the one evaluation
+    windows = []
+    initial, sums = _LogPolarNorm._initial_window, _LogPolarNorm._sums
+
+    def recorded_initial(self):
+        initial(self)
+        windows.append((self.v_lo, self.v_hi))
+
+    def recorded_sums(self, lvl, rule, h):
+        out = sums(self, lvl, rule, h)
+        if not lvl:
+            windows.append((self.v_lo, self.v_hi))
+        return out
+
+    monkeypatch.setattr(_LogPolarNorm, "_initial_window", recorded_initial)
+    monkeypatch.setattr(_LogPolarNorm, "_sums", recorded_sums)
+    calls = level_calls(monkeypatch)
+    PINNED_RUNS["feps"][0]()
+    (lo0, hi0), (lo, hi) = windows
+    assert lo < lo0 and hi > hi0
+    assert calls[0] == 1
+
+
+def test_edge_open_at_the_cap_ends_tail_on_the_rows_ahead(monkeypatch):
+    # as in test_tail_failure_is_reported, the far edge of (z + i)^-1 at
+    # p = 2 never closes: it walks off the rows ahead again and again, each
+    # time evaluating the grown window ahead, until no growth stays within
+    # _V_CAP; the run then ends "tail" with nothing completed
+    calls = level_calls(monkeypatch)
+    f = rational_power(1.0, 1.0)
+    engine = _LogPolarNorm([[(uniform_12(), f, f.decay_hint)]], 2.0, CFG)
+    res = engine.run()
+    assert not res.converged and res.failure_reason == "tail"
+    assert res.subdivisions_used == 0 and res.error_estimate == math.inf
+    assert not engine._grow(False)  # the far edge is as far out as it may go
+    # twelve window tries, which made twelve _level calls before
+    assert set(calls) == {0} and 1 < calls[0] < 12

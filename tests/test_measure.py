@@ -400,6 +400,53 @@ def test_pushforward_density_is_the_change_of_variables(seg):
     np.testing.assert_array_max_ulp(twice.density(t), u(t), maxulp=4)
 
 
+@pytest.mark.parametrize("spec", [
+    ("const", (-1.0,)),
+    ("power", (-0.5, 1.0)),
+    ("exp", (-2.0, 1.0)),
+], ids=lambda spec: spec[0])
+def test_plain_constructor_refuses_a_negative_density(spec):
+    # the plain constructor used to check the endpoints alone, and
+    # moment(Measure(segments=(DensitySegment(1.0, 2.0, ("const", (-1.0,))),)), 0.0)
+    # read -1.0
+    with pytest.raises(ValueError, match="takes negative values"):
+        Measure(segments=(DensitySegment(1.0, 2.0, spec),))
+
+
+@pytest.mark.parametrize("spec", [
+    ("const", (math.inf,)),
+    ("const", ("1.0",)),
+    ("const", (True,)),
+    ("power", (1.0,)),
+    ("power", (1.0, [2])),
+    ("exp", (1.0, math.nan)),
+    ("exp", (1.0, 1.0, 1.0)),
+], ids=str)
+def test_plain_constructor_refuses_malformed_params(spec):
+    with pytest.raises(ValueError, match="finite number"):
+        DensitySegment(1.0, 2.0, spec)
+
+
+def test_plain_constructor_stores_params_as_floats():
+    seg = DensitySegment(1.0, 2.0, ("power", [2, np.float64(0.5)]))
+    assert seg.spec == ("power", (2.0, 0.5))
+    assert all(type(x) is float for x in seg.spec[1])
+    assert seg == DensitySegment.from_spec(1.0, 2.0, ("power", (2.0, 0.5)))
+
+
+def test_pushed_and_restricted_segments_still_build():
+    # both build through the plain constructor, which now checks the params
+    mu = Measure(atoms=(Atom(2.0, 0.5),), segments=tuple(PUSHED))
+    for nu in (pushforward_inverse(mu), pushforward_inverse(pushforward_inverse(mu))):
+        assert [s.spec[0] for s in nu.segments] == ["power", "power", "expr", "expr"]
+        assert moment(nu, 0.0, CFG).value > 0.0
+    cut = restrict(mu, 1.25, 2.5)
+    assert [(s.lower, s.upper) for s in cut.segments] == [(1.25, 2.0), (1.25, 2.5),
+                                                          (1.25, 2.5), (1.25, 2.0)]
+    np.testing.assert_allclose(moment(restrict(uniform_12(), 1.25, 1.75), 0.0, CFG).value,
+                               0.5, rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # declared endpoint exponents against the density
 # ---------------------------------------------------------------------------

@@ -4,15 +4,23 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _run(wall_s: float, **others: float) -> dict:
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+lattice_work = _load("lattice_work")
+
+
+def _run(wall_s: float, attempted: int = 10, **others: float) -> dict:
     """A run line of bench/run.py whose metrics read wall_s, or others[m]."""
-    return {"correct": True, "attempted": 10, "failed": 0,
+    return {"correct": True, "attempted": attempted, "failed": 0,
             "metrics": {m: {"value": others.get(m, wall_s), "unit": "s"}
                         for m in bench_pairs.METRICS}}
 
@@ -36,7 +44,7 @@ def test_summary_of_alternating_pairs():
     assert (row["wins"], row["pairs"]) == (4, 5)
     assert row["parent_iqr"] == pytest.approx(3.0)
     assert [m for m, r in summary["w"].items() if r["worse"]] == ["cpu_s"]
-    text = bench_pairs.format_summary(summary)
+    text = bench_pairs.format_summary(summary, bench_pairs.attempted(bench))
     assert "wall_s" in text and "wins 4/5" in text
     marked = [line.split()[0] for line in text.splitlines() if line.endswith("WORSE")]
     assert marked == ["cpu_s"]
@@ -53,3 +61,53 @@ def test_summarize_prints_the_src_line_counts(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["src_lines", "parent", "4126", "change", "4100", "-26"]
     assert lines[1] == "w"
+
+
+def test_summarize_prints_the_operation_counts_next_to_the_peak(tmp_path, capsys):
+    # the median `attempted` of each side: 30 and 40 of 20, 30, 50 and 40, 40, 60
+    runs = {"parent": [_run(1.0, n) for n in (20, 30, 50)],
+            "change": [_run(0.9, n) for n in (40, 40, 60)]}
+    bench = {"parent": {"commit": "a", "src_lines": 10},
+             "change": {"commit": "b", "src_lines": 10},
+             "workloads": {"w": {"pairs": 3, "runs": runs}}}
+    assert bench_pairs.attempted(bench) == {"w": {"parent": 30, "change": 40}}
+    path = tmp_path / "BENCH_t.json"
+    path.write_text(json.dumps(bench), encoding="utf-8")
+    assert bench_pairs.main(["--summarize", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    peak = next(i for i, line in enumerate(lines) if line.split()[0] == "peak_rss_mb")
+    assert lines[peak + 1].split() == ["attempted", "parent", "30", "change", "40", "+33.3%"]
+    assert len(lines) == 2 + len(bench_pairs.METRICS) + 1
+
+
+def test_lattice_work_counts_a_small_operation_list():
+    # two norms and a pairing: three lattice runs, each with one _level call
+    # at level 0 and at least one per later level it completes.  The
+    # counters come off after the block
+    from hausdorff_bergman import (Measure, QuadratureConfig, bergman_norm_p_power,
+                                   pairing, rational_power)
+    from hausdorff_bergman.logpolar import _LogPolarNorm
+
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
+    f, g = rational_power(1.0, 1.5), rational_power(0.5, 1.5)
+    results = []
+
+    class Op:
+        def __init__(self, run):
+            self.run = lambda: results.append(run())
+
+    run, level = _LogPolarNorm.run, _LogPolarNorm._level
+    work = lattice_work.lattice_work([
+        Op(lambda: bergman_norm_p_power(f, 2.0, cfg)),
+        Op(lambda: bergman_norm_p_power(g, 4.0, cfg)),
+        Op(lambda: pairing(f, g, cfg)),
+    ])
+    assert (_LogPolarNorm.run, _LogPolarNorm._level) == (run, level)
+    assert work["runs"] == 3
+    assert work["levels"] == sum(r.subdivisions_used for r in results)
+    calls = work["calls"]
+    assert calls[0] == 3 and set(calls) == set(range(max(calls) + 1))
+    assert sum(calls.values()) >= work["levels"]
+    assert work["evals"] > 0
+    line = lattice_work.format_work("w", work)
+    assert line.split()[:5] == ["w", "runs", "3", "levels", str(work["levels"])]

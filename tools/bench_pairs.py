@@ -17,7 +17,10 @@ workload the pair count, each side's medians and every run.
 per workload and end-to-end metric, each side's median and quartiles, the change's wins (pairs where it reads better; ties count
 for neither) and the parent's interquartile range, the spread a claimed
 gain must exceed.  A metric whose change median lies above the parent's
-upper quartile is marked WORSE.
+upper quartile is marked WORSE.  Next to peak_rss_mb it prints each side's
+median `attempted`, the operations a run timed: bench/run.py keeps a record
+per timed operation, so a side that fits more rounds into its seconds reads
+a higher peak.
 """
 
 from __future__ import annotations
@@ -71,13 +74,22 @@ def summarize(bench: dict) -> dict:
     return out
 
 
+def attempted(bench: dict) -> dict:
+    """Per workload: each side's median `attempted` (operations timed in a run)."""
+    return {name: {side: statistics.median(r["attempted"] for r in runs)
+                   for side, runs in wl["runs"].items()}
+            for name, wl in bench["workloads"].items()}
+
+
 def format_src_lines(bench: dict) -> str:
     """Each side's src line count and the change's difference."""
     parent, change = bench["parent"]["src_lines"], bench["change"]["src_lines"]
     return f"src_lines    parent {parent}  change {change}  {change - parent:+d}"
 
 
-def format_summary(summary: dict) -> str:
+def format_summary(summary: dict, counts: dict) -> str:
+    """The summary's lines, with each side's median operation count
+    (counts, from attempted) after the peak_rss_mb line."""
     lines = []
     for name, rows in summary.items():
         lines.append(name)
@@ -88,6 +100,10 @@ def format_summary(summary: dict) -> str:
                          f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {rel:+.1%}  "
                          f"wins {r['wins']}/{r['pairs']}  parent IQR {r['parent_iqr']:.3g}"
                          + ("  WORSE" if r["worse"] else ""))
+            if metric == "peak_rss_mb":
+                n = counts[name]
+                lines.append(f"  {'attempted':12s} parent {n['parent']:g}  change {n['change']:g}"
+                             f"  {(n['change'] - n['parent']) / n['parent']:+.1%}")
     return "\n".join(lines)
 
 
@@ -184,7 +200,7 @@ def main(argv=None) -> int:
     if args.summarize:
         bench = json.loads(Path(args.summarize).read_text(encoding="utf-8"))
         print(format_src_lines(bench))
-        print(format_summary(summarize(bench)))
+        print(format_summary(summarize(bench), attempted(bench)))
         return 0
     missing = [k for k in ("parent", "change", "tag", "seed", "seconds", "pairs")
                if getattr(args, k) is None]
@@ -194,7 +210,7 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(format_src_lines(bench))
-    print(format_summary(summarize(bench)))
+    print(format_summary(summarize(bench), attempted(bench)))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

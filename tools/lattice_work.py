@@ -6,18 +6,18 @@
 Run from the repository root, with the library imported from ./src and the
 operation lists from bench/workloads.py (built with warm_up=False, so each
 operation runs exactly once).  For each workload it prints the lattice runs
-(`_LogPolarNorm.run` calls), the levels they complete, the window tries
-(`_LogPolarNorm._level` calls) at each level and in all, and the family
-evaluations the runs count against their budget.  The counters wrap those
-two methods from outside while the round runs and restore them after it;
-nothing under src/ or bench/ is changed, and the outcomes are not checked.
+(`_LogPolarNorm.run` calls), the levels they complete, the evaluations
+of a lattice (`_LogPolarNorm._level` calls) at each level and in all, and
+the family evaluations the runs count against their budget.  The counters
+wrap those two methods from outside while the round runs and restore them
+after it; nothing under src/ or bench/ is changed, and the outcomes are not
+checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import sys
 import tempfile
 from pathlib import Path
@@ -25,11 +25,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@contextlib.contextmanager
-def counting():
-    """Count the lattice work done inside the block: yields a dict with
-    runs, levels (completed levels, summed over the runs), calls (window
-    tries per level index) and evals (family evaluations)."""
+def lattice_work(ops) -> dict:
+    """Run each operation's `run` once and count the lattice work it does:
+    runs, levels (completed levels, summed over the runs), calls
+    (`_level` calls, each one evaluation of a lattice, per level index) and
+    evals (family evaluations)."""
     from hausdorff_bergman.logpolar import _LogPolarNorm
 
     work = {"runs": 0, "levels": 0, "calls": collections.Counter(), "evals": 0}
@@ -48,16 +48,10 @@ def counting():
 
     _LogPolarNorm.run, _LogPolarNorm._level = counted_run, counted_level
     try:
-        yield work
-    finally:
-        _LogPolarNorm.run, _LogPolarNorm._level = run, level
-
-
-def lattice_work(ops) -> dict:
-    """Run each operation's `run` once and count its lattice work (counting)."""
-    with counting() as work:
         for op in ops:
             op.run()
+    finally:
+        _LogPolarNorm.run, _LogPolarNorm._level = run, level
     return work
 
 
