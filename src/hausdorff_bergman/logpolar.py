@@ -694,13 +694,13 @@ class _LogPolarNorm:
         _Stop: "tail" for a non-finite sum or an edge still open at _V_CAP,
         "budget" (from _level) for evaluations beyond the budget.
 
-        A window try costs a _level call, mostly a fixed cost per call, and
-        level 0 starts from a guess that often grows.  So level 0 evaluates
-        its rows once, ahead (_ahead), and tries each window on a slice of
-        them; only a window grown beyond those rows evaluates again, ahead
-        of itself.  The rows ahead are real evaluations and count against
-        the budget.  A level from 1 on starts from level 0's window, which
-        seldom grows again, and evaluates each window it tries."""
+        A _level call costs mostly a fixed amount per call, and level 0
+        starts from a guess that often grows.  So level 0 evaluates its rows
+        once, ahead (_ahead), and tries each window on a slice of them; only
+        a window grown beyond those rows evaluates again, ahead of itself.
+        The rows ahead are real evaluations and count against the budget.
+        A level from 1 on starts from the last level's window, which seldom
+        grows again, and evaluates each window it tries."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         ahead = None
