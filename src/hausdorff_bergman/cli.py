@@ -160,7 +160,7 @@ def cmd_norm(args) -> int:
     cfg = _config_from_args(args)
     if args.measure:
         op = HausdorffOperator(_operator_measure(args.measure, args.quasi, args.delta), args.p)
-        f = as_function(op, f, cfg.tighter())
+        f = as_function(op, f)
     res = bergman_norm_p(f, args.p, cfg)
     print(f"{res.value:.12g}")
     print(f"error {res.error_estimate:.3g}")
@@ -220,10 +220,10 @@ def cmd_plotdata(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        epsilons = doc["epsilons"]
-        ratios = doc["ratios"]
+        epsilons = list(doc["epsilons"])
+        ratios = list(doc["ratios"])
         target = doc["target"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return _usage_error(f"cannot read sweep report {args.report}: {exc}")
     outdir = args.outdir or Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -242,9 +242,9 @@ def cmd_verify(args) -> int:
         try:
             with open(args.suite, "r", encoding="utf-8") as fh:
                 suite = json.load(fh)
-            experiments = suite["experiments"]
+            experiments = list(suite["experiments"])
             base = Path(args.suite).resolve().parent
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             return _usage_error(f"cannot read suite config {args.suite}: {exc}")
     else:
         experiments = harness.BUILTIN_SUITE["experiments"]

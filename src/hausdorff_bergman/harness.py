@@ -196,8 +196,7 @@ def _norm(f: HalfPlaneFunction, p: float, cfg: QuadratureConfig) -> float:
 
 def _ratio(op: HausdorffOperator, f: HalfPlaneFunction, p: float,
            cfg: QuadratureConfig) -> float:
-    hf = as_function(op, f, cfg.tighter())
-    return _norm(hf, p, cfg) / _norm(f, p, cfg)
+    return _norm(as_function(op, f), p, cfg) / _norm(f, p, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ def run_truncated_norm_experiment(measure: Measure, p: float, delta: float,
         for eps in epsilons:
             f = rational_power(1.0, 2.0 / p + eps)
             f_norm = _norm(f, p, cfg)
-            ratios.append(_norm(as_function(op, f, cfg.tighter()), p, cfg) / f_norm)
+            ratios.append(_norm(as_function(op, f), p, cfg) / f_norm)
             g1 = ModulusFunction(p * eps, delta, p).as_function()
             g2 = ModulusFunction(p * (eps + 1.0), delta, p).as_function()
             bound = target * (
@@ -424,9 +423,7 @@ def run_boundedness_matrix(measures, ps, cfg: QuadratureConfig | None = None,
     return reports
 
 
-def run_growth_decay_check(function, p: float,
-                           cfg: QuadratureConfig | None = None,
-                           n_steps: int = 24) -> VerificationReport:
+def run_growth_decay_check(function, p: float, n_steps: int = 24) -> VerificationReport:
     """Boundary decay of (Im z)^2 |f(z)|^p along z -> real axis and z -> inf.
 
     Checks finiteness on a sample grid and eventual monotone decrease along
@@ -531,8 +528,7 @@ def run_lower_bound_experiment(measure: Measure, p: float, eps: float,
     with _Timer() as tm:
         op = HausdorffOperator(measure, p=p)
         f = TestFunction(p, eps).as_function()
-        hf = as_function(op, f, cfg.tighter())
-        lhs = float(np.real(bergman_norm_p_power(hf, p, cfg).value))
+        lhs = float(np.real(bergman_norm_p_power(as_function(op, f), p, cfg).value))
         clipped = restrict(measure, 0.0, 1.0 / eps)
         m = moment(clipped, 2.0 / p + eps - 1.0, cfg).value
         rhs = k * m**p / (p * eps)

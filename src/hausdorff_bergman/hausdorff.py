@@ -191,9 +191,8 @@ def adjoint_pairing_check(mu: Measure, f: HalfPlaneFunction, g: HalfPlaneFunctio
     two for equality within quadrature tolerance.
     """
     cfg = cfg or QuadratureConfig()
-    inner = cfg.tighter()
-    hf = as_function(HausdorffOperator(mu, p=2.0), f, inner)
-    hstar_g = quasi_as_function(mu, g, p=2.0, cfg=inner)
+    hf = as_function(HausdorffOperator(mu, p=2.0), f)
+    hstar_g = quasi_as_function(mu, g, p=2.0)
     lhs = pairing(hf, g, cfg).value
     rhs = pairing(f, hstar_g, cfg).value
     return lhs, rhs

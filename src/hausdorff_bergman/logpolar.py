@@ -32,12 +32,12 @@ evaluations made.
 
 A level's work is one evaluation of the sources on its lattice (a _level
 call), whose cost is mostly fixed per call, so a level evaluates once where
-it can.  Level 0 starts from a guessed window and grows it until both
-edges close: it evaluates the window grown _GROW_AHEAD times on both sides
-once and tries each window on a slice of those rows, evaluating again only
-if a window grows beyond them.  A level from 1 on starts from the window
-the last level closed, seldom grows it, and evaluates each window it
-tries.
+it can and builds its kernels with that evaluation.  Every level grows its
+window until both edges close, trying each window on a slice of rows
+evaluated ahead: level 0, which starts from a guess, evaluates its window
+grown _GROW_AHEAD times on both sides; a later level, which starts from the
+window the last level closed, evaluates that window.  A level evaluates
+again only if its window grows beyond those rows.
 
 The lattice is finite; the sum beyond each edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
@@ -63,7 +63,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,8 +120,7 @@ def _theta_rule(lvl: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """e^(i theta) at the Gauss-Legendre theta nodes of level lvl and their
     weights with the norm's 1/pi, (1/pi) * (pi/2) * wx.  With half, only the
     nodes with theta < pi/2: pi - theta are the others, with the same
-    weights.  Cached, as _gauss_legendre is: a level's window tries and
-    runs share them."""
+    weights.  Cached, as _gauss_legendre is: the runs share them."""
     x, wx = _gauss_legendre(_THETA0 << lvl)
     if half:
         x, wx = x[:len(x) // 2], wx[:len(x) // 2]
@@ -251,12 +250,6 @@ class _ConvKernel:
     s_max: float
     a: np.ndarray
     tail: float            # integral of K beyond the kept ends (geometric)
-    hats: dict = field(default_factory=dict)  # the FFT of a per FFT length
-
-    def hat(self, n: int) -> np.ndarray:
-        if n not in self.hats:
-            self.hats[n] = np.fft.fft(self.a, n)
-        return self.hats[n]
 
 
 @dataclass
@@ -269,7 +262,7 @@ class _SideLevel:
     n_gauss: int           # Gauss nodes of this rule; 0 with no finite segment
     same_g: bool           # no rule one lower: its F is F itself
     kernels: list          # a _ConvKernel per segment touching 0 or infinity
-    ffts: list             # the FFT length of each kernel
+    ffts: list             # the FFT of each kernel's a at its convolution length
     g_mass: list           # ||G||_p^p seen by each kernel, added up by block
     evals: int             # family evaluations per theta node
 
@@ -299,12 +292,10 @@ class _Side:
     convolution per theta block.  hint is the decay hint (power, shift) of
     Hf itself.
 
-    The inner rules are built once and kept on the side: the atom terms
-    here, the direct terms (atoms and Gauss nodes) once per Gauss rule
-    index, the kernels once per level (step h) and their FFTs once per FFT
-    length, so the window tries of a level, and the levels that hold a
-    Gauss rule, reuse them.  They are kept per side, not in a module cache,
-    so they go with the run; a level's kernels go with the next level.
+    The atom terms are built here, and the direct terms (atoms and Gauss
+    nodes) once per Gauss rule index, kept on the side for the levels that
+    hold that rule; the kernels and their FFTs are built with each
+    evaluation (level).
     """
 
     def __init__(self, mu, source, hint, p: float, eta: float):
@@ -328,8 +319,7 @@ class _Side:
         self.rate_lo, self.rate_hi = _slowest([near] + lo), _slowest([far] + hi)
         self.exact_lo, self.exact_hi = _exact_rate(near, lo), _exact_rate(far, hi)
         self.atoms = self._atom_terms()
-        self.direct = {}   # Gauss rule index -> the direct terms (_direct_terms)
-        self.kernels = {}  # the step h of the last level -> its kernels
+        self.direct = {}  # Gauss rule index -> the direct terms (_direct_terms)
 
     def _kernel_rate(self, exponent: float | None, sign: int) -> float | None:
         """Decay rate of K(s) = rho(e^s) e^(qs) towards s -> -inf (sign +1,
@@ -425,18 +415,15 @@ class _Side:
     # -- one lattice -----------------------------------------------------
 
     def level(self, rule: int, h: float, n_v: int) -> _SideLevel:
-        """The inner rules of a level with step h and n_v rows, with the
-        Gauss rule of index rule.  Built from the side's kept rules (see
-        _Side): per window try, only the FFT lengths and the evaluation
-        count are worked out anew."""
+        """The inner rules of an evaluation with step h and n_v rows and the
+        Gauss rule of index rule: the kept direct terms, and the kernels of
+        step h and their FFTs at the convolution length, built here."""
         shifts, coeffs, n_gauss = self._direct_terms(rule)
-        if h not in self.kernels:  # a new level: the last one's kernels are done with
-            self.kernels = {h: [self._conv_kernel(seg, h) for seg in self.touching]}
-        kernels = self.kernels[h]
+        kernels = [self._conv_kernel(seg, h) for seg in self.touching]
         # family evaluations per theta node: the direct terms at every
         # lattice point, and the values under every convolution kernel
         evals = n_v * len(shifts) + sum(n_v + len(kr.a) - 1 for kr in kernels)
-        ffts = [1 << (n_v + len(kr.a) - 2).bit_length() for kr in kernels]
+        ffts = [np.fft.fft(kr.a, 1 << (n_v + len(kr.a) - 2).bit_length()) for kr in kernels]
         return _SideLevel(shifts, coeffs, len(self.atoms[0]), n_gauss,
                           not (self.finite and rule), kernels, ffts, [0.0] * len(kernels), evals)
 
@@ -472,12 +459,12 @@ class _Side:
 
         common = np.zeros((n_v, len(eb)), dtype=complex)
         add(common, lv.n_atoms)
-        for i, (kr, n_fft) in enumerate(zip(lv.kernels, lv.ffts)):
+        for i, (kr, hat) in enumerate(zip(lv.kernels, lv.ffts)):
             m_k = len(kr.a)
             u = v[0] - kr.s_max + h * np.arange(n_v + m_k - 1)
             g = self.source.lattice_values(u, eb, self.q)
             lv.g_mass[i] += h * float(np.sum(_nodes_dot(wb, (np.abs(g) ** self.p).T)))
-            conv = np.fft.ifft(np.fft.fft(g, n_fft, axis=0) * kr.hat(n_fft)[:, None], axis=0)
+            conv = np.fft.ifft(np.fft.fft(g, len(hat), axis=0) * hat[:, None], axis=0)
             common += conv[m_k - 1:m_k - 1 + n_v]
         if lv.same_g:
             add(common, lv.n_gauss)
@@ -499,9 +486,12 @@ class _LevelSums:
     own: np.ndarray        # ||F||_2^2 of each factor of a pairing
 
     def rows(self, j: int, n: int) -> _LevelSums:
-        """The profiles on rows j, ..., j + n - 1 alone.  kernel_tails and
-        own are left None: they were measured on all the rows, and run
-        reads neither at level 0, where the rows are evaluated ahead."""
+        """The sums on rows j, ..., j + n - 1: these sums where those are
+        all their rows, else the profiles alone.  kernel_tails and own,
+        measured on all the rows, are then left None: run reads neither at
+        level 0, the one level whose rows reach beyond its window (_ahead)."""
+        if j == 0 and n == len(self.major):
+            return self
         return _LevelSums(self.profs[:, j:j + n], self.major[j:j + n], None, None)
 
 
@@ -537,16 +527,12 @@ class _LogPolarNorm:
     rule.  The Gregory order of a kernel's end stays fixed; its error falls
     with h like the lattice's own and shows in the lattice differences.
 
-    Once per run: the sides and their atom terms.  Once per level, i.e.
-    per step h: each side's kernels; once per Gauss rule index: its direct
-    terms (atoms and Gauss nodes).  Both are kept on the side (see _Side),
-    so a window regrowth rebuilds neither.  Once per _level call: a
-    kernel's FFT, only at an FFT length not met before at that h, and the
-    evaluations, one lattice_values call per theta block for a side's
+    Once per run: the sides and their atom terms.  Once per Gauss rule
+    index: each side's direct terms (atoms and Gauss nodes; see _Side).
+    Once per _level call, i.e. per level unless a window outgrows the rows
+    its level evaluated (_sums): each side's kernels and their FFTs, and
+    the evaluations, one lattice_values call per theta block for a side's
     direct terms (both Gauss rules' nodes among them) and one per kernel.
-    From level 1 on a _level call is a window try; level 0 makes one call
-    for all its tries, on rows evaluated ahead (_sums), and a second only
-    if its window grows beyond them.
     """
 
     def __init__(self, factors, p: float, cfg: QuadratureConfig):
@@ -595,7 +581,7 @@ class _LogPolarNorm:
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
-        nb = max(1, _BLOCK // max([n_v] + [n for lv in flat for n in lv.ffts]))
+        nb = max(1, _BLOCK // max([n_v] + [len(hat) for lv in flat for hat in lv.ffts]))
         # with no lower Gauss rule anywhere, P with it is P itself: one row
         n_rows = 1 if all(lv.same_g for lv in flat) else 2
 
@@ -673,18 +659,20 @@ class _LogPolarNorm:
         fit = None if exact is None else _rate_tail(prof, float(major[-1]), h, m, exact)
         return fit if fit is not None and fit[1] < best[1] else best
 
-    def _ahead(self, rule: int, h: float):
-        """Level 0's rows, evaluated once on the window grown _GROW_AHEAD
-        times on both sides (by _grow, so an edge stops short of _V_CAP).
-        Returns (v of the first row, v of the last, their _LevelSums); the
-        window itself is left as it was."""
+    def _ahead(self, lvl: int, rule: int, h: float):
+        """The rows a level tries its windows on, evaluated once: level 0's
+        window grown _GROW_AHEAD times on both sides (by _grow, so an edge
+        stops short of _V_CAP), which its guess often needs; a later level's
+        window, which the last level closed, as it is.  Returns (v of the
+        first row, v of the last, their _LevelSums); the window is left as
+        it was."""
         window = self.v_lo, self.v_hi
-        for _ in range(_GROW_AHEAD):
+        for _ in range(0 if lvl else _GROW_AHEAD):
             self._grow(True)
             self._grow(False)
         lo, hi = self.v_lo, self.v_hi
         self.v_lo, self.v_hi = window
-        return lo, hi, self._level(0, rule, lo, int(round((hi - lo) / h)) + 1, h)
+        return lo, hi, self._level(lvl, rule, lo, int(round((hi - lo) / h)) + 1, h)
 
     def _sums(self, lvl: int, rule: int, h: float):
         """One completed level, on a window grown until the error counted
@@ -694,24 +682,18 @@ class _LogPolarNorm:
         _Stop: "tail" for a non-finite sum or an edge still open at _V_CAP,
         "budget" (from _level) for evaluations beyond the budget.
 
-        A _level call costs mostly a fixed amount per call, and level 0
-        starts from a guess that often grows.  So level 0 evaluates its rows
-        once, ahead (_ahead), and tries each window on a slice of them; only
-        a window grown beyond those rows evaluates again, ahead of itself.
-        The rows ahead are real evaluations and count against the budget.
-        A level from 1 on starts from the last level's window, which seldom
-        grows again, and evaluates each window it tries."""
+        A _level call costs mostly a fixed amount, so a level evaluates its
+        rows once, ahead (_ahead), and tries each window on a slice of them;
+        only a window grown beyond them evaluates again, ahead of itself.
+        The rows ahead count against the budget."""
         cfg = self.cfg
         m = max(2, round(2.0 / h))
         ahead = None
         while True:
             n_v = int(round((self.v_hi - self.v_lo) / h)) + 1
-            if lvl:
-                sums = self._level(lvl, rule, self.v_lo, n_v, h)
-            else:
-                if ahead is None or not ahead[0] <= self.v_lo <= self.v_hi <= ahead[1]:
-                    ahead = self._ahead(rule, h)
-                sums = ahead[2].rows(int(round((self.v_lo - ahead[0]) / h)), n_v)
+            if ahead is None or not ahead[0] <= self.v_lo <= self.v_hi <= ahead[1]:
+                ahead = self._ahead(lvl, rule, h)
+            sums = ahead[2].rows(int(round((self.v_lo - ahead[0]) / h)), n_v)
             cores = [h * np.sum(pr).item() for pr in sums.profs]
             if not all(map(cmath.isfinite, cores)):
                 raise _Stop("tail")

@@ -540,6 +540,19 @@ def test_verify_bad_config(tmp_path, capsys):
     assert main(["verify", "--suite", str(suite)]) == 2
 
 
+@pytest.mark.parametrize("argv,doc", [
+    (["plotdata", "--report"], [1, 2]),
+    (["plotdata", "--report"], {"epsilons": 3, "ratios": [1], "target": 1}),
+    (["verify", "--suite"], [1, 2]),
+    (["verify", "--suite"], {"experiments": 5}),
+], ids=["report-list", "report-scalar-field", "suite-list", "suite-scalar-field"])
+def test_json_of_the_wrong_shape_is_usage_error(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path), "-o", str(tmp_path / "out")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_verify_builtin_suite_passes(tmp_path, capsys):
     out = tmp_path / "reports"
     code = main(["verify", "-o", str(out)])

@@ -246,7 +246,7 @@ def test_zero_measure_trivially_passes():
 
 def test_growth_decay_families():
     for fam, p in ((TestFunction(2.0, 0.5), 2.0), (ModulusFunction(1.0, 1.0, 2.0), 2.0)):
-        rep = harness.run_growth_decay_check(fam, p, CFG)
+        rep = harness.run_growth_decay_check(fam, p)
         assert rep.passed
         assert all(rep.computed["sequences_ok"].values())
 

@@ -1286,12 +1286,13 @@ def level_calls(monkeypatch) -> collections.Counter:
     return calls
 
 
-def test_window_regrowth_reuses_the_kernels(monkeypatch):
-    # every _level call of a step h takes the kernels built at its first:
-    # each end of a kernel is built once per level, however often the
-    # window is evaluated there
-    levels, ends = [], []
-    level, kernel_side = _LogPolarNorm._level, _Side._kernel_side
+def test_each_evaluation_builds_its_kernels(monkeypatch):
+    # a level's kernels are built with its evaluation: each end of a kernel
+    # is built once per _level call, so a window regrowth builds it again.
+    # From level 1 on the sums are all the rows evaluated, so the run reads
+    # their kernel tails
+    levels, ends, tails = [], [], []
+    level, kernel_side, sums = _LogPolarNorm._level, _Side._kernel_side, _LogPolarNorm._sums
 
     def counted_level(self, lvl, rule, v_lo, n_v, h):
         levels.append(h)
@@ -1301,8 +1302,15 @@ def test_window_regrowth_reuses_the_kernels(monkeypatch):
         ends.append(h)
         return kernel_side(self, seg, anchor, step, rate, h)
 
+    def recorded_sums(self, lvl, rule, h):
+        out = sums(self, lvl, rule, h)
+        if lvl:
+            tails.append(out[0].kernel_tails)
+        return out
+
     monkeypatch.setattr(_LogPolarNorm, "_level", counted_level)
     monkeypatch.setattr(_Side, "_kernel_side", counted_side)
+    monkeypatch.setattr(_LogPolarNorm, "_sums", recorded_sums)
     for mu, p, a, h, n_ends in (
             # e^-t: a kernel with two ends; the window grows again at level 1
             (exp_measure(), 1.5, 2.0 / 1.5 + 0.1, 0.5, 2),
@@ -1311,10 +1319,13 @@ def test_window_regrowth_reuses_the_kernels(monkeypatch):
             (power_tail_measure(), 1.0, 2.1, 1.0, 1)):
         levels.clear()
         ends.clear()
+        tails.clear()
         res = image_norm_power(mu, p, a, 1.0)
         assert res.converged
         assert levels.count(h) == 2  # a regrowth at step h
-        assert collections.Counter(ends) == {step: n_ends for step in set(levels)}
+        assert collections.Counter(ends) == {step: n_ends * levels.count(step)
+                                             for step in set(levels)}
+        assert tails and all(t is not None and len(t) == 1 for t in tails)
 
 
 # Value, error estimate and level count of each run, and the value of its

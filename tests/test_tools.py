@@ -81,33 +81,46 @@ def test_summarize_prints_the_operation_counts_next_to_the_peak(tmp_path, capsys
 
 
 def test_lattice_work_counts_a_small_operation_list():
-    # two norms and a pairing: three lattice runs, each with one _level call
-    # at level 0 and at least one per later level it completes.  The
-    # counters come off after the block
-    from hausdorff_bergman import (Measure, QuadratureConfig, bergman_norm_p_power,
-                                   pairing, rational_power)
-    from hausdorff_bergman.logpolar import _LogPolarNorm
+    # two norms, a pairing and the norm of an image under e^-t dt: four
+    # lattice runs, each with one _level call at level 0 and at least one
+    # per later level it completes.  Only the image has a kernel, one on its
+    # one side, built with each of its _level calls.  The counters come off
+    # after the block
+    from hausdorff_bergman import (HausdorffOperator, QuadratureConfig, as_function,
+                                   bergman_norm_p_power, measure_from_json, pairing,
+                                   rational_power)
+    from hausdorff_bergman.logpolar import _LogPolarNorm, _Side
 
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
     f, g = rational_power(1.0, 1.5), rational_power(0.5, 1.5)
+    exp = measure_from_json({"atoms": [], "segments": [
+        {"lo": 0.0, "hi": "inf", "density": {"kind": "exp", "params": [1.0, 1.0]},
+         "exp_lo": 0.0, "exp_hi": "-inf"}]})
+    hf = as_function(HausdorffOperator(exp, 2.0), rational_power(1.0, 2.0))
     results = []
 
     class Op:
         def __init__(self, run):
             self.run = lambda: results.append(run())
 
-    run, level = _LogPolarNorm.run, _LogPolarNorm._level
+    run, level, conv_kernel = _LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel
+    image = lattice_work.lattice_work([Op(lambda: bergman_norm_p_power(hf, 2.0, cfg))])
     work = lattice_work.lattice_work([
         Op(lambda: bergman_norm_p_power(f, 2.0, cfg)),
         Op(lambda: bergman_norm_p_power(g, 4.0, cfg)),
         Op(lambda: pairing(f, g, cfg)),
+        Op(lambda: bergman_norm_p_power(hf, 2.0, cfg)),
     ])
-    assert (_LogPolarNorm.run, _LogPolarNorm._level) == (run, level)
-    assert work["runs"] == 3
-    assert work["levels"] == sum(r.subdivisions_used for r in results)
+    assert (_LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel) == (
+        run, level, conv_kernel)
+    assert all(r.converged for r in results)
+    assert work["runs"] == 4
+    assert work["levels"] == sum(r.subdivisions_used for r in results[1:])
     calls = work["calls"]
-    assert calls[0] == 3 and set(calls) == set(range(max(calls) + 1))
+    assert calls[0] == 4 and set(calls) == set(range(max(calls) + 1))
     assert sum(calls.values()) >= work["levels"]
     assert work["evals"] > 0
+    assert work["kernels"] == image["kernels"] == sum(image["calls"].values()) > 0
     line = lattice_work.format_work("w", work)
-    assert line.split()[:5] == ["w", "runs", "3", "levels", str(work["levels"])]
+    assert line.split()[:5] == ["w", "runs", "4", "levels", str(work["levels"])]
+    assert line.endswith(f"kernel builds {work['kernels']}")

@@ -7,9 +7,10 @@ Run from the repository root, with the library imported from ./src and the
 operation lists from bench/workloads.py (built with warm_up=False, so each
 operation runs exactly once).  For each workload it prints the lattice runs
 (`_LogPolarNorm.run` calls), the levels they complete, the evaluations
-of a lattice (`_LogPolarNorm._level` calls) at each level and in all, and
-the family evaluations the runs count against their budget.  The counters
-wrap those two methods from outside while the round runs and restore them
+of a lattice (`_LogPolarNorm._level` calls) at each level and in all, the
+family evaluations the runs count against their budget, and the
+convolution kernels built (`_Side._conv_kernel` calls).  The counters wrap
+those three methods from outside while the round runs and restore them
 after it; nothing under src/ or bench/ is changed, and the outcomes are not
 checked.
 """
@@ -28,12 +29,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def lattice_work(ops) -> dict:
     """Run each operation's `run` once and count the lattice work it does:
     runs, levels (completed levels, summed over the runs), calls
-    (`_level` calls, each one evaluation of a lattice, per level index) and
-    evals (family evaluations)."""
-    from hausdorff_bergman.logpolar import _LogPolarNorm
+    (`_level` calls, each one evaluation of a lattice, per level index),
+    evals (family evaluations) and kernels (convolution kernels built)."""
+    from hausdorff_bergman.logpolar import _LogPolarNorm, _Side
 
-    work = {"runs": 0, "levels": 0, "calls": collections.Counter(), "evals": 0}
-    run, level = _LogPolarNorm.run, _LogPolarNorm._level
+    work = {"runs": 0, "levels": 0, "calls": collections.Counter(), "evals": 0,
+            "kernels": 0}
+    run, level, conv_kernel = _LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel
 
     def counted_run(self):
         res = run(self)
@@ -46,12 +48,18 @@ def lattice_work(ops) -> dict:
         work["calls"][lvl] += 1
         return level(self, lvl, *args, **kwargs)
 
+    def counted_kernel(self, *args, **kwargs):
+        work["kernels"] += 1
+        return conv_kernel(self, *args, **kwargs)
+
     _LogPolarNorm.run, _LogPolarNorm._level = counted_run, counted_level
+    _Side._conv_kernel = counted_kernel
     try:
         for op in ops:
             op.run()
     finally:
         _LogPolarNorm.run, _LogPolarNorm._level = run, level
+        _Side._conv_kernel = conv_kernel
     return work
 
 
@@ -60,7 +68,7 @@ def format_work(name: str, work: dict) -> str:
     per_level = " ".join(f"{lvl}:{calls[lvl]}" for lvl in sorted(calls))
     return (f"{name:14s} runs {work['runs']:4d}  levels {work['levels']:5d}  "
             f"_level calls {sum(calls.values()):5d} ({per_level or 'none'})  "
-            f"evals {work['evals']:,}")
+            f"evals {work['evals']:,}  kernel builds {work['kernels']}")
 
 
 def main(argv=None) -> int:
