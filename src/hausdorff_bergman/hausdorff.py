@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DivergentIntegral
 from .halfplane import HalfPlaneFunction, _as_z, _point_pair
 from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse
-from .quadrature import IntegralResult, QuadratureConfig, integrate_segment, pairing
+from .quadrature import IntegralResult, QuadratureConfig, _integrate, pairing
 
 __all__ = [
     "HausdorffOperator",
@@ -103,7 +103,8 @@ def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
     points to (zeta, lam + sign log t), so neither z/t nor tz is formed;
     zeta goes to ev at the full nodes x points shape, as a view.  Atoms are
     summed exactly; each density segment is one quadrature whose integrand
-    scales ev's values by one real column, t^sign times the density."""
+    scales ev's values by one real column, t^sign times the density times
+    the Jacobian of the segment's substitution, if any (_integrate)."""
     shape, zeta = np.shape(zeta), np.ravel(zeta)
     lam = np.broadcast_to(lam, shape).ravel() if np.ndim(lam) else float(lam)
     out = np.zeros(zeta.shape, dtype=complex)
@@ -115,13 +116,15 @@ def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
     err = 0.0
     for seg in mu.segments:
 
-        def integrand(t, dens=seg.density):
+        def integrand(t, jac, dens=seg.density):
             t = np.asarray(t, dtype=float)
-            col = (t ** sign * np.asarray(dens(t), dtype=float))[:, None]
+            col = t ** sign * np.asarray(dens(t), dtype=float)
+            if jac is not None:
+                col = col * jac
             nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
-            return np.asarray(ev(nodes, lam + sign * np.log(t)[:, None])) * col
+            return np.asarray(ev(nodes, lam + sign * np.log(t)[:, None])) * col[:, None]
 
-        res = integrate_segment(integrand, seg.lower, seg.upper, cfg)
+        res = _integrate(integrand, seg.lower, seg.upper, cfg)
         _raise_for(res, what)
         out = out + res.value
         err += res.error_estimate

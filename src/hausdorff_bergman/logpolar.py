@@ -257,10 +257,11 @@ class _SideLevel:
     """A side's inner rules on one lattice of one level."""
 
     shifts: np.ndarray     # the direct terms' shifts s_k in G(v - s_k): the atoms,
-    coeffs: np.ndarray     # the Gauss nodes, those one rule lower; their c_k
+    coeffs: np.ndarray     # the Gauss nodes, those one rule lower (unless held);
+                           # their c_k
     n_atoms: int
     n_gauss: int           # Gauss nodes of this rule; 0 with no finite segment
-    same_g: bool           # no rule one lower: its F is F itself
+    same_g: bool           # no rule one lower evaluated: its F is F itself
     kernels: list          # a _ConvKernel per segment touching 0 or infinity
     ffts: list             # the FFT of each kernel's a at its convolution length
     g_mass: list           # ||G||_p^p seen by each kernel, added up by block
@@ -292,10 +293,11 @@ class _Side:
     convolution per theta block.  hint is the decay hint (power, shift) of
     Hf itself.
 
-    The atom terms are built here, and the direct terms (atoms and Gauss
-    nodes) once per Gauss rule index, kept on the side for the levels that
-    hold that rule; the kernels and their FFTs are built with each
-    evaluation (level).
+    The atom terms are built here, each rule's Gauss nodes once, and the
+    direct terms (atoms and Gauss nodes) once per Gauss rule index and
+    whether the rule one lower is evaluated with it, all kept on the side
+    for the run; the kernels and their FFTs are built with each evaluation
+    (level).
     """
 
     def __init__(self, mu, source, hint, p: float, eta: float):
@@ -319,7 +321,8 @@ class _Side:
         self.rate_lo, self.rate_hi = _slowest([near] + lo), _slowest([far] + hi)
         self.exact_lo, self.exact_hi = _exact_rate(near, lo), _exact_rate(far, hi)
         self.atoms = self._atom_terms()
-        self.direct = {}  # Gauss rule index -> the direct terms (_direct_terms)
+        self.gauss = {}   # Gauss rule index -> its Gauss terms (_gauss_terms)
+        self.direct = {}  # (rule, lower) -> the direct terms (_direct_terms)
 
     def _kernel_rate(self, exponent: float | None, sign: int) -> float | None:
         """Decay rate of K(s) = rho(e^s) e^(qs) towards s -> -inf (sign +1,
@@ -336,7 +339,10 @@ class _Side:
 
     def _gauss_terms(self, rule: int):
         """(shifts, coefficients) of the dilated copies of G from the Gauss
-        nodes of the finite segments, _GAUSS0 * 2^rule per log-panel."""
+        nodes of the finite segments, _GAUSS0 * 2^rule per log-panel; built
+        once per rule and kept on the side."""
+        if rule in self.gauss:
+            return self.gauss[rule]
         shifts, coeffs = [], []
         x, wx = _gauss_legendre(_GAUSS0 << rule)
         for seg in self.finite:
@@ -350,23 +356,25 @@ class _Side:
             dens = np.asarray(seg.density(np.exp(s)), dtype=float)
             shifts.append(s)
             coeffs.append(w * dens * np.exp(self.q * s))
-        return np.concatenate(shifts), np.concatenate(coeffs)
+        terms = self.gauss[rule] = np.concatenate(shifts), np.concatenate(coeffs)
+        return terms
 
-    def _direct_terms(self, rule: int):
+    def _direct_terms(self, rule: int, lower: bool):
         """(shifts, coefficients, Gauss nodes of this rule) of every direct
         term under the Gauss rule of index rule, in the order block adds
-        them: the atoms, the Gauss nodes, and (for rule > 0) the Gauss nodes
-        one rule lower."""
-        if rule in self.direct:
-            return self.direct[rule]
+        them: the atoms, the Gauss nodes, and (with lower, for rule > 0)
+        the Gauss nodes one rule lower."""
+        key = rule, lower
+        if key in self.direct:
+            return self.direct[key]
         parts = [self.atoms]
         if self.finite:
             parts.append(self._gauss_terms(rule))
-            if rule:
+            if lower and rule:
                 parts.append(self._gauss_terms(rule - 1))
-        terms = self.direct[rule] = (np.concatenate([t[0] for t in parts]),
-                                     np.concatenate([t[1] for t in parts]),
-                                     len(parts[1][0]) if self.finite else 0)
+        terms = self.direct[key] = (np.concatenate([t[0] for t in parts]),
+                                    np.concatenate([t[1] for t in parts]),
+                                    len(parts[1][0]) if self.finite else 0)
         return terms
 
     def _kernel_side(self, seg, anchor: float, step: float, rate, h: float):
@@ -414,18 +422,20 @@ class _Side:
 
     # -- one lattice -----------------------------------------------------
 
-    def level(self, rule: int, h: float, n_v: int) -> _SideLevel:
+    def level(self, rule: int, h: float, n_v: int, lower: bool = True) -> _SideLevel:
         """The inner rules of an evaluation with step h and n_v rows and the
-        Gauss rule of index rule: the kept direct terms, and the kernels of
-        step h and their FFTs at the convolution length, built here."""
-        shifts, coeffs, n_gauss = self._direct_terms(rule)
+        Gauss rule of index rule (and, with lower, the rule one lower): the
+        kept direct terms, and the kernels of step h and their FFTs at the
+        convolution length, built here."""
+        shifts, coeffs, n_gauss = self._direct_terms(rule, lower)
         kernels = [self._conv_kernel(seg, h) for seg in self.touching]
         # family evaluations per theta node: the direct terms at every
         # lattice point, and the values under every convolution kernel
         evals = n_v * len(shifts) + sum(n_v + len(kr.a) - 1 for kr in kernels)
         ffts = [np.fft.fft(kr.a, 1 << (n_v + len(kr.a) - 2).bit_length()) for kr in kernels]
         return _SideLevel(shifts, coeffs, len(self.atoms[0]), n_gauss,
-                          not (self.finite and rule), kernels, ffts, [0.0] * len(kernels), evals)
+                          not (self.finite and rule and lower), kernels, ffts,
+                          [0.0] * len(kernels), evals)
 
     def _direct(self, lv: _SideLevel, v: np.ndarray, eb: np.ndarray):
         """c_k G(v - s_k) at the theta nodes eb for each direct term in
@@ -445,7 +455,7 @@ class _Side:
               wb: np.ndarray):
         """F on the rows v at the theta nodes eb: with the level's inner
         rules, and with its Gauss rule one lower (the same array where
-        there is none).  Adds each kernel's ||G||_p^p seen here to
+        none is evaluated).  Adds each kernel's ||G||_p^p seen here to
         lv.g_mass, each node counted with its weight in wb.  The direct
         terms (atoms and Gauss nodes of both rules) take one evaluation
         call (_direct), the kernels one each; the terms are added in a
@@ -517,18 +527,21 @@ class _LogPolarNorm:
     Gauss-Legendre rule up to rounding.  Any other run evaluates the full
     rule.
 
-    The Gauss rule of the finite segments has its own index.  Every level
-    also sums with the rule one index lower, a profile of values already
-    evaluated; the index advances while that difference is above an eighth
-    of the tolerance (as the edge tails are) and is held once it is below.
-    The error estimate adds two measured parts: the inner-rule difference
-    (the Gauss rule one lower) and the lattice error (_lattice_error), read
-    from the differences between each level and the last on the same Gauss
-    rule.  The Gregory order of a kernel's end stays fixed; its error falls
-    with h like the lattice's own and shows in the lattice differences.
+    The Gauss rule of the finite segments has its own index.  Until it is
+    held, every level also sums with the rule one index lower, evaluated
+    in the same call as its own; the index advances while that difference
+    is above an eighth of the tolerance (as the edge tails are) and is held
+    for the rest of the run once it is below, after which the levels
+    evaluate the held rule's nodes alone.  The error estimate adds two
+    measured parts: the inner-rule difference (from the Gauss rule one
+    lower; once the rule is held, the difference it was held on) and the
+    lattice error (_lattice_error), read from the differences between each
+    level and the last on the same Gauss rule.  The Gregory order of a
+    kernel's end stays fixed; its error falls with h like the lattice's own
+    and shows in the lattice differences.
 
     Once per run: the sides and their atom terms.  Once per Gauss rule
-    index: each side's direct terms (atoms and Gauss nodes; see _Side).
+    index: each side's Gauss nodes and direct terms (see _Side).
     Once per _level call, i.e. per level unless a window outgrows the rows
     its level evaluated (_sums): each side's kernels and their FFTs, and
     the evaluations, one lattice_values call per theta block for a side's
@@ -571,18 +584,20 @@ class _LogPolarNorm:
     def _level(self, lvl: int, rule: int, v_lo: float, n_v: int,
                h: float) -> _LevelSums:
         """Profiles P(v_j) = (1/pi) int of the integrand dtheta with the
-        Gauss rule of index rule and, where some side has a lower rule,
-        with the rule one lower; plus the side data."""
+        Gauss rule of index rule and, where some side has a lower rule and
+        the run has not held its rule (self.held), with the rule one lower;
+        plus the side data."""
         eith, w_th = _theta_rule(lvl, self.mirror is not None)
         v = v_lo + h * np.arange(n_v)
-        levels = [[side.level(rule, h, n_v) for side in factor] for factor in self.factors]
+        levels = [[side.level(rule, h, n_v, not self.held) for side in factor]
+                  for factor in self.factors]
         flat = [lv for factor in levels for lv in factor]
         evals = len(eith) * sum(lv.evals for lv in flat)
         if self.evals + evals > self.budget:
             raise _Stop("budget")
         self.evals += evals
         nb = max(1, _BLOCK // max([n_v] + [len(hat) for lv in flat for hat in lv.ffts]))
-        # with no lower Gauss rule anywhere, P with it is P itself: one row
+        # with no lower Gauss rule evaluated, P with it is P itself: one row
         n_rows = 1 if all(lv.same_g for lv in flat) else 2
 
         profs = np.zeros((n_rows, n_v), dtype=complex if self.pair else float)
@@ -717,7 +732,8 @@ class _LogPolarNorm:
         (inner-rule plus lattice difference) contract.  The lattice
         difference compares two levels on one Gauss rule and one Gregory
         order.  The Gauss rule starts at index 0, which has no lower rule to
-        be measured against, so it advances at least once.
+        be measured against, so it advances at least once; once held, the
+        difference it was held on stays the inner-rule difference.
 
         A run stops "tail" on a non-finite sum or an edge open at _V_CAP
         (_sums), a kernel end open at _S_CAP (_kernel_side) or kernel
@@ -731,7 +747,7 @@ class _LogPolarNorm:
         self.evals = 0
         prev_d = None
         diffs = []  # the lattice difference of each level after the first
-        rule, held = 0, False
+        rule, inner, self.held = 0, 0.0, False
         value, err, done = 0.0, math.inf, 0  # the last completed level
         try:
             for lvl in range(_MAX_LEVELS):
@@ -753,8 +769,9 @@ class _LogPolarNorm:
                 # the lattice difference compares sums on one Gauss rule and
                 # one Gregory order: this level's own rule if it was held, the
                 # one-lower rule (which the last level used) if it advanced
-                inner = abs(value - value_j)
-                diffs.append(abs((value if held else value_j) - prev_value))
+                if not self.held:
+                    inner = abs(value - value_j)
+                diffs.append(abs((value if self.held else value_j) - prev_value))
                 d = inner + diffs[-1]
                 err = inner + _lattice_error(diffs) + edge_err + fixed
                 tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -764,9 +781,10 @@ class _LogPolarNorm:
                 prev_d = d
                 if contracting and err <= tol:
                     return IntegralResult(value, err, done, True, unit=levels)
-                held = abs(core - core_g) <= tol / 8.0
-                if not held:
-                    rule += 1
+                if not self.held:
+                    self.held = abs(core - core_g) <= tol / 8.0
+                    if not self.held:
+                        rule += 1
             reason = "budget"
         except _Stop as stop:
             reason = stop.args[0]

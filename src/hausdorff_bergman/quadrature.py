@@ -252,8 +252,9 @@ class _Pool:
     """Global worst-panel-first refinement of one integrand over Kronrod
     panels; splitting halves a panel, and a split's two children are
     evaluated in one stacked call.  Running sums are maintained
-    incrementally; the final value is re-summed over the surviving panels
-    in a deterministic order.
+    incrementally, where a non-finite panel may make inf - inf: the pool's
+    user (_integrate) runs it under one np.errstate for that.  The final
+    value is re-summed over the surviving panels in a deterministic order.
     """
 
     def __init__(self, cfg: QuadratureConfig, g: Callable):
@@ -271,10 +272,6 @@ class _Pool:
         self.subdivisions = 0
         self.exhausted = False
 
-    def _acc(self, k, sign: float) -> None:
-        with np.errstate(invalid="ignore"):
-            self.value = self.value + sign * k
-
     def evaluate(self, edges: list) -> list[tuple[tuple[float, float], object, float]]:
         """((lo, hi), Kronrod value, error) of each panel of edges, a list
         of (lo, hi), in stacked calls of at most width panels each."""
@@ -287,7 +284,7 @@ class _Pool:
         return out
 
     def push(self, edge: tuple[float, float], k, err: float) -> None:
-        self._acc(k, 1.0)
+        self.value = self.value + k
         self._err_sum += err
         heapq.heappush(self._heap, (-err, self._counter, edge, k))
         self._counter += 1
@@ -313,7 +310,7 @@ class _Pool:
                 self.exhausted = True
                 return
             heapq.heappop(self._heap)
-            self._acc(k, -1.0)
+            self.value = self.value - k
             self._err_sum -= err
             mid = 0.5 * (lo + hi)
             for panel in self.evaluate([(lo, mid), (mid, hi)]):
@@ -417,9 +414,12 @@ def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
 
 
 def _jac_apply(f, t, jac):
+    """f(t) with each node's values times jac (none on a finite segment)."""
     v = np.asarray(f(t))
+    if jac is None:
+        return v
     if v.ndim > 1:
-        jac = np.asarray(jac).reshape((-1,) + (1,) * (v.ndim - 1))
+        jac = jac.reshape((-1,) + (1,) * (v.ndim - 1))
     return v * jac
 
 
@@ -432,6 +432,16 @@ def integrate_segment(f, lo: float, hi: float,
     integrable endpoint singularities are tolerated; improper endpoints go
     through the logarithmic substitutions described in the module docstring.
     """
+    return _integrate(lambda t, jac: _jac_apply(f, t, jac), lo, hi, cfg)
+
+
+def _integrate(f, lo: float, hi: float,
+               cfg: QuadratureConfig | None = None) -> IntegralResult:
+    """integrate_segment for an f(t, jac) that scales its values at the
+    nodes t by the substitution's Jacobian jac, the real array dt/du at
+    them (None on a finite segment, which takes no substitution), so that
+    an integrand which scales its values anyway takes jac into that one
+    product."""
     cfg = cfg or QuadratureConfig()
     if lo < 0:
         raise ValueError("integration domain must lie in [0, inf)")
@@ -439,8 +449,8 @@ def integrate_segment(f, lo: float, hi: float,
         raise ValueError("need lo < hi")
 
     if math.isinf(hi) and lo == 0.0:
-        left = integrate_segment(f, 0.0, 1.0, cfg)
-        right = integrate_segment(f, 1.0, math.inf, cfg)
+        left = _integrate(f, 0.0, 1.0, cfg)
+        right = _integrate(f, 1.0, math.inf, cfg)
         reasons = (left.failure_reason, right.failure_reason)
         return IntegralResult(
             value=left.value + right.value,
@@ -455,21 +465,23 @@ def integrate_segment(f, lo: float, hi: float,
 
         def g(u):
             t = a * np.exp(u)
-            return _jac_apply(f, t, t)
+            return f(t, t)
     elif lo == 0.0:
         b = hi
         u_cap = min(_U_CAP, 690.0 + min(0.0, math.log(b)))
 
         def g(u):
             t = b * np.exp(-u)
-            return _jac_apply(f, t, t)
+            return f(t, t)
     else:
-        pool = _Pool(cfg, f)
-        pool.push(*pool.evaluate([(lo, hi)])[0])
-        return _finish(pool, cfg)
-    pool = _Pool(cfg, g)
-    tail_rem, reason = _sweep(pool, cfg, u_cap)
-    return _finish(pool, cfg, tail_rem, reason)
+        with np.errstate(invalid="ignore"):
+            pool = _Pool(cfg, lambda t: f(t, None))
+            pool.push(*pool.evaluate([(lo, hi)])[0])
+            return _finish(pool, cfg)
+    with np.errstate(invalid="ignore"):
+        pool = _Pool(cfg, g)
+        tail_rem, reason = _sweep(pool, cfg, u_cap)
+        return _finish(pool, cfg, tail_rem, reason)
 
 
 # ---------------------------------------------------------------------------

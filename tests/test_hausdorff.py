@@ -275,6 +275,38 @@ def test_point_whose_modulus_overflows(route):
     assert abs(value - HALVED_AT_HUGE_Z) <= 1e-12 * abs(HALVED_AT_HUGE_Z)
 
 
+# a density segment of each improper kind: the segment, its density in
+# mpmath (given the module) and the breakpoints of mpmath's quadrature
+IMPROPER = {
+    "(0, 1]": (DensitySegment.from_spec(0.0, 1.0, ("power", (1.0, -0.5)), exp_lo=-0.5),
+               lambda mp, t: t ** -0.5, [0, 1]),
+    "[1, inf)": (DensitySegment.from_spec(1.0, math.inf, ("power", (1.0, -3.0)), exp_hi=-3.0),
+                 lambda mp, t: t ** -3, [1, 10, "inf"]),
+    "(0, inf)": (DensitySegment.from_spec(0.0, math.inf, ("exp", (1.0, 1.0)),
+                                          exp_lo=0.0, exp_hi=-math.inf),
+                 lambda mp, t: mp.exp(-t), [0, 1, 10, "inf"]),
+}
+
+@pytest.mark.parametrize("kind", IMPROPER)
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-12])
+def test_improper_segments_against_mpmath(kind, rel_tol):
+    # the inner quadrature substitutes t = b e^-u or a e^u on an improper
+    # segment, whose Jacobian the integrand takes into its one real column:
+    # every value of a batch lies within the estimate of H f = integral of
+    # (1/t) f(z/t) rho(t) dt
+    mpmath = pytest.importorskip("mpmath")
+    seg, density, points = IMPROPER[kind]
+    z = np.array([0.3 + 1j, -2.0 + 0.5j, 4.0 + 3.0j, 1e-3j])
+    res = apply_with_error(HausdorffOperator(Measure(segments=(seg,)), 2.0), F, z,
+                           QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-15))
+    with mpmath.workdps(30):
+        exact = np.array([complex(mpmath.quad(
+            lambda t, zm=mpmath.mpc(zz.real, zz.imag): density(mpmath, t) / t * (zm / t + 1j) ** -2,
+            [mpmath.mpf(x) for x in points])) for zz in z])
+    assert res.converged
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+
+
 def test_operator_integral_failures_raise():
     # a budget failure of the inner quadrature raises QuadratureFailure; a
     # tail failure (const density on [1, inf), whose boundedness is

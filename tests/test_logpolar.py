@@ -298,6 +298,43 @@ def test_held_gauss_rule_against_double_moment(eps, rel_tol):
     assert_within(res, exact)
 
 
+def test_levels_after_the_hold_evaluate_the_held_rule_alone(monkeypatch):
+    # the run holds its Gauss rule and goes on for levels after: those
+    # levels evaluate the held rule's Gauss nodes alone, not the rule one
+    # lower too, and sum one profile.  Each rule's Gauss nodes are built
+    # once and kept on the side
+    seen, built = [], []  # per _level call: (run held, rule, side terms, rows)
+    level, side_level = _LogPolarNorm._level, _Side.level
+
+    def recorded_side(self, rule, h, n_v, lower=True):
+        lv = side_level(self, rule, h, n_v, lower)
+        built.append((len(lv.shifts), lv.n_gauss))
+        return lv
+
+    def recorded_level(self, lvl, rule, v_lo, n_v, h):
+        built.clear()
+        out = level(self, lvl, rule, v_lo, n_v, h)
+        (terms,) = built  # one side: a finite segment and a kernel, no atoms
+        seen.append((self.held, rule, terms, len(out.profs)))
+        return out
+
+    monkeypatch.setattr(_Side, "level", recorded_side)
+    monkeypatch.setattr(_LogPolarNorm, "_level", recorded_level)
+    engine, res, exact = held_gauss_rule_run(0.2, 1e-9)
+    assert_within(res, exact)
+    held = [rec for rec in seen if rec[0]]
+    assert held and len(held) < len(seen)
+    held_rule = held[0][1]
+    for is_held, rule, (n_direct, n_gauss), rows in seen:
+        if is_held:
+            assert (rule, n_direct, rows) == (held_rule, n_gauss, 1)
+        elif rule:  # the rule one lower has half the nodes
+            assert (n_direct, rows) == (n_gauss + n_gauss // 2, 2)
+    (side,) = engine.sides
+    assert sorted(side.gauss) == list(range(held_rule + 1))
+    assert side._gauss_terms(held_rule) is side.gauss[held_rule]
+
+
 def test_contracting_lattice_differences_stop_a_level_sooner():
     # at rel_tol 1e-9 the level differences of this run shrink by a factor
     # of 100 to 1000 per level: counting the rest of that geometric series,
@@ -943,6 +980,35 @@ def test_rsqrt_image_norm_at_tight_tolerance(eps, ref, ref_err):
     assert abs(res.value - ref) <= res.error_estimate + ref_err
 
 
+# ||H f||_1 of f = (z + 0.1i)^-3 under t^-3 dt on [1, inf), by
+# nested_norm_power at rel_tol 1e-9: value and estimate
+FAR_EDGE_REF = 5.908299609099786, 8.5e-14
+
+
+@pytest.mark.xfail(reason=(
+    "the far window edge grows into the FFT convolution's rounding floor "
+    "(|F| falling by e^-1 per step, noise some 3e-17 from v = 40 on): level 0 "
+    "closes it on the noise's ratios, level 1 cannot, and it is open at _V_CAP"))
+def test_power_tail_image_norm_at_tight_tolerance():
+    # the far-edge twin of test_rsqrt_image_norm_at_tight_tolerance: the run
+    # ends "tail" after one level, with value 5.894497120754259
+    ref, ref_err = FAR_EDGE_REF
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+    res = image_norm_power(power_tail_measure(), 1.0, 3.0, 0.1, cfg)
+    assert res.converged, res
+    assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+
+def test_power_tail_image_norm_at_the_default_tolerance():
+    # the same norm at rel_tol 1e-6 converges, within its estimate of the
+    # reference
+    ref, ref_err = FAR_EDGE_REF
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-14)
+    res = image_norm_power(power_tail_measure(), 1.0, 3.0, 0.1, cfg)
+    assert res.converged, res
+    assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+
 def test_cli_norm_with_measure_and_radius(tmp_path, capsys):
     mu_path = tmp_path / "mu.json"
     mu_path.write_text('{"atoms": [], "segments": [{"lo": 0.0, "hi": "inf", '
@@ -1335,7 +1401,11 @@ def test_each_evaluation_builds_its_kernels(monkeypatch):
 # rows evaluated ahead makes every refinement decision as before and gives
 # the same numbers bit for bit.  Level 0's own value is the same bit for bit
 # where no kernel convolves; a kernel's FFT now runs at the length of the
-# rows ahead, which moves it by rounding alone.
+# rows ahead, which moves it by rounding alone.  The Gauss rules of
+# "uniform" and "atoms-and-segment" are held from level 1 on: their error
+# counts the inner-rule difference the rule was held on, where it counted
+# that of their last level before (0x1.26348287099fap-24 and
+# 0x1.2497331ea4110p-20), when every level still evaluated the rule one lower.
 PINNED_RUNS = {
     # the window grows at both edges at level 0 (three tries before)
     "feps": (lambda: bergman_norm_p_power(rational_power(0.0125, 1.05), 2.0, CFG),
@@ -1344,7 +1414,7 @@ PINNED_RUNS = {
                 "0x1.45f306dc9c881p+2", "0x1.a50c664b0a738p-26", 3, "0x1.45ff5b96a6a4dp+2"),
     # Gauss nodes
     "uniform": (lambda: image_norm_power(uniform_12(), 2.0, 1.5, 1.0),
-                "0x1.42d34aada6c6ap-1", "0x1.26348287099fap-24", 3, "0x1.42bc3649f7bf1p-1"),
+                "0x1.42d34aada6c6ap-1", "0x1.263ac2f7099fap-24", 3, "0x1.42bc3649f7bf1p-1"),
     # a kernel with two ends
     "exp": (lambda: image_norm_power(exp_measure(), 2.0, 2.0, 1.0),
             "0x1.555555555555dp-3", "0x1.72ec4155ff647p-27", 3, "0x1.558f7eb55dcdep-3"),
@@ -1354,7 +1424,7 @@ PINNED_RUNS = {
     "atoms-and-segment": (lambda: image_norm_power(Measure(
         atoms=(Atom(0.5, 0.3), Atom(3.0, 0.2)),
         segments=(DensitySegment.from_spec(0.5, 4.0, ("const", (1.0,))),)), 2.0, 1.5, 0.5),
-        "0x1.2afdcef25642cp+4", "0x1.2497331ea4110p-20", 3, "0x1.2af51a3306967p+4"),
+        "0x1.2afdcef25642cp+4", "0x1.24b58b8ea4110p-20", 3, "0x1.2af51a3306967p+4"),
     # six window tries at level 0 before; the far edge grows beyond the
     # rows evaluated ahead once
     "walk-off": (lambda: image_norm_power(power_tail_measure(), 1.0, 2.1, 1.0),

@@ -328,9 +328,15 @@ def test_quasi_route_check_stacks_its_integrand_calls(monkeypatch):
     from hausdorff_bergman import harness, hausdorff
 
     calls = []
-    segment = hausdorff.integrate_segment
-    monkeypatch.setattr(hausdorff, "integrate_segment",
-                        lambda f, lo, hi, cfg: segment(_recording(f, calls), lo, hi, cfg))
+    segment = hausdorff._integrate
+
+    def recorded(f, lo, hi, cfg):
+        def g(t, jac):
+            calls.append(np.array(t))
+            return f(t, jac)
+        return segment(g, lo, hi, cfg)
+
+    monkeypatch.setattr(hausdorff, "_integrate", recorded)
     assert harness.run_quasi_equivalence(n_samples=25, seed=20240801).passed
     assert 0 < len(calls) <= 200
 

@@ -18,9 +18,10 @@ bench_pairs = _load("bench_pairs")
 lattice_work = _load("lattice_work")
 
 
-def _run(wall_s: float, attempted: int = 10, **others: float) -> dict:
+def _run(wall_s: float, attempted: int = 10, failed: int = 0, correct: bool = True,
+         **others: float) -> dict:
     """A run line of bench/run.py whose metrics read wall_s, or others[m]."""
-    return {"correct": True, "attempted": attempted, "failed": 0,
+    return {"correct": correct, "attempted": attempted, "failed": failed,
             "metrics": {m: {"value": others.get(m, wall_s), "unit": "s"}
                         for m in bench_pairs.METRICS}}
 
@@ -44,7 +45,8 @@ def test_summary_of_alternating_pairs():
     assert (row["wins"], row["pairs"]) == (4, 5)
     assert row["parent_iqr"] == pytest.approx(3.0)
     assert [m for m, r in summary["w"].items() if r["worse"]] == ["cpu_s"]
-    text = bench_pairs.format_summary(summary, bench_pairs.attempted(bench))
+    text = bench_pairs.format_summary(summary, bench_pairs.attempted(bench),
+                                      bench_pairs.failures(bench))
     assert "wall_s" in text and "wins 4/5" in text
     marked = [line.split()[0] for line in text.splitlines() if line.endswith("WORSE")]
     assert marked == ["cpu_s"]
@@ -61,6 +63,7 @@ def test_summarize_prints_the_src_line_counts(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["src_lines", "parent", "4126", "change", "4100", "-26"]
     assert lines[1] == "w"
+    assert not lines[2].endswith("FAILED")  # every run correct, none failed
 
 
 def test_summarize_prints_the_operation_counts_next_to_the_peak(tmp_path, capsys):
@@ -77,15 +80,46 @@ def test_summarize_prints_the_operation_counts_next_to_the_peak(tmp_path, capsys
     lines = capsys.readouterr().out.splitlines()
     peak = next(i for i, line in enumerate(lines) if line.split()[0] == "peak_rss_mb")
     assert lines[peak + 1].split() == ["attempted", "parent", "30", "change", "40", "+33.3%"]
-    assert len(lines) == 2 + len(bench_pairs.METRICS) + 1
+    # src_lines, the workload, its failed line, the metrics and attempted
+    assert len(lines) == 3 + len(bench_pairs.METRICS) + 1
+
+
+@pytest.mark.parametrize("change, marked", [
+    # 2 of 100 operations failed in one run: a share of 1%
+    ([_run(0.9, 100, failed=2), _run(0.9, 100)], True),
+    # a run whose outcomes did not match, with no operation failing
+    ([_run(0.9, 100), _run(0.9, 100, correct=False)], True),
+    ([_run(0.9, 100), _run(0.9, 100)], False),
+])
+def test_summarize_flags_failed_and_incorrect_runs(tmp_path, capsys, change, marked):
+    # bench/run.py exits 0 on such runs; the summary prints each side's failed
+    # share and incorrect runs under the workload's name, marked FAILED
+    runs = {"parent": [_run(1.0, 100), _run(1.0, 100)], "change": change}
+    bench = {"parent": {"commit": "a", "src_lines": 10},
+             "change": {"commit": "b", "src_lines": 10},
+             "workloads": {"w": {"pairs": 2, "runs": runs}}}
+    failed = bench_pairs.failures(bench)["w"]
+    assert failed["parent"] == (0.0, 0, 2)
+    share = sum(r["failed"] for r in change) / 200
+    assert failed["change"] == (share, sum(not r["correct"] for r in change), 2)
+    path = tmp_path / "BENCH_t.json"
+    path.write_text(json.dumps(bench), encoding="utf-8")
+    assert bench_pairs.main(["--summarize", str(path)]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.split()[:2] == ["failed", "parent"]
+    assert f"change {share:.3%}" in line
+    assert line.endswith("FAILED") == marked
 
 
 def test_lattice_work_counts_a_small_operation_list():
     # two norms, a pairing and the norm of an image under e^-t dt: four
     # lattice runs, each with one _level call at level 0 and at least one
     # per later level it completes.  Only the image has a kernel, one on its
-    # one side, built with each of its _level calls.  The counters come off
-    # after the block
+    # one side, built with each of its _level calls.  The evaluations add up
+    # by kind: the plain functions' copies under the unit atom and the
+    # image's kernel rows; an image under uniform[1, 2] has the Gauss nodes
+    # of its rule and, until it is held, fewer of the rule one lower.  The
+    # counters come off after the block
     from hausdorff_bergman import (HausdorffOperator, QuadratureConfig, as_function,
                                    bergman_norm_p_power, measure_from_json, pairing,
                                    rational_power)
@@ -96,7 +130,10 @@ def test_lattice_work_counts_a_small_operation_list():
     exp = measure_from_json({"atoms": [], "segments": [
         {"lo": 0.0, "hi": "inf", "density": {"kind": "exp", "params": [1.0, 1.0]},
          "exp_lo": 0.0, "exp_hi": "-inf"}]})
+    uniform = measure_from_json({"atoms": [], "segments": [
+        {"lo": 1.0, "hi": 2.0, "density": {"kind": "const", "params": [1.0]}}]})
     hf = as_function(HausdorffOperator(exp, 2.0), rational_power(1.0, 2.0))
+    hu = as_function(HausdorffOperator(uniform, 2.0), rational_power(1.0, 2.0))
     results = []
 
     class Op:
@@ -104,23 +141,34 @@ def test_lattice_work_counts_a_small_operation_list():
             self.run = lambda: results.append(run())
 
     run, level, conv_kernel = _LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel
+    side_level = _Side.level
     image = lattice_work.lattice_work([Op(lambda: bergman_norm_p_power(hf, 2.0, cfg))])
+    gauss = lattice_work.lattice_work([Op(lambda: bergman_norm_p_power(hu, 2.0, cfg))])
     work = lattice_work.lattice_work([
         Op(lambda: bergman_norm_p_power(f, 2.0, cfg)),
         Op(lambda: bergman_norm_p_power(g, 4.0, cfg)),
         Op(lambda: pairing(f, g, cfg)),
         Op(lambda: bergman_norm_p_power(hf, 2.0, cfg)),
     ])
-    assert (_LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel) == (
-        run, level, conv_kernel)
+    assert (_LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel, _Side.level) == (
+        run, level, conv_kernel, side_level)
     assert all(r.converged for r in results)
     assert work["runs"] == 4
-    assert work["levels"] == sum(r.subdivisions_used for r in results[1:])
+    assert work["levels"] == sum(r.subdivisions_used for r in results[2:])
     calls = work["calls"]
     assert calls[0] == 4 and set(calls) == set(range(max(calls) + 1))
     assert sum(calls.values()) >= work["levels"]
     assert work["evals"] > 0
     assert work["kernels"] == image["kernels"] == sum(image["calls"].values()) > 0
+    for w in (work, image, gauss):
+        assert sum(w["kinds"].values()) == w["evals"]
+    kinds = work["kinds"]
+    assert kinds["gauss"] == kinds["lower"] == 0
+    assert kinds["kernel rows"] == image["kinds"]["kernel rows"] == image["evals"]
+    assert kinds["atoms"] == work["evals"] - image["evals"] > 0
+    held = gauss["kinds"]
+    assert held["atoms"] == held["kernel rows"] == 0 and 0 < held["lower"] < held["gauss"]
     line = lattice_work.format_work("w", work)
     assert line.split()[:5] == ["w", "runs", "4", "levels", str(work["levels"])]
+    assert f"(atoms {kinds['atoms']:,} / gauss 0 / lower 0 / kernel rows" in line
     assert line.endswith(f"kernel builds {work['kernels']}")

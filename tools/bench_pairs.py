@@ -20,7 +20,10 @@ gain must exceed.  A metric whose change median lies above the parent's
 upper quartile is marked WORSE.  Next to peak_rss_mb it prints each side's
 median `attempted`, the operations a run timed: bench/run.py keeps a record
 per timed operation, so a side that fits more rounds into its seconds reads
-a higher peak.
+a higher peak.  Under each workload's name it prints each side's failed
+share (failed over attempted operations, over all its runs) and its runs
+that read `correct: false`, marked FAILED where either side has any of
+either: bench/run.py exits 0 on such a run.
 """
 
 from __future__ import annotations
@@ -81,18 +84,33 @@ def attempted(bench: dict) -> dict:
             for name, wl in bench["workloads"].items()}
 
 
+def failures(bench: dict) -> dict:
+    """Per workload and side: (failed share of the attempted operations over
+    all runs, runs not correct, runs)."""
+    return {name: {side: (sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs)),
+                          sum(not r["correct"] for r in runs), len(runs))
+                   for side, runs in wl["runs"].items()}
+            for name, wl in bench["workloads"].items()}
+
+
 def format_src_lines(bench: dict) -> str:
     """Each side's src line count and the change's difference."""
     parent, change = bench["parent"]["src_lines"], bench["change"]["src_lines"]
     return f"src_lines    parent {parent}  change {change}  {change - parent:+d}"
 
 
-def format_summary(summary: dict, counts: dict) -> str:
-    """The summary's lines, with each side's median operation count
-    (counts, from attempted) after the peak_rss_mb line."""
+def format_summary(summary: dict, counts: dict, failed: dict) -> str:
+    """The summary's lines, with each side's failed share and incorrect runs
+    (failed, from failures) under the workload's name and its median
+    operation count (counts, from attempted) after the peak_rss_mb line."""
     lines = []
     for name, rows in summary.items():
         lines.append(name)
+        sides = failed[name]
+        lines.append(f"  {'failed':12s} " + "  ".join(
+            f"{side} {share:.3%}, {bad}/{n} runs incorrect"
+            for side, (share, bad, n) in sides.items())
+            + ("  FAILED" if any(share or bad for share, bad, _ in sides.values()) else ""))
         for metric, r in rows.items():
             (p1, pm, p3), (c1, cm, c3) = r["parent"], r["change"]
             rel = (cm - pm) / pm if pm else float("nan")
@@ -200,7 +218,7 @@ def main(argv=None) -> int:
     if args.summarize:
         bench = json.loads(Path(args.summarize).read_text(encoding="utf-8"))
         print(format_src_lines(bench))
-        print(format_summary(summarize(bench), attempted(bench)))
+        print(format_summary(summarize(bench), attempted(bench), failures(bench)))
         return 0
     missing = [k for k in ("parent", "change", "tag", "seed", "seconds", "pairs")
                if getattr(args, k) is None]
@@ -210,7 +228,7 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.tag}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(format_src_lines(bench))
-    print(format_summary(summarize(bench), attempted(bench)))
+    print(format_summary(summarize(bench), attempted(bench), failures(bench)))
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
