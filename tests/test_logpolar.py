@@ -1402,10 +1402,9 @@ def test_each_evaluation_builds_its_kernels(monkeypatch):
 # the same numbers bit for bit.  Level 0's own value is the same bit for bit
 # where no kernel convolves; a kernel's FFT now runs at the length of the
 # rows ahead, which moves it by rounding alone.  The Gauss rules of
-# "uniform" and "atoms-and-segment" are held from level 1 on: their error
-# counts the inner-rule difference the rule was held on, where it counted
-# that of their last level before (0x1.26348287099fap-24 and
-# 0x1.2497331ea4110p-20), when every level still evaluated the rule one lower.
+# "uniform" and "atoms-and-segment" are held from level 1 on, so their
+# errors count the inner-rule difference of level 1, the one each rule was
+# held on.
 PINNED_RUNS = {
     # the window grows at both edges at level 0 (three tries before)
     "feps": (lambda: bergman_norm_p_power(rational_power(0.0125, 1.05), 2.0, CFG),
