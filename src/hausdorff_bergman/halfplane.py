@@ -7,8 +7,9 @@ s shift), images included, as H commutes with dilations.  The terms are
 grouped by measure once (HalfPlaneFunction.sides), and one log-space
 kernel evaluates every plain source (HalfPlaneFunction._log_sum): on the
 lattice of norms and pairings, and at points, directly or inside an
-image's inner quadrature.  The decay hint and the mirror factor are
-derived from the terms too.
+image's inner quadrature (image_values, the integral against the image's
+measure, measure.integrate, of the source's values at the dilated points).
+The decay hint and the mirror factor are derived from the terms too.
 
 Every point reaches the kernel as a pair (zeta, lam) standing for
 z = e^lam zeta (complex zeta of the points' shape, real lam broadcasting
@@ -39,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .measure import Measure
-from .quadrature import QuadratureConfig
+from .measure import Measure, integrate
+from .quadrature import IntegralResult, QuadratureConfig
 
 __all__ = [
     "Sector",
@@ -322,6 +323,27 @@ class _Expansion:
         return np.exp(lead) * total
 
 
+def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
+                 sign: int = -1) -> IntegralResult:
+    """The integral against mu (measure.integrate) of t^sign g(t^sign z) at
+    the points z = e^lam zeta (lam broadcasting against zeta), for ev the
+    point values of g in the same format: H g for sign = -1, the adjoint's
+    integral of t g(tz) for sign = +1.  The node t takes the points to
+    (zeta, lam + sign log t), so neither z/t nor tz is formed; zeta goes to
+    ev at the full nodes x points shape, as a view."""
+    shape, zeta = np.shape(zeta), np.ravel(zeta)
+    lam = np.broadcast_to(lam, shape).ravel() if np.ndim(lam) else float(lam)
+
+    def dilated(t):
+        nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
+        return ev(nodes, lam + sign * np.log(t)[:, None])
+
+    res = integrate(mu, sign, cfg, dilated)
+    # the zero measure's integral is the scalar 0.0
+    res.value = np.reshape(np.zeros(zeta.shape, dtype=complex) + res.value, shape)
+    return res
+
+
 @dataclass(frozen=True)
 class HalfPlaneFunction:
     """A sum of terms (see Term) on the upper half-plane.
@@ -402,12 +424,10 @@ class HalfPlaneFunction:
     def _values(self, zeta, lam):
         """The point evaluator, at the points z = e^lam zeta (see the module
         docstring): per side, its source's values under the unit atom, else
-        one inner quadrature of the operator over them."""
-        from .hausdorff import image_values  # hausdorff builds on this module
-
+        one inner quadrature of the operator over them (image_values)."""
         zeta = np.asarray(zeta, dtype=complex)
         vals = [source._log_sum(zeta, lam) if mu is UNIT else image_values(
-            mu, source._log_sum, zeta, lam, self.inner_cfg or QuadratureConfig())[0]
+            mu, source._log_sum, zeta, lam, self.inner_cfg or QuadratureConfig()).value
                 for mu, source, _ in self.sides]
         return sum(vals[1:], vals[0]) if vals else np.zeros(zeta.shape, dtype=complex)
 

@@ -475,30 +475,29 @@ def lower_bound_constant(p: float, eps: float, theta0: float | None,
     Case II (1 < p <= 2): C(p) * 2^(-p(eps+1)) * int_(pi/4)^(pi/2) sin^p / (4 pi)
     Case III (p = 1):    2^(-(eps+1)) * (1 - cos(theta0)) / (4 pi)
 
-    The bound must hold outright, so an integral counts its value less its
-    error estimate, and raises QuadratureFailure unless converged.  It runs
-    at rel_tol 1e-12 and abs_tol 1e-15 or cfg's, whichever is tighter, so
-    that k stays within about 1e-12 of its closed form.
+    The case I integral is sqrt(pi) Gamma((p+1)/2) / (2 Gamma(p/2 + 1)),
+    taken through lgamma so that no Gamma value overflows at large p.  The
+    case II integral is numeric, and the bound must hold outright, so it
+    counts its value less its error estimate, and raises QuadratureFailure
+    unless converged.  It runs at rel_tol 1e-12 and abs_tol 1e-15 or cfg's,
+    whichever is tighter, so that k stays within about 1e-12 of its closed
+    form.
     """
-    cfg = cfg or QuadratureConfig()
-    tight = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-12), abs_tol=min(cfg.abs_tol, 1e-15))
-
-    def power_integral(trig, lo: float, hi: float) -> float:
-        res = integrate_segment(lambda th: trig(th) ** p, lo, hi, tight)
-        res.require_converged(f"k(p) integral of {trig.__name__}^{p:g}")
-        return float(np.real(res.value)) - res.error_estimate
-
     if p > 2.0:
         case = "I"
-        k = 2.0 ** (-p * (eps + 1.0)) * power_integral(
-            np.cos, 0.0, math.pi / 2.0
-        ) / (4.0 * math.pi)
+        cos_integral = 0.5 * math.exp(0.5 * math.log(math.pi) + math.lgamma((p + 1.0) / 2.0)
+                                      - math.lgamma(p / 2.0 + 1.0))
+        k = 2.0 ** (-p * (eps + 1.0)) * cos_integral / (4.0 * math.pi)
     elif p > 1.0:
         case = "II"
+        cfg = cfg or QuadratureConfig()
+        tight = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-12), abs_tol=min(cfg.abs_tol, 1e-15))
+        res = integrate_segment(lambda th: np.sin(th) ** p, math.pi / 4.0, math.pi / 2.0, tight)
+        res.require_converged(f"k(p) integral of sin^{p:g}")
         k = (
             case_constant(p, eps)
             * 2.0 ** (-p * (eps + 1.0))
-            * power_integral(np.sin, math.pi / 4.0, math.pi / 2.0)
+            * (float(np.real(res.value)) - res.error_estimate)
             / (4.0 * math.pi)
         )
     else:

@@ -2,23 +2,24 @@
 
 The primary operator sends f to the integral of (1/t) f(z/t) against a
 positive measure on (0, inf); the truncated operator is that of
-truncate(mu, delta).  Atom contributions are summed exactly; density
-contributions go through the adaptive quadrature, vectorized over
-evaluation points.  The adjoint (quasi) variant integrates t*f(tz) and is
-implemented through the inversion push-forward of the measure, with direct
-quadrature available as an independent cross-check route.  Points reach
-the kernel as pairs (zeta, lam) standing for z = e^lam zeta (see
-halfplane.py): the inner node t takes lam to lam - log t, and to lam + log t
-on the adjoint's direct route, so z/t and tz are never formed and no
-intermediate leaves the float range where they would.
+truncate(mu, delta).  Its point values are halfplane.image_values, the
+integral against the measure (measure.integrate) of f's values at the
+dilated points, vectorized over evaluation points; apply_with_error
+returns that integral's IntegralResult.  The adjoint (quasi) variant
+integrates t*f(tz) and is implemented through the inversion push-forward
+of the measure, with direct quadrature available as an independent
+cross-check route.  Points reach the kernel as pairs (zeta, lam) standing
+for z = e^lam zeta (see halfplane.py): the inner node t takes lam to
+lam - log t, and to lam + log t on the adjoint's direct route, so z/t and
+tz are never formed and no intermediate leaves the float range where they
+would.
 
 as_function puts the operator's measure on every term of f, and the
 result's terms are grouped by measure once (HalfPlaneFunction.sides).  Its
-point values run one inner quadrature (image_values) per measure over a
-plain source, and its Bergman norms and pairings run on the log-polar
-lattice (logpolar.py), sums, multiples and dilations of images included.
-Each side of the adjoint identity pairs an image with a plain function on
-that lattice.
+point values run one inner quadrature per measure over a plain source, and
+its Bergman norms and pairings run on the log-polar lattice (logpolar.py),
+sums, multiples and dilations of images included.  Each side of the
+adjoint identity pairs an image with a plain function on that lattice.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergentIntegral
-from .halfplane import HalfPlaneFunction, _as_z, _point_pair
+from .halfplane import HalfPlaneFunction, _as_z, _point_pair, image_values
 from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse
-from .quadrature import IntegralResult, QuadratureConfig, _integrate, pairing
+from .quadrature import IntegralResult, QuadratureConfig, pairing
 
 __all__ = [
     "HausdorffOperator",
-    "ApplyResult",
     "apply",
     "apply_with_error",
     "apply_quasi",
@@ -70,21 +70,6 @@ class HausdorffOperator:
             )
 
 
-@dataclass
-class ApplyResult:
-    value: complex
-    error_estimate: float
-    converged: bool
-
-
-def _raise_for(res: IntegralResult, what: str) -> None:
-    if res.converged:
-        return
-    if res.failure_reason == "tail":
-        raise DivergentIntegral(f"{what}: tail fails to converge numerically")
-    res.require_converged(what)
-
-
 def _half_plane_points(z) -> np.ndarray:
     """z as an at least 1-D complex array; ValueError unless every point is
     finite with Im z > 0."""
@@ -94,52 +79,16 @@ def _half_plane_points(z) -> np.ndarray:
     return zz
 
 
-def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
-                 sign: int = -1) -> tuple[np.ndarray, float]:
-    """The integral of t^sign g(t^sign z) dmu(t) at the points z = e^lam zeta
-    (lam broadcasting against zeta), for ev the point values of g in the
-    same format, with the inner quadrature's error: H g for sign = -1, the
-    adjoint's integral of t g(tz) for sign = +1.  The node t takes the
-    points to (zeta, lam + sign log t), so neither z/t nor tz is formed;
-    zeta goes to ev at the full nodes x points shape, as a view.  Atoms are
-    summed exactly; each density segment is one quadrature whose integrand
-    scales ev's values by one real column, t^sign times the density times
-    the Jacobian of the segment's substitution, if any (_integrate)."""
-    shape, zeta = np.shape(zeta), np.ravel(zeta)
-    lam = np.broadcast_to(lam, shape).ravel() if np.ndim(lam) else float(lam)
-    out = np.zeros(zeta.shape, dtype=complex)
-    for a in mu.atoms:
-        dilated = ev(zeta, lam + sign * math.log(a.location))
-        out = out + a.weight * a.location ** sign * np.asarray(dilated)
-
-    what = "operator integral" if sign < 0 else "adjoint operator integral"
-    err = 0.0
-    for seg in mu.segments:
-
-        def integrand(t, jac, dens=seg.density):
-            t = np.asarray(t, dtype=float)
-            col = t ** sign * np.asarray(dens(t), dtype=float)
-            if jac is not None:
-                col = col * jac
-            nodes = np.broadcast_to(zeta, (len(t), len(zeta)))
-            return np.asarray(ev(nodes, lam + sign * np.log(t)[:, None])) * col[:, None]
-
-        res = _integrate(integrand, seg.lower, seg.upper, cfg)
-        _raise_for(res, what)
-        out = out + res.value
-        err += res.error_estimate
-    return out.reshape(shape), err
-
-
 def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
-                     cfg: QuadratureConfig | None = None) -> ApplyResult:
-    """Operator value at z together with the quadrature error estimate."""
+                     cfg: QuadratureConfig | None = None) -> IntegralResult:
+    """Operator value at z (a complex for scalar z) with the inner
+    quadrature's error estimate and subdivisions (image_values)."""
     cfg = cfg or QuadratureConfig()
     op._guard()
-    zz = _half_plane_points(z)
-    vals, err = image_values(op.mu, f.evaluator, *_point_pair(zz), cfg)
-    value = complex(vals[0]) if vals.size == 1 and np.ndim(_as_z(z)) == 0 else vals
-    return ApplyResult(value=value, error_estimate=err, converged=True)
+    res = image_values(op.mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg)
+    if np.ndim(_as_z(z)) == 0:
+        res.value = complex(res.value[0])
+    return res
 
 
 def apply(op: HausdorffOperator, f: HalfPlaneFunction, z,
@@ -164,7 +113,7 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
 
-    vals, _ = image_values(mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg, sign=1)
+    vals = image_values(mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg, sign=1).value
     return complex(vals[0]) if np.ndim(_as_z(z)) == 0 else vals
 
 

@@ -4,7 +4,9 @@ A measure is a finite list of weighted atoms plus absolutely continuous
 density segments.  Segments that touch 0 or infinity must declare endpoint
 exponents (density ~ c * t^a near the endpoint); convergence of improper
 moment integrals is decided from the exponents alone, never by numeric
-extrapolation.
+extrapolation.  One routine integrates against a measure (integrate): the
+moments, and the point values of the operator's images (halfplane.py),
+which integrate the values of a function at the dilated points.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingExponentMetadata
-from .quadrature import IntegralResult, QuadratureConfig, integrate_segment
+from .errors import DivergentIntegral, MissingExponentMetadata
+from .quadrature import IntegralResult, QuadratureConfig, _integrate
 
 __all__ = [
     "Atom",
     "DensitySegment",
     "Measure",
     "Boundedness",
+    "integrate",
     "moment",
     "theoretical_norm",
     "truncate",
@@ -347,52 +350,71 @@ def _segment_diverges(seg: DensitySegment, alpha: float) -> bool:
     return False
 
 
+def integrate(mu: Measure, k: float, cfg: QuadratureConfig | None = None,
+              values: Callable | None = None) -> IntegralResult:
+    """The integral of t^k values(t) against mu (values(t) = 1 if None),
+    with its error and its segments' subdivisions.
+
+    values maps a 1-D array of nodes t to an array of shape (len(t), n):
+    the atoms' locations, in one call, and each segment's quadrature nodes.
+    Atoms are summed exactly.  Each density segment is one quadrature whose
+    integrand scales the values by one real column: t^k times the density,
+    or c t^(k + a) for a power density c t^a, fused so that it cannot
+    overflow at extreme t where the separate factors would, times the
+    Jacobian of the segment's substitution, if any (quadrature._integrate).
+    Raises DivergentIntegral when a tail keeps contributing up to the
+    representable limit, and QuadratureFailure when a segment cannot reach
+    tolerance otherwise."""
+    cfg = cfg or QuadratureConfig()
+    total, err, subdivisions = 0.0, 0.0, 0
+    if mu.atoms:
+        locs = np.array([a.location for a in mu.atoms])
+        col = np.array([a.weight for a in mu.atoms]) * locs ** k
+        if values is None:
+            total = float(np.sum(col))
+        else:
+            for c, v in zip(col, values(locs)):
+                total = total + c * v
+    for seg in mu.segments:
+
+        def integrand(t, jac, seg=seg):
+            t = np.asarray(t, dtype=float)
+            kind, params = seg.spec
+            if kind == "power":
+                col = params[0] * t ** (k + params[1])
+            else:
+                col = t ** k * np.asarray(seg.density(t), dtype=float)
+            if jac is not None:
+                col = col * jac
+            return col if values is None else values(t) * col[:, None]
+
+        res = _integrate(integrand, seg.lower, seg.upper, cfg)
+        if not res.converged:
+            what = f"integral of t^{k:g} against the segment [{seg.lower}, {seg.upper}]"
+            if res.failure_reason == "tail":
+                raise DivergentIntegral(f"{what}: tail fails to converge numerically")
+            res.require_converged(what)
+        total = total + res.value
+        err += res.error_estimate
+        subdivisions += res.subdivisions_used
+    return IntegralResult(total, err, subdivisions, True)
+
+
 def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """The moment integral of t^alpha against mu, counting its segments'
-    subdivisions; value inf (error 0, converged) when endpoint exponents
-    prove divergence.  Raises MissingExponentMetadata when a segment
-    touches an improper endpoint without metadata and QuadratureFailure
-    when the numeric part cannot reach tolerance.
+    """The moment integral of t^alpha against mu (integrate); value inf
+    (error 0, converged) when endpoint exponents prove divergence.  Raises
+    MissingExponentMetadata when a segment touches an improper endpoint
+    without metadata, and what integrate raises when the numeric part
+    cannot reach tolerance.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    cfg = cfg or QuadratureConfig()
     for seg in mu.segments:
         seg.require_exponents()
     for seg in mu.segments:
         if _segment_diverges(seg, alpha):
             return IntegralResult(math.inf, 0.0, 0, True)
-
-    atom_part = 0.0
-    if mu.atoms:
-        locs = np.array([a.location for a in mu.atoms])
-        wts = np.array([a.weight for a in mu.atoms])
-        atom_part = float(np.sum(wts * locs**alpha))
-
-    total = atom_part
-    err = 0.0
-    subdivisions = 0
-    for seg in mu.segments:
-        kind, params = seg.spec
-        if kind == "power":
-            # fuse the exponents: c * t^(alpha + a) cannot overflow at
-            # extreme t where the separate factors would
-            c, a = map(float, params)
-
-            def integrand(t, c=c, a=a):
-                return c * np.asarray(t, dtype=float) ** (alpha + a)
-
-        else:
-
-            def integrand(t, dens=seg.density):
-                return np.asarray(t, dtype=float) ** alpha * np.asarray(dens(t))
-
-        res = integrate_segment(integrand, seg.lower, seg.upper, cfg)
-        res.require_converged(f"moment integral over [{seg.lower}, {seg.upper}]")
-        total += float(np.real(res.value))
-        err += res.error_estimate
-        subdivisions += res.subdivisions_used
-    return IntegralResult(total, err, subdivisions, True)
+    return integrate(mu, alpha, cfg)
 
 
 def theoretical_norm(mu: Measure, p: float,

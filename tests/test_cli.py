@@ -124,6 +124,14 @@ def test_apply_batch_csv(measures, tmp_path, capsys):
     assert rows[0] == ["x", "y", "re", "im", "err"]
     assert len(rows) == 3
     assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 1.0
+    # with -o the same rows go to DIR/apply.csv, whose path is printed
+    outdir = tmp_path / "applydir"
+    code = main(["apply", "-m", measures["seg12"], "-f", "ratpow:shift=1,exp=2",
+                 "--points", str(pts), "-o", str(outdir)])
+    assert code == 0
+    assert capsys.readouterr().out == f"{outdir / 'apply.csv'}\n"
+    with open(outdir / "apply.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == rows
 
 
 def test_apply_missing_points_file_is_usage_error(measures, tmp_path, capsys):
@@ -538,6 +546,12 @@ def test_verify_bad_config(tmp_path, capsys):
     assert main(["verify", "--suite", str(suite)]) == 2
     suite.write_text(json.dumps({"experiments": [{"kind": "bogus"}]}))
     assert main(["verify", "--suite", str(suite)]) == 2
+    # case III of the sector inequality needs theta0
+    suite.write_text(json.dumps({"experiments": [
+        {"kind": "sector", "case": "III", "p": 1.0, "eps": 0.05, "samples": 10}]}))
+    capsys.readouterr()
+    assert main(["verify", "--suite", str(suite)]) == 2
+    assert capsys.readouterr().err.startswith("error: experiment parameters out of range")
 
 
 @pytest.mark.parametrize("argv,doc", [

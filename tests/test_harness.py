@@ -265,10 +265,11 @@ def test_lower_bound_experiment(p, eps, theta0):
 
 
 def test_lower_bound_constant_closed_forms():
-    # case I at p = 4: int_0^(pi/2) cos^4 = 3 pi / 16
+    # case I at p = 4: int_0^(pi/2) cos^4 = 3 pi / 16, from the Gamma
+    # function's closed form to a few ulps
     _, k4 = harness.lower_bound_constant(4.0, 0.25, None, CFG)
     np.testing.assert_allclose(
-        k4, 2.0 ** (-4 * 1.25) * (3 * math.pi / 16) / (4 * math.pi), rtol=1e-9
+        k4, 2.0 ** (-4 * 1.25) * (3 * math.pi / 16) / (4 * math.pi), rtol=2e-15
     )
     # case III closed form
     _, k1 = harness.lower_bound_constant(1.0, 0.2, math.pi / 32.0, CFG)
@@ -278,11 +279,12 @@ def test_lower_bound_constant_closed_forms():
 
 
 def test_lower_bound_constant_refuses_an_unconverged_integral():
-    # one bisection cannot reach rel_tol 1e-14 on int_0^(pi/2) cos^4: a bound
-    # that must hold outright may not rest on the value
-    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
-    with pytest.raises(QuadratureFailure):
-        harness.lower_bound_constant(4.0, 0.25, None, cfg)
+    # one bisection cannot reach rel_tol 1e-300 on case II's
+    # int_(pi/4)^(pi/2) sin^1.5: a bound that must hold outright may not
+    # rest on the value
+    cfg = QuadratureConfig(rel_tol=1e-300, abs_tol=1e-300, max_subdivisions=1)
+    with pytest.raises(QuadratureFailure, match="sin"):
+        harness.lower_bound_constant(1.5, 0.25, None, cfg)
 
 
 def test_feps_norm_experiment():

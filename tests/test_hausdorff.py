@@ -10,6 +10,7 @@ from hausdorff_bergman import (
     DensitySegment,
     DivergentIntegral,
     HausdorffOperator,
+    IntegralResult,
     Measure,
     QuadratureConfig,
     QuadratureFailure,
@@ -89,6 +90,22 @@ def test_apply_with_error_reports():
     res = apply_with_error(op, F, 1j, CFG)
     assert res.converged
     assert abs(res.value - (-LOG_ORACLE)) <= max(res.error_estimate, 1e-10)
+
+
+def test_apply_with_error_counts_the_subdivisions_of_its_segments():
+    # the result is the inner quadrature's IntegralResult: over an atom and
+    # two segments its subdivisions are those of the segments, summed
+    tail = DensitySegment.from_spec(2.0, math.inf, ("exp", (1.0, 0.5)), exp_hi=-math.inf)
+    z = np.array([0.3 + 0.01j, -2.0 + 0.5j, 4.0 + 3.0j])
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15)
+    parts = [apply_with_error(HausdorffOperator(mu), F, z, cfg)
+             for mu in (uniform_12(), Measure(segments=(tail,)))]
+    both = Measure(atoms=(Atom(0.5, 1.0),), segments=uniform_12().segments + (tail,))
+    res = apply_with_error(HausdorffOperator(both), F, z, cfg)
+    assert isinstance(res, IntegralResult)
+    assert all(r.subdivisions_used > 0 for r in parts)
+    assert res.subdivisions_used == sum(r.subdivisions_used for r in parts)
+    assert res.converged and res.unit == "subdivisions" and res.failure_reason is None
 
 
 def test_additivity_in_measure():

@@ -8,6 +8,7 @@ from hausdorff_bergman import (
     Atom,
     Boundedness,
     DensitySegment,
+    DivergentIntegral,
     Measure,
     MissingExponentMetadata,
     QuadratureConfig,
@@ -112,6 +113,26 @@ def test_moment_power_density_near_minus_two():
     res = moment(Measure(segments=(seg,)), 1.0, CFG)
     oracle = c * b ** (2.0 + a) / (2.0 + a)
     np.testing.assert_allclose(res.value, oracle, rtol=1e-10)
+
+
+def test_moment_fuses_a_power_density_into_one_power():
+    # t^0.95 against t^-1.9 on (0, 1] is t^-0.95, whose integral is 20: the
+    # column c t^(alpha + a) decays in the sweep, where the product of the
+    # separate factors t^0.95 and t^-1.9 keeps contributing to the end of it
+    # and stops "tail"
+    seg = DensitySegment.from_spec(0.0, 1.0, ("power", (1.0, -1.9)), exp_lo=-1.9)
+    res = moment(Measure(segments=(seg,)), 0.95, QuadratureConfig())
+    assert res.converged
+    assert abs(res.value - 20.0) <= res.error_estimate
+
+
+def test_moment_whose_tail_does_not_converge_raises_divergent_integral():
+    # t^-0.995 on (0, 1] converges (to 200), but its sweep would need u far
+    # beyond the representable range: a tail stop is DivergentIntegral,
+    # as on the operator's inner quadrature
+    seg = DensitySegment.from_spec(0.0, 1.0, ("power", (1.0, -1.99)), exp_lo=-1.99)
+    with pytest.raises(DivergentIntegral, match="tail fails to converge"):
+        moment(Measure(segments=(seg,)), 0.995, CFG)
 
 
 def test_closure_integrand_with_overflowing_factors():

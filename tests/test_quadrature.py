@@ -325,10 +325,10 @@ def _recording(f, nodes: list):
 def test_quasi_route_check_stacks_its_integrand_calls(monkeypatch):
     # the 50 apply_quasi calls of the built-in suite's quasi experiment took
     # 386 integrand calls at one panel each
-    from hausdorff_bergman import harness, hausdorff
+    from hausdorff_bergman import harness, measure
 
     calls = []
-    segment = hausdorff._integrate
+    segment = measure._integrate
 
     def recorded(f, lo, hi, cfg):
         def g(t, jac):
@@ -336,7 +336,7 @@ def test_quasi_route_check_stacks_its_integrand_calls(monkeypatch):
             return f(t, jac)
         return segment(g, lo, hi, cfg)
 
-    monkeypatch.setattr(hausdorff, "_integrate", recorded)
+    monkeypatch.setattr(measure, "_integrate", recorded)
     assert harness.run_quasi_equivalence(n_samples=25, seed=20240801).passed
     assert 0 < len(calls) <= 200
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ def _load(name: str):
 
 bench_pairs = _load("bench_pairs")
 lattice_work = _load("lattice_work")
+same_numbers = _load("same_numbers")
 
 
 def _run(wall_s: float, attempted: int = 10, failed: int = 0, correct: bool = True,
@@ -172,3 +174,42 @@ def test_lattice_work_counts_a_small_operation_list():
     assert line.split()[:5] == ["w", "runs", "4", "levels", str(work["levels"])]
     assert f"(atoms {kinds['atoms']:,} / gauss 0 / lower 0 / kernel rows" in line
     assert line.endswith(f"kernel builds {work['kernels']}")
+
+
+def test_same_numbers_compares_outcomes_bitwise():
+    # outcomes keep every bit through JSON: a last-bit change and -0.0 for
+    # 0.0 are not equal, an array's values share one place, a report's
+    # fields have theirs, and a failing check or a raising operation shows
+    import numpy as np
+
+    class Op:
+        def __init__(self, name, value, check=None):
+            self.name, self.check = name, lambda out: check
+            self.run = value if callable(value) else lambda: value
+            self.outcome = lambda v: (v, 1e-3, True)
+
+    def raises():
+        raise ValueError("no value")
+
+    z = np.array([1.0 + 2.0j, 3.0])
+    a = [Op("same", z), Op("array", np.array([1.0, 2.0, 3.0])), Op("zero", 0.0),
+         Op("report", {"k": 0.5, "name": "r"})]
+    b = [Op("same", z.copy()), Op("array", np.array([1.0, np.nextafter(2.0, 3.0), 3.0 + 3e-12])),
+         Op("zero", -0.0), Op("report", {"k": 0.5 + 1e-9, "name": "r"}, check="bad"),
+         Op("raising", raises)]
+    docs = [json.loads(json.dumps({"workloads": {"w": same_numbers.record(ops)}}))
+            for ops in (a, b)]
+    assert docs[0]["workloads"]["w"][0]["outcome"][0][0] == {
+        "re": (1.0).hex(), "im": (2.0).hex()}
+    result = same_numbers.compare(*docs)["w"]
+    assert (result["equal"], result["total"]) == (1, 5)
+    assert result["worst"] == (math.inf, "raising", "")
+    assert result["unequal"]["array"] == {"[0][*]": (pytest.approx(1e-12), 2)}
+    assert result["unequal"]["zero"] == {"[0]": (0.0, 1)}
+    assert result["unequal"]["report"] == {"[0].k": (pytest.approx(2e-9), 1)}
+    assert result["failing"] == [("B", "report", "bad"), ("A", "raising", "missing"),
+                                 ("B", "raising", "ValueError: no value")]
+    lines = same_numbers.format_comparison({"w": result}).splitlines()
+    assert lines[0] == "w: 1/5 bitwise equal, worst relative difference inf at raising outcome"
+    assert "    [0][*]: 1e-12 (2 values)" in lines
+    assert lines[-1] == "  check fails in B: raising: ValueError: no value"
