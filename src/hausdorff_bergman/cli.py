@@ -164,7 +164,8 @@ def cmd_norm(args) -> int:
     res = bergman_norm_p(f, args.p, cfg)
     print(f"{res.value:.12g}")
     print(f"error {res.error_estimate:.3g}")
-    return 0 if res.converged else 1
+    res.require_converged("Bergman norm")  # on a stop main prints why, exit 1
+    return 0
 
 
 def cmd_moment(args) -> int:

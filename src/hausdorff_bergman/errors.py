@@ -10,7 +10,8 @@ class QuadratureFailure(NumericsError):
 
 
 class DivergentIntegral(NumericsError):
-    """An operator or moment integral diverges (proven or numerically manifest)."""
+    """An integral diverges, proven or numerically manifest: any "tail" stop
+    (require_converged), on the lattice also an edge held open by rounding."""
 
 
 class NonIntegrableAtInfinity(NumericsError):

@@ -190,7 +190,7 @@ def _extrapolate(ratios) -> float:
 
 
 def _norm(f: HalfPlaneFunction, p: float, cfg: QuadratureConfig) -> float:
-    """||f||_p; raises QuadratureFailure rather than return an unconverged value."""
+    """||f||_p; raises (require_converged) rather than return an unconverged value."""
     return float(bergman_norm_p(f, p, cfg).require_converged("Bergman norm").value)
 
 
@@ -527,7 +527,8 @@ def run_lower_bound_experiment(measure: Measure, p: float, eps: float,
     with _Timer() as tm:
         op = HausdorffOperator(measure, p=p)
         f = TestFunction(p, eps).as_function()
-        lhs = float(np.real(bergman_norm_p_power(as_function(op, f), p, cfg).value))
+        res = bergman_norm_p_power(as_function(op, f), p, cfg).require_converged("image norm power")
+        lhs = float(np.real(res.value))
         clipped = restrict(measure, 0.0, 1.0 / eps)
         m = moment(clipped, 2.0 / p + eps - 1.0, cfg).value
         rhs = k * m**p / (p * eps)
@@ -561,9 +562,8 @@ def run_feps_norm_experiment(p: float, epsilons=(0.2, 0.1, 0.05),
         lam = p * eps
         lower, upper = 0.5 ** (2.0 + lam), 2.0 ** ((2.0 + lam) / 2.0)
         with _Timer() as tm:
-            power = float(
-                np.real(bergman_norm_p_power(tf.as_function(), p, cfg).value)
-            )
+            res = bergman_norm_p_power(tf.as_function(), p, cfg).require_converged("norm power")
+            power = float(np.real(res.value))
             normalized = power * (p * eps * eps ** (p * eps))
         reports.append(
             VerificationReport(
@@ -657,7 +657,7 @@ def run_minkowski_samples(n_samples: int = 50, seed: int = 20240801,
             target = theoretical_norm(mu, p, cfg).value
             try:
                 ratio = _ratio(HausdorffOperator(mu, p=p), f, p, cfg)
-            except QuadratureFailure:
+            except (QuadratureFailure, DivergentIntegral):
                 unconverged += 1
                 continue
             rel = ratio / target if target > 0 else 0.0

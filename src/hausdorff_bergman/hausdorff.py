@@ -140,11 +140,12 @@ def adjoint_pairing_check(mu: Measure, f: HalfPlaneFunction, g: HalfPlaneFunctio
     """Both sides of the adjoint identity at p = 2.
 
     Returns (pairing of (Hf, g), pairing of (f, H*g)); callers compare the
-    two for equality within quadrature tolerance.
+    two for equality within quadrature tolerance.  Raises (require_converged)
+    unless both pairings converged.
     """
     cfg = cfg or QuadratureConfig()
     hf = as_function(HausdorffOperator(mu, p=2.0), f)
     hstar_g = quasi_as_function(mu, g, p=2.0)
-    lhs = pairing(hf, g, cfg).value
-    rhs = pairing(f, hstar_g, cfg).value
+    lhs = pairing(hf, g, cfg).require_converged("pairing of (Hf, g)").value
+    rhs = pairing(f, hstar_g, cfg).require_converged("pairing of (f, H*g)").value
     return lhs, rhs

@@ -139,6 +139,9 @@ def _gregory_weights(order: int) -> np.ndarray:
     return w
 
 
+_END_WEIGHTS = _gregory_weights(_ORDER)  # at every finite kernel end
+
+
 def _geometric_tail(vals, h: float, m: int, rate: float | None) -> float | None:
     """h times the sum of the lattice values beyond the last one, closed as a
     geometric series with the largest of the last m step ratios.
@@ -414,7 +417,7 @@ class _Side:
         else:    # [a, inf): finite endpoint at the bottom
             s, k, tail = self._kernel_side(seg, math.log(seg.lower), h, rate_hi, h)
         w = np.ones(len(k))  # _kernel_side keeps at least 2 _ORDER + 2 nodes
-        w[: _ORDER + 1] = _gregory_weights(_ORDER)
+        w[: _ORDER + 1] = _END_WEIGHTS
         a = h * w * k
         if lo0:  # ascending s: reverse, the endpoint becomes the last entry
             return _ConvKernel(float(s[0]), a[::-1].copy(), tail)
@@ -712,7 +715,7 @@ class _LogPolarNorm:
             cores = [h * np.sum(pr).item() for pr in sums.profs]
             if not all(map(cmath.isfinite, cores)):
                 raise _Stop("tail")
-            tau = max(cfg.abs_tol, cfg.rel_tol * abs(cores[0])) / 8.0
+            tau = cfg.tolerance(abs(cores[0])) / 8.0
             prof = sums.profs[0]
             add_lo, err_lo = self._edge(prof[m::-1], sums.major[m::-1], h, m,
                                         self.rate_lo, self.exact_lo)
@@ -774,13 +777,13 @@ class _LogPolarNorm:
                 diffs.append(abs((value if self.held else value_j) - prev_value))
                 d = inner + diffs[-1]
                 err = inner + _lattice_error(diffs) + edge_err + fixed
-                tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+                tol = cfg.tolerance(abs(value))
                 if fixed > tol:  # no refinement can shrink these
                     raise _Stop("tail")
                 contracting = prev_d is not None and (d < prev_d or d <= 1e-13 * abs(value))
                 prev_d = d
                 if contracting and err <= tol:
-                    return IntegralResult(value, err, done, True, unit=levels)
+                    return IntegralResult(value, err, done, unit=levels)
                 if not self.held:
                     self.held = abs(core - core_g) <= tol / 8.0
                     if not self.held:
@@ -789,7 +792,7 @@ class _LogPolarNorm:
         except _Stop as stop:
             reason = stop.args[0]
         return IntegralResult(value, err if reason == "budget" else math.inf, done,
-                              False, reason, unit=levels)
+                              reason, levels)
 
 
 def integral(functions, p: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -799,4 +802,4 @@ def integral(functions, p: float, cfg: QuadratureConfig) -> IntegralResult:
     factors = [f.sides for f in functions]
     if all(factors):
         return _LogPolarNorm(factors, p, cfg).run()
-    return IntegralResult(0j if len(factors) == 2 else 0.0, 0.0, 1, True, unit="lattice levels")
+    return IntegralResult(0j if len(factors) == 2 else 0.0, 0.0, 1, unit="lattice levels")

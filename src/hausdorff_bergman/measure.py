@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentIntegral, MissingExponentMetadata
+from .errors import MissingExponentMetadata
 from .quadrature import IntegralResult, QuadratureConfig, _integrate
 
 __all__ = [
@@ -362,11 +362,10 @@ def integrate(mu: Measure, k: float, cfg: QuadratureConfig | None = None,
     or c t^(k + a) for a power density c t^a, fused so that it cannot
     overflow at extreme t where the separate factors would, times the
     Jacobian of the segment's substitution, if any (quadrature._integrate).
-    Raises DivergentIntegral when a tail keeps contributing up to the
-    representable limit, and QuadratureFailure when a segment cannot reach
-    tolerance otherwise."""
+    Raises what a segment's require_converged raises: DivergentIntegral on
+    a tail that keeps contributing, else QuadratureFailure."""
     cfg = cfg or QuadratureConfig()
-    total, err, subdivisions = 0.0, 0.0, 0
+    total = 0.0
     if mu.atoms:
         locs = np.array([a.location for a in mu.atoms])
         col = np.array([a.weight for a in mu.atoms]) * locs ** k
@@ -375,6 +374,7 @@ def integrate(mu: Measure, k: float, cfg: QuadratureConfig | None = None,
         else:
             for c, v in zip(col, values(locs)):
                 total = total + c * v
+    res = IntegralResult(total, 0.0, 0)
     for seg in mu.segments:
 
         def integrand(t, jac, seg=seg):
@@ -388,16 +388,9 @@ def integrate(mu: Measure, k: float, cfg: QuadratureConfig | None = None,
                 col = col * jac
             return col if values is None else values(t) * col[:, None]
 
-        res = _integrate(integrand, seg.lower, seg.upper, cfg)
-        if not res.converged:
-            what = f"integral of t^{k:g} against the segment [{seg.lower}, {seg.upper}]"
-            if res.failure_reason == "tail":
-                raise DivergentIntegral(f"{what}: tail fails to converge numerically")
-            res.require_converged(what)
-        total = total + res.value
-        err += res.error_estimate
-        subdivisions += res.subdivisions_used
-    return IntegralResult(total, err, subdivisions, True)
+        what = f"integral of t^{k:g} against the segment [{seg.lower}, {seg.upper}]"
+        res = res + _integrate(integrand, seg.lower, seg.upper, cfg).require_converged(what)
+    return res
 
 
 def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> IntegralResult:
@@ -413,7 +406,7 @@ def moment(mu: Measure, alpha: float, cfg: QuadratureConfig | None = None) -> In
         seg.require_exponents()
     for seg in mu.segments:
         if _segment_diverges(seg, alpha):
-            return IntegralResult(math.inf, 0.0, 0, True)
+            return IntegralResult(math.inf, 0.0, 0)
     return integrate(mu, alpha, cfg)
 
 

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonIntegrableAtInfinity, QuadratureFailure
+from .errors import DivergentIntegral, NonIntegrableAtInfinity, QuadratureFailure
 
 __all__ = [
     "QuadratureConfig",
@@ -137,32 +137,54 @@ class QuadratureConfig:
             abs_tol=max(self.abs_tol * 1e-2, 1e-15),
         )
 
+    def tolerance(self, scale: float) -> float:
+        """The error allowed a value of magnitude scale."""
+        return max(self.abs_tol, self.rel_tol * scale)
+
 
 @dataclass
 class IntegralResult:
     """Outcome of an integration.
 
-    failure_reason is None exactly when converged.  Otherwise it says why
-    refinement stopped, and the value is the last one completed (of the
-    panels so far in one dimension, of the last completed lattice level):
-    'budget' (subdivision or evaluation budget spent) with that value's
-    error, inf where it has none yet (a lattice run before its second level,
-    a half-line sweep before its tail); 'tail' (an improper tail, window edge
-    or kernel end kept contributing up to the representable limit, or a sum
-    was not finite) with error inf, as no finite error can be vouched for.
-    subdivisions_used counts what unit names: panel bisections
-    ("subdivisions") in one dimension, completed refinement levels
-    ("lattice levels") on the log-polar lattice.
+    failure_reason is the one record of the stop: None when converged (a
+    property, derived from it), else why refinement stopped, and the value
+    is the last one completed (of the panels so far in one dimension, of the
+    last completed lattice level): 'budget' (subdivision or evaluation
+    budget spent) with that value's error, inf where it has none yet (a
+    lattice run before its second level, a half-line sweep before its tail);
+    'tail' (an improper tail, window edge or kernel end kept contributing up
+    to the representable limit, or a sum was not finite) with error inf, as
+    no finite error can be vouched for.  subdivisions_used counts what unit
+    names: panel bisections ("subdivisions") in one dimension, completed
+    refinement levels ("lattice levels") on the log-polar lattice.
     """
 
     value: complex | float
     error_estimate: float
     subdivisions_used: int
-    converged: bool
     failure_reason: str | None = None
     unit: str = "subdivisions"
 
+    @property
+    def converged(self) -> bool:
+        return self.failure_reason is None
+
+    def __add__(self, other: "IntegralResult") -> "IntegralResult":
+        """Values, errors and counts added; stopped "tail" if either part
+        did, else as the first part that stopped; in the left part's unit."""
+        why = (self.failure_reason, other.failure_reason)
+        return IntegralResult(self.value + other.value, self.error_estimate + other.error_estimate,
+                              self.subdivisions_used + other.subdivisions_used,
+                              "tail" if "tail" in why else why[0] or why[1], self.unit)
+
     def require_converged(self, what: str = "integral") -> "IntegralResult":
+        """self if converged; else raises DivergentIntegral on a "tail" stop
+        (on the lattice also an edge held open by rounding), else QuadratureFailure."""
+        if self.failure_reason == "tail":
+            raise DivergentIntegral(
+                f"{what}: tail fails to converge numerically "
+                f"(after {self.subdivisions_used} {self.unit})"
+            )
         if not self.converged:
             raise QuadratureFailure(
                 f"{what} did not converge (reason: {self.failure_reason}, "
@@ -294,7 +316,7 @@ class _Pool:
         return max(self._err_sum, 0.0)
 
     def _target(self) -> float:
-        raw = max(self.cfg.abs_tol, self.cfg.rel_tol * _tol_scale(self.value))
+        raw = self.cfg.tolerance(_tol_scale(self.value))
         return max(raw - self.reserved_error, raw * 0.25)
 
     def refine(self) -> None:
@@ -372,7 +394,7 @@ def _sweep(pool: _Pool, cfg: QuadratureConfig, u_cap: float) -> tuple[float, str
                 return math.inf, "budget"
             size = block + block_err
             scale = _tol_scale(pool.value)
-            stop_tol = max(cfg.abs_tol, cfg.rel_tol * scale) / 8.0
+            stop_tol = cfg.tolerance(scale) / 8.0
             seen_mass = scale > 10.0 * cfg.abs_tol
             if size <= stop_tol and (seen_mass or hi >= _U_MIN_EMPTY):
                 quiet += 1
@@ -401,16 +423,9 @@ def _finish(pool: _Pool, cfg: QuadratureConfig, tail_rem: float = 0.0,
     total_err = math.inf if reason == "tail" else float(pool.error + tail_rem)
     # converged must certify the reported error against the raw tolerance
     val_sup = _sup(pool.value)
-    ok = bool(reason is None and math.isfinite(val_sup) and total_err <= max(
-        cfg.abs_tol, cfg.rel_tol * val_sup
-    ))
-    return IntegralResult(
-        value=_as_scalar(pool.final_value()),
-        error_estimate=total_err,
-        subdivisions_used=pool.subdivisions,
-        converged=ok,
-        failure_reason=None if ok else reason or "budget",
-    )
+    ok = reason is None and math.isfinite(val_sup) and total_err <= cfg.tolerance(val_sup)
+    return IntegralResult(_as_scalar(pool.final_value()), total_err, pool.subdivisions,
+                          None if ok else reason or "budget")
 
 
 def _jac_apply(f, t, jac):
@@ -449,16 +464,7 @@ def _integrate(f, lo: float, hi: float,
         raise ValueError("need lo < hi")
 
     if math.isinf(hi) and lo == 0.0:
-        left = _integrate(f, 0.0, 1.0, cfg)
-        right = _integrate(f, 1.0, math.inf, cfg)
-        reasons = (left.failure_reason, right.failure_reason)
-        return IntegralResult(
-            value=left.value + right.value,
-            error_estimate=left.error_estimate + right.error_estimate,
-            subdivisions_used=left.subdivisions_used + right.subdivisions_used,
-            converged=left.converged and right.converged,
-            failure_reason="tail" if "tail" in reasons else reasons[0] or reasons[1],
-        )
+        return _integrate(f, 0.0, 1.0, cfg) + _integrate(f, 1.0, math.inf, cfg)
     if math.isinf(hi):
         a = lo
         u_cap = min(_U_CAP, 700.0 - math.log(max(a, 1.0)) - 10.0)
@@ -536,20 +542,14 @@ def bergman_norm_p(f, p: float,
             err = res.error_estimate / ival / p * norm
         else:
             err = res.error_estimate ** (1.0 / p)
-        ok = res.converged and (norm == 0.0 or err <= max(cfg.abs_tol, cfg.rel_tol * norm))
+        ok = res.converged and (norm == 0.0 or err <= cfg.tolerance(norm))
         if ok or not res.converged:
             break
         # d norm = d power / (p norm^(p-1)), and norm^(p-1) = power / norm
-        abs_tol = p * (ival / norm) * max(cfg.abs_tol, cfg.rel_tol * norm)
+        abs_tol = p * (ival / norm) * cfg.tolerance(norm)
         run_cfg = replace(cfg, abs_tol=max(abs_tol, math.ulp(0.0)))
-    return IntegralResult(
-        value=norm,
-        error_estimate=err,
-        subdivisions_used=res.subdivisions_used,
-        converged=ok,
-        failure_reason=None if ok else res.failure_reason or "budget",
-        unit=res.unit,
-    )
+    return IntegralResult(norm, err, res.subdivisions_used,
+                          None if ok else res.failure_reason or "budget", res.unit)
 
 
 def pairing(f, g, cfg: QuadratureConfig | None = None) -> IntegralResult:

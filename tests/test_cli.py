@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ def test_norm_root_converged_on_abs_tol(capsys):
     assert code == 0
     value, err = float(out[0]), float(out[2])
     assert abs(value - 5e-4) <= err <= 5e-10
+
+
+def test_unconverged_norm_says_why_on_stderr(capsys):
+    # with one bisection (10,000 family evaluations) the norm stops "budget":
+    # the value and error still print, exit 1, and stderr gives the reason,
+    # error and count where it was empty
+    code = main(["norm", "-f", "test:p=2,eps=0.05", "-p", "2", "--rel-tol", "1e-13",
+                 "--abs-tol", "1e-15", "--max-subdiv", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["3.55494166209", "error 5.24e-10"]
+    assert re.fullmatch(r"error: Bergman norm did not converge \(reason: budget, "
+                        r"error~5\.24e-10 after \d+ lattice levels\)\n", captured.err)
 
 
 @pytest.mark.parametrize("spec", [

@@ -14,6 +14,7 @@ from hausdorff_bergman import (
     ParameterOutOfRange,
     QuadratureConfig,
     QuadratureFailure,
+    rational_power,
 )
 from hausdorff_bergman import harness, logpolar
 from hausdorff_bergman.halfplane import ModulusFunction, TestFunction
@@ -317,6 +318,66 @@ def test_minkowski_unconverged_samples_are_counted_apart(monkeypatch):
     assert rep.computed == {"breaches": 0, "worst_ratio_over_norm": 0.0,
                             "unconverged": 6}
     assert not rep.passed
+
+
+def test_minkowski_sample_whose_norm_stops_tail_counts_as_unconverged(monkeypatch):
+    # ||H f||_1 of (z + 0.1i)^-3 under t^-3 dt on [1, inf) at rel_tol 1e-9
+    # ends "tail" on the lattice (its far window edge stays open), which
+    # raises DivergentIntegral: the sample bounds nothing, like any other
+    # unconverged one.  Seed 11 draws p = 1 first.
+    mu = Measure(segments=(DensitySegment.from_spec(
+        1.0, math.inf, ("power", (1.0, -3.0)), exp_hi=-3.0),))
+    monkeypatch.setattr(harness, "_random_bounded_measure", lambda rng, p: mu)
+    monkeypatch.setattr(harness, "_random_function", lambda rng, p: rational_power(0.1, 3.0))
+    raised, ratio = [], harness._ratio
+
+    def recorded(*args):
+        try:
+            return ratio(*args)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(harness, "_ratio", recorded)
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+    rep = harness.run_minkowski_samples(n_samples=1, seed=11, cfg=cfg)
+    assert raised == [DivergentIntegral]
+    assert rep.computed == {"breaches": 0, "worst_ratio_over_norm": 0.0,
+                            "unconverged": 1}
+    assert not rep.passed
+
+
+# one bisection a 1-D integral, 10,000 family evaluations a lattice run:
+# no norm of the entries below converges
+STARVED = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
+UNIFORM_12_JSON = {"atoms": [], "segments": [
+    {"lo": 1.0, "hi": 2.0, "density": {"kind": "const", "params": [1.0]}}]}
+
+
+def test_feps_norm_entry_fails_on_an_unconverged_norm():
+    # the eps = 0.05 norm power stops "budget"; its value (0.9366 normalized,
+    # inside the sandwich) was read as converged and all three reports passed
+    with pytest.raises(QuadratureFailure, match="^norm power did not converge"):
+        harness.run_feps_norm_experiment(2.0, (0.2, 0.1, 0.05), STARVED)
+    entry = {"kind": "feps_norm", "p": 2.0, "epsilons": [0.2, 0.1, 0.05]}
+    [rep] = harness.run_suite_entry(entry, Path("."), STARVED)
+    assert not rep.passed
+    assert rep.computed.startswith("error: norm power did not converge (reason: budget")
+
+
+@pytest.mark.parametrize("p,eps,theta0", [(4.0, 0.25, None), (2.0, 0.3, None),
+                                          (1.0, 0.2, math.pi / 32.0)])
+def test_lower_bound_entry_fails_on_an_unconverged_image_norm(p, eps, theta0):
+    # under uniform[1, 2] the image norm power stops "budget" after 2 levels;
+    # its value cleared the lower bound and the report passed
+    with pytest.raises(QuadratureFailure, match="^image norm power did not converge"):
+        harness.run_lower_bound_experiment(uniform_12(), p, eps, theta0, STARVED)
+    entry = {"kind": "lower_bound", "p": p, "eps": eps, "measure": UNIFORM_12_JSON}
+    if theta0 is not None:
+        entry["theta0"] = theta0
+    [rep] = harness.run_suite_entry(entry, Path("."), STARVED)
+    assert not rep.passed
+    assert rep.computed.startswith("error: image norm power did not converge (reason: budget")
 
 
 def test_quasi_equivalence_small():

@@ -26,6 +26,7 @@ from hausdorff_bergman import (
     theoretical_norm,
     truncate,
 )
+from hausdorff_bergman import hausdorff
 from hausdorff_bergman.halfplane import UNIT, HalfPlaneFunction, ModulusFunction, Term
 
 CFG = QuadratureConfig()
@@ -441,6 +442,21 @@ def test_adjoint_pairing_segment():
     cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-11)
     lhs, rhs = adjoint_pairing_check(mu, F, g, cfg)
     assert abs(lhs - rhs) <= 1e-4 * abs(lhs)
+
+
+def test_adjoint_pairing_refuses_unconverged_pairings(monkeypatch):
+    # with one bisection and 10,000 family evaluations both pairings stop
+    # "budget"; their values (0.3774923092 and 0.3774923150) were returned
+    # as if converged
+    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
+    g = rational_power(0.5, 2.0)
+    with pytest.raises(QuadratureFailure, match=r"^pairing of \(Hf, g\) did not converge"):
+        adjoint_pairing_check(uniform_12(), F, g, starved)
+    # the second pairing is required as well: let the first run at CFG
+    pairings = iter([lambda f, h, cfg: pairing(f, h, CFG), pairing])
+    monkeypatch.setattr(hausdorff, "pairing", lambda *args: next(pairings)(*args))
+    with pytest.raises(QuadratureFailure, match=r"^pairing of \(f, H\*g\) did not converge"):
+        adjoint_pairing_check(uniform_12(), F, g, starved)
 
 
 def test_pairing_against_operator_norm():

@@ -28,6 +28,7 @@ from hausdorff_bergman import (
     Atom,
     Boundedness,
     DensitySegment,
+    DivergentIntegral,
     HalfPlaneFunction,
     HausdorffOperator,
     Measure,
@@ -997,6 +998,20 @@ def test_power_tail_image_norm_at_tight_tolerance():
     res = image_norm_power(power_tail_measure(), 1.0, 3.0, 0.1, cfg)
     assert res.converged, res
     assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+
+def test_lattice_tail_stop_raises_divergent_integral():
+    # the case above as it ends today, one completed level and a "tail"
+    # stop: require_converged turns that into DivergentIntegral, as a 1-D
+    # tail.  Once the far edge closes this run converges, and the test needs
+    # another lattice "tail" stop
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-14)
+    res = image_norm_power(power_tail_measure(), 1.0, 3.0, 0.1, cfg)
+    assert (res.failure_reason, res.subdivisions_used, res.unit) == ("tail", 1, "lattice levels")
+    assert res.value == 5.894497120754259 and res.error_estimate == math.inf
+    with pytest.raises(DivergentIntegral, match=(
+            r"^image norm: tail fails to converge numerically \(after 1 lattice levels\)$")):
+        res.require_converged("image norm")
 
 
 def test_power_tail_image_norm_at_the_default_tolerance():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hausdorff_bergman import (
+    DivergentIntegral,
+    IntegralResult,
     NonIntegrableAtInfinity,
     QuadratureConfig,
     QuadratureFailure,
@@ -262,6 +264,69 @@ def test_converged_certifies_error_estimate():
         assert res.converged
         assert res.error_estimate <= max(cfg.abs_tol,
                                          cfg.rel_tol * abs(res.value))
+
+
+def test_converged_is_derived_from_the_failure_reason():
+    # the stop is stored once: converged reads failure_reason, and neither
+    # the constructor nor an assignment can set it apart
+    assert IntegralResult(1.0, 1e-9, 2).converged
+    assert not IntegralResult(1.0, 1e-3, 2, "budget").converged
+    res = IntegralResult(1.0, 1e-9, 2)
+    res.failure_reason = "tail"
+    assert not res.converged
+    with pytest.raises(TypeError):
+        IntegralResult(1.0, 1e-9, 2, converged=True)
+    with pytest.raises(AttributeError):
+        res.converged = True
+
+
+@pytest.mark.parametrize("left,right,reason", [
+    (None, None, None), (None, "budget", "budget"), (None, "tail", "tail"),
+    ("budget", None, "budget"), ("budget", "budget", "budget"), ("budget", "tail", "tail"),
+    ("tail", None, "tail"), ("tail", "budget", "tail"), ("tail", "tail", "tail"),
+])
+def test_sum_of_results(left, right, reason):
+    # a sum stopped "tail" if either part did, else as the part that stopped;
+    # values, errors and counts add, and the left part's unit stays
+    a = IntegralResult(1.5, 1e-9, 3, left, "lattice levels")
+    b = IntegralResult(np.array([2.0, 1j]), 2e-9, 4, right)
+    total = a + b
+    assert total.failure_reason == reason and total.converged == (reason is None)
+    assert np.array_equal(total.value, [3.5, 1.5 + 1j])
+    assert (total.error_estimate, total.subdivisions_used, total.unit) == (
+        1e-9 + 2e-9, 7, "lattice levels")
+    assert (b + a).unit == "subdivisions"
+
+
+def test_require_converged_raises_by_the_stop():
+    # a "tail" stop raises DivergentIntegral, any other QuadratureFailure;
+    # both messages give the count and its unit
+    res = IntegralResult(2.0, 1e-9, 5)
+    assert res.require_converged("x") is res
+    with pytest.raises(DivergentIntegral, match=(
+            r"^segment: tail fails to converge numerically \(after 7 subdivisions\)$")):
+        IntegralResult(2.0, math.inf, 7, "tail").require_converged("segment")
+    with pytest.raises(QuadratureFailure, match=(
+            r"^norm did not converge \(reason: budget, error~0\.001 after 2 lattice levels\)$")):
+        IntegralResult(2.0, 1e-3, 2, "budget", "lattice levels").require_converged("norm")
+
+
+def test_half_line_is_the_sum_of_its_halves():
+    # (0, inf) is (0, 1] plus [1, inf): the same value, error and count, and
+    # a tail in either half stops the whole "tail"
+    f = lambda t: t * np.exp(-t)  # noqa: E731
+    whole = integrate_segment(f, 0.0, math.inf, CFG)
+    parts = integrate_segment(f, 0.0, 1.0, CFG) + integrate_segment(f, 1.0, math.inf, CFG)
+    assert whole == parts and whole.converged
+    res = integrate_segment(lambda t: 1.0 / (1.0 + t), 0.0, math.inf, CFG)
+    assert res.failure_reason == "tail"
+    with pytest.raises(DivergentIntegral):
+        res.require_converged()
+
+
+def test_tolerance_is_the_larger_of_the_two():
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-10)
+    assert cfg.tolerance(1.0) == 1e-6 and cfg.tolerance(1e-5) == 1e-10
 
 
 def test_deterministic_results():

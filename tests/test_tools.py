@@ -213,3 +213,21 @@ def test_same_numbers_compares_outcomes_bitwise():
     assert lines[0] == "w: 1/5 bitwise equal, worst relative difference inf at raising outcome"
     assert "    [0][*]: 1e-12 (2 values)" in lines
     assert lines[-1] == "  check fails in B: raising: ValueError: no value"
+
+
+def test_same_numbers_compare_exits_1_unless_every_operation_is_the_same(tmp_path, capsys):
+    # exit 0 only when every operation is bitwise equal, raises on neither
+    # side and passes its check on both
+    def op(value, check=None):
+        return {"name": "op", "outcome": same_numbers.encode(value), "check": check}
+
+    cases = {"equal": (op(1.0), 0), "last bit": (op(math.nextafter(1.0, 2.0)), 1),
+             "check fails": (op(1.0, check="bad"), 1),
+             "raises": ({"name": "op", "error": "ValueError: no value"}, 1)}
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"workloads": {"w": [op(1.0)]}}), encoding="utf-8")
+    for name, (record, code) in cases.items():
+        b = tmp_path / f"{name}.json"
+        b.write_text(json.dumps({"workloads": {"w": [record]}}), encoding="utf-8")
+        assert same_numbers.main(["compare", str(a), str(b)]) == code, name
+        assert capsys.readouterr().out.startswith("w: ")

@@ -20,7 +20,8 @@ each operation that is not equal, each place where it differs, with the
 worst difference there and the number of values that differ (the values of
 an array share one place, [*]); then each check that fails, or operation
 that raises, in either dump.  Outcomes of different structure count as a
-relative difference of inf.
+relative difference of inf.  It exits 1 unless every operation compared is
+bitwise equal, raises on neither side and passes its check on both.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ def compare(a: dict, b: dict) -> dict:
     return result
 
 
+def same(result: dict) -> bool:
+    """Whether every operation of a comparison is bitwise equal, with no
+    failing check or error on either side."""
+    return all(r["equal"] == r["total"] and not r["failing"] for r in result.values())
+
+
 def format_comparison(result: dict) -> str:
     lines = []
     for name, r in result.items():
@@ -176,8 +183,9 @@ def main(argv=None) -> int:
 
     if args.command == "compare":
         docs = [json.loads(p.read_text(encoding="utf-8")) for p in (args.a, args.b)]
-        print(format_comparison(compare(*docs)))
-        return 0
+        result = compare(*docs)
+        print(format_comparison(result))
+        return 0 if same(result) else 1
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
