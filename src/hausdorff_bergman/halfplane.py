@@ -51,6 +51,8 @@ __all__ = [
     "rational_power",
     "dilate",
     "check_sector_inequality",
+    "check_case_hypotheses",
+    "image_point_values",
     "sector_for_case",
     "sample_sector",
     "parse_function_spec",
@@ -344,6 +346,21 @@ def image_values(mu: Measure, ev, zeta, lam, cfg: QuadratureConfig,
     return res
 
 
+def image_point_values(mu: Measure, f: HalfPlaneFunction, z, cfg: QuadratureConfig,
+                       sign: int = -1) -> IntegralResult:
+    """image_values of f's point evaluator at the points z, a complex scalar
+    or an array: its value is a complex for scalar z, else an array of at
+    least one dimension.  ValueError unless every point is finite with
+    Im z > 0."""
+    zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex))
+    if not np.all(np.isfinite(zz) & (zz.imag > 0.0)):
+        raise ValueError("evaluation points must be finite with Im z > 0")
+    res = image_values(mu, f.evaluator, *_point_pair(zz), cfg, sign)
+    if np.ndim(z) == 0:
+        res.value = complex(res.value[0])
+    return res
+
+
 @dataclass(frozen=True)
 class HalfPlaneFunction:
     """A sum of terms (see Term) on the upper half-plane.
@@ -403,15 +420,12 @@ class HalfPlaneFunction:
         one family and exponent a count together with a + m, m their number
         of vanishing moments: at infinity each term's |z|^-(a+j) coefficient
         is homogeneous of degree j in its shift (see _Expansion), so the
-        group's first m cancel.  An image's shift is scaled by its measure's
-        support infimum below 1."""
-        shifts = []
-        for t in self.terms:
-            t_min = t.measure.support_infimum()  # inf for the zero measure
-            shifts.append(t.shift * min(t_min, 1.0) if t_min > 0.0 else 0.0)
+        group's first m cancel.  The shift is the smallest term shift, an
+        image's as a plain function's: the lattice's window guess
+        (logpolar.py _initial_window) adds the measure's support to it."""
         powers = [t.exponent for t in self.terms if not t.plain]
         powers += [t.exponent + (ex.m if ex else 0) for terms, ex in self._split for t in terms]
-        return min(powers), min(shifts)
+        return min(powers), min(t.shift for t in self.terms)
 
     @property
     def mirror(self) -> complex | None:
@@ -609,8 +623,10 @@ def sector_for_case(case: str, theta0: float | None = None) -> Sector:
     raise ParameterOutOfRange(f"unknown case {case!r}")
 
 
-def _check_case_hypotheses(case: str, p: float, eps: float,
-                           theta0: float | None) -> None:
+def check_case_hypotheses(case: str, p: float, eps: float,
+                          theta0: float | None) -> None:
+    """The hypotheses of the case inequality on (p, eps, theta0) (see
+    check_sector_inequality); raises ParameterOutOfRange where they fail."""
     s = 2.0 / p + eps
     if case == "I":
         if not (p > 2 and s <= 1.0):
@@ -657,7 +673,7 @@ def check_sector_inequality(case: str, tf: TestFunction, z,
     Ties within _SECTOR_TIE count as holding; raises ParameterOutOfRange when
     the case hypotheses on (p, eps, theta0) fail.
     """
-    _check_case_hypotheses(case, tf.p, tf.epsilon, theta0)
+    check_case_hypotheses(case, tf.p, tf.epsilon, theta0)
     zz = np.asarray(_as_z(z), dtype=complex)
     f = np.asarray(tf(zz))
     ph = np.asarray(tf.phase(zz))

@@ -2,8 +2,8 @@
 
 The primary operator sends f to the integral of (1/t) f(z/t) against a
 positive measure on (0, inf); the truncated operator is that of
-truncate(mu, delta).  Its point values are halfplane.image_values, the
-integral against the measure (measure.integrate) of f's values at the
+truncate(mu, delta).  Its point values are halfplane.image_point_values,
+the integral against the measure (measure.integrate) of f's values at the
 dilated points, vectorized over evaluation points; apply_with_error
 returns that integral's IntegralResult.  The adjoint (quasi) variant
 integrates t*f(tz) and is implemented through the inversion push-forward
@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DivergentIntegral
-from .halfplane import HalfPlaneFunction, _as_z, _point_pair, image_values
+from .halfplane import HalfPlaneFunction, image_point_values
 from .measure import Boundedness, Measure, classify_boundedness, pushforward_inverse
 from .quadrature import IntegralResult, QuadratureConfig, pairing
 
@@ -70,25 +68,13 @@ class HausdorffOperator:
             )
 
 
-def _half_plane_points(z) -> np.ndarray:
-    """z as an at least 1-D complex array; ValueError unless every point is
-    finite with Im z > 0."""
-    zz = np.atleast_1d(np.asarray(_as_z(z), dtype=complex))
-    if not np.all(np.isfinite(zz) & (zz.imag > 0.0)):
-        raise ValueError("evaluation points must be finite with Im z > 0")
-    return zz
-
-
 def apply_with_error(op: HausdorffOperator, f: HalfPlaneFunction, z,
                      cfg: QuadratureConfig | None = None) -> IntegralResult:
     """Operator value at z (a complex for scalar z) with the inner
-    quadrature's error estimate and subdivisions (image_values)."""
+    quadrature's error estimate and subdivisions (image_point_values)."""
     cfg = cfg or QuadratureConfig()
     op._guard()
-    res = image_values(op.mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg)
-    if np.ndim(_as_z(z)) == 0:
-        res.value = complex(res.value[0])
-    return res
+    return image_point_values(op.mu, f, z, cfg)
 
 
 def apply(op: HausdorffOperator, f: HalfPlaneFunction, z,
@@ -112,9 +98,7 @@ def apply_quasi(mu: Measure, f: HalfPlaneFunction, z,
         return apply(op, f, z, cfg)
     if route != "direct":
         raise ValueError(f"unknown route {route!r}")
-
-    vals = image_values(mu, f.evaluator, *_point_pair(_half_plane_points(z)), cfg, sign=1).value
-    return complex(vals[0]) if np.ndim(_as_z(z)) == 0 else vals
+    return image_point_values(mu, f, z, cfg, sign=1).value
 
 
 def as_function(op: HausdorffOperator, f: HalfPlaneFunction,

@@ -43,7 +43,7 @@ The lattice is finite; the sum beyond each edge of the window is
 closed as a geometric series.  Where the decay data fix the profile's
 exact rate at an edge (far out, P(v) = C e^(-rate v) (1 + c(v)) with
 rate = p power - 2 for a norm and the factors' rates added for a pairing; near
-0, rate 2 where the source's shift is positive), the closure uses that rate
+0, rate 2, as every source's shift is positive), the closure uses that rate
 and the error counts only how far c varies beyond the edge, read from the
 mismatch between the last step ratios and e^(-rate h).  A window then
 stops at tens of units of v even where |F|^p decays like e^(-0.0125 v).
@@ -218,10 +218,10 @@ def _slowest(rates) -> float | None:
     return min(finite) if finite and min(finite) > 0.0 else None
 
 
-def _exact_rate(own: float | None, kernels) -> float | None:
+def _exact_rate(own: float, kernels) -> float | None:
     """own, the source's decay rate at one end, if every kernel rate there is
     known and at least _MARGIN faster; else None."""
-    if own is None or any(r is None or r < own + _MARGIN for r in kernels):
+    if any(r is None or r < own + _MARGIN for r in kernels):
         return None
     return own
 
@@ -294,7 +294,9 @@ class _Side:
     0 or infinity through the trapezoid rule in s on the lattice itself,
     with order-6 Gregory corrections at its finite endpoint, as one FFT
     convolution per theta block.  hint is the decay hint (power, shift) of
-    Hf itself.
+    Hf itself: its power at infinity and its terms' smallest shift, which
+    does not depend on mu (the window guess, _initial_window, adds mu's
+    support to it).
 
     The atom terms are built here, each rule's Gauss nodes once, and the
     direct terms (atoms and Gauss nodes) once per Gauss rule index and
@@ -312,12 +314,12 @@ class _Side:
         self.touching = [s for s in mu.segments
                          if s.lower == 0.0 or math.isinf(s.upper)]
         # the decay of |F| per unit of v at each end: the source's own rate
-        # (q near 0 when its shift is positive, as Hf(0) is then finite;
+        # (q near 0, as every term's shift is positive and Hf(0) finite;
         # power - q far out, as Hf decays like |z|^-power) and the kernels'
         # rates, which their endpoint exponents give.  The slowest of them
         # floors the measured rule; the source's rate is the exact one
         # unless a kernel decays within _MARGIN of it (or says nothing)
-        near = q if source.decay_hint[1] > 0.0 else None
+        near = q
         far = self.power - q
         lo = [self._kernel_rate(s.exp_lo, +1) for s in self.touching if s.lower == 0.0]
         hi = [self._kernel_rate(s.exp_hi, -1) for s in self.touching if math.isinf(s.upper)]
@@ -634,17 +636,17 @@ class _LogPolarNorm:
     # -- refinement ------------------------------------------------------
 
     def _initial_window(self) -> None:
-        """Window [v_lo, v_hi]: edges around the scales the sides' shifts
-        and measures' supports set, on the level-0 lattice; they grow in
-        _sums."""
+        """Window [v_lo, v_hi]: edges around the scales log(shift t) that
+        each side's source shift (its decay hint's) and its measure's
+        support set, on the level-0 lattice; they grow in _sums.  The one
+        place a measure's support scales an image."""
         lo, hi = math.inf, -math.inf
         for side in self.sides:
-            sigma = side.shift if side.shift > 0.0 else 1.0
             t_lo, t_hi = side.mu.support_infimum(), side.mu.support_supremum()
             s_lo = math.log(t_lo) if t_lo > 0.0 else min(0.0, math.log(t_hi)) - 4.0
             s_hi = math.log(t_hi) if math.isfinite(t_hi) else max(0.0, s_lo) + 4.0
-            lo = min(lo, s_lo + math.log(sigma) - 4.0)
-            hi = max(hi, s_hi + math.log(sigma) + 8.0)
+            lo = min(lo, s_lo + math.log(side.shift) - 4.0)
+            hi = max(hi, s_hi + math.log(side.shift) + 8.0)
         self.v_lo, self.v_hi = float(math.floor(lo)), float(math.ceil(max(hi, lo + 2.0)))
 
     def _grow(self, left: bool) -> bool:

@@ -47,16 +47,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Atom:
-    """A point mass: weight at location (location > 0, weight >= 0)."""
+    """A point mass: weight at location, with 0 <= weight < inf and location
+    in [tiny, 1/tiny] (tiny the smallest normal double, 1/tiny = 2^1022): a
+    location whose reciprocal, the node weight of the operator's t^-1, is
+    finite, and an interval that t -> 1/t (pushforward_inverse) maps onto
+    itself."""
 
     location: float
     weight: float
 
     def __post_init__(self) -> None:
-        if not (self.location > 0):
-            raise ValueError(f"atom location must be > 0, got {self.location}")
-        if not (self.weight >= 0):
-            raise ValueError(f"atom weight must be >= 0, got {self.weight}")
+        if not (_TINY <= self.location <= 1.0 / _TINY):
+            raise ValueError(f"atom location must lie in [{_TINY}, {1.0 / _TINY}] "
+                             f"(finite, with a finite reciprocal), got {self.location}")
+        if not (0.0 <= self.weight < math.inf):
+            raise ValueError(f"atom weight must be >= 0 and finite, got {self.weight}")
 
 
 _SLOPE_TOL = 0.25  # a finite endpoint exponent against the density's log-slope

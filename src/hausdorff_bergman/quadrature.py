@@ -90,7 +90,8 @@ _WGK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _GAUSS = slice(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
-# log-substituted sweeps stop here; e^u stays finite in double precision
+# log-substituted sweeps keep t within [e^-_U_CAP, e^_U_CAP], finite and
+# nonzero in double precision
 _U_CAP = 690.0
 # minimum sweep extent before "two negligible blocks" may end a sweep that
 # has not yet seen any mass
@@ -465,25 +466,20 @@ def _integrate(f, lo: float, hi: float,
 
     if math.isinf(hi) and lo == 0.0:
         return _integrate(f, 0.0, 1.0, cfg) + _integrate(f, 1.0, math.inf, cfg)
-    if math.isinf(hi):
-        a = lo
-        u_cap = min(_U_CAP, 700.0 - math.log(max(a, 1.0)) - 10.0)
-
-        def g(u):
-            t = a * np.exp(u)
-            return f(t, t)
-    elif lo == 0.0:
-        b = hi
-        u_cap = min(_U_CAP, 690.0 + min(0.0, math.log(b)))
-
-        def g(u):
-            t = b * np.exp(-u)
-            return f(t, t)
-    else:
+    if not (math.isinf(hi) or lo == 0.0):
         with np.errstate(invalid="ignore"):
             pool = _Pool(cfg, lambda t: f(t, None))
             pool.push(*pool.evaluate([(lo, hi)])[0])
             return _finish(pool, cfg)
+    # [a, inf) as t = a e^u, (0, b] as t = b e^-u, swept over u >= 0 while
+    # t stays within [e^-_U_CAP, e^_U_CAP]
+    anchor, sign = (lo, 1) if math.isinf(hi) else (hi, -1)
+    u_cap = _U_CAP - max(0.0, sign * math.log(anchor))
+
+    def g(u):
+        t = anchor * np.exp(sign * u)
+        return f(t, t)
+
     with np.errstate(invalid="ignore"):
         pool = _Pool(cfg, g)
         tail_rem, reason = _sweep(pool, cfg, u_cap)

@@ -402,6 +402,29 @@ def test_untrusted_measure_document_is_usage_error(tmp_path, capsys, doc, reason
     assert reason in err
 
 
+@pytest.mark.parametrize("atom, reason", [
+    ({"t": "inf", "w": 1}, "atom location must lie in"),
+    ({"t": 1, "w": "inf"}, "atom weight must be >= 0 and finite"),
+    ({"t": 1e-310, "w": 1}, "atom location must lie in"),
+])
+@pytest.mark.parametrize("argv", [
+    ["norm", "-f", "test:p=2,eps=0.1"],
+    ["apply", "-f", "ratpow:shift=1,exp=2", "-z", "0.3+1.2i"],
+    ["classify", "-p", "2"],
+], ids=lambda argv: argv[0])
+def test_atom_out_of_float_range_is_usage_error(tmp_path, capsys, atom, reason, argv):
+    # these once died in a traceback (norm, an infinite location), or
+    # printed 0+0i, -inf-infi or nan+nani with "error 0" and exited 0
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({"atoms": [atom]}))
+    code = main(argv + ["-m", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load measure") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sweep + plotdata
 # ---------------------------------------------------------------------------

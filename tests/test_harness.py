@@ -365,6 +365,23 @@ def test_feps_norm_entry_fails_on_an_unconverged_norm():
     assert rep.computed.startswith("error: norm power did not converge (reason: budget")
 
 
+def test_gnorm_entry_fails_on_an_unconverged_norm():
+    # the norm power stops "budget"; the runner read its converged flag
+    # itself, the one runner that did not raise through require_converged
+    with pytest.raises(QuadratureFailure, match="^norm power did not converge"):
+        harness.run_gnorm_experiment([1.0], [1.0, 2.0], 2.0, STARVED)
+    entry = {"kind": "gnorm", "lambdas": [1.0], "deltas": [1.0, 2.0], "p": 2.0}
+    [rep] = harness.run_suite_entry(entry, Path("."), STARVED)
+    assert not rep.passed
+    assert rep.computed.startswith("error: norm power did not converge (reason: budget")
+
+
+def test_lower_bound_refuses_parameters_outside_its_case():
+    # p = 1.5 is case II, which needs 2/p + eps < 2
+    with pytest.raises(ParameterOutOfRange, match="case II needs"):
+        harness.run_lower_bound_experiment(uniform_12(), 1.5, 1.0)
+
+
 @pytest.mark.parametrize("p,eps,theta0", [(4.0, 0.25, None), (2.0, 0.3, None),
                                           (1.0, 0.2, math.pi / 32.0)])
 def test_lower_bound_entry_fails_on_an_unconverged_image_norm(p, eps, theta0):

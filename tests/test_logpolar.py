@@ -155,6 +155,40 @@ def test_single_atom_dilation_law(p):
         assert_within(image_norm_power(mu, p, a, eps), exact)
 
 
+def test_atom_far_below_one_keeps_the_norm_at_p2():
+    # an atom of weight 1 at t maps ||f||_2 to itself whatever t is.  The
+    # window guess alone scales the image by t: counted twice, the window
+    # started near v = -925 against an image near v = -462, where |F|^2
+    # underflows to 0, and both edges closed on a norm of 0
+    tf = TestFunction(2.0, 0.1)
+    op = HausdorffOperator(Measure.from_atoms((1e-200, 1.0)), 2.0)
+    res = bergman_norm_p(as_function(op, tf.as_function()), 2.0, CFG)
+    assert_within(res, math.sqrt(ratpow_norm_power(2.0, tf.exponent, 0.1)))
+
+
+def test_segment_far_below_one_obeys_the_dilation_law_at_p1():
+    # density 1/s on [s, 2s] is uniform[1, 2] dilated by s: H_mu f(z) is
+    # (1/s) H_uniform f(z/s), so ||H_mu f||_1 = s ||H_uniform f||_1
+    s, cfg = 1e-120, QuadratureConfig(rel_tol=1e-8, abs_tol=1e-14)
+    f = rational_power(1.0, 3.0)
+    mu = Measure(segments=(DensitySegment.from_spec(s, 2.0 * s, ("const", (1.0 / s,))),))
+    res = bergman_norm_p(as_function(HausdorffOperator(mu, 1.0), f), 1.0, cfg)
+    ref = bergman_norm_p(as_function(HausdorffOperator(uniform_12(), 1.0), f), 1.0, cfg)
+    assert res.converged and ref.converged
+    assert abs(res.value - s * ref.value) <= res.error_estimate + s * ref.error_estimate
+
+
+def test_image_decay_hint_keeps_its_source_shift():
+    # the measure's support enters the window guess (_initial_window), not
+    # the hint: an image's hint is its source's
+    mu = Measure(segments=(DensitySegment.from_spec(0.01, 1.0, ("const", (1.0,))),))
+    f = rational_power(0.3, 2.0)
+    hf = as_function(HausdorffOperator(mu, 2.0), f)
+    assert hf.decay_hint == f.decay_hint == (2.0, 0.3)
+    [(side_mu, _, hint)] = hf.sides
+    assert side_mu == mu and hint == (2.0, 0.3)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
 @pytest.mark.parametrize("eps", [0.05, 0.025, 0.0125])
 def test_lattice_on_one_atom_at_slow_decay(p, eps):
@@ -965,9 +999,6 @@ def test_slowly_decaying_kernel_extends_its_reach():
     assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
 
 
-@pytest.mark.xfail(reason=(
-    "the near window edge grows into the FFT convolution's rounding floor "
-    "(|F| some 1e-28, noise some 1e-17 with step ratios near 1) and never closes"))
 @pytest.mark.parametrize("eps,ref,ref_err", [
     (0.2, 4.019157318529185, 3.6e-10),     # scipy + mpmath hyp2f1: 4.019157318529184
     (0.05, 14.936981044606851, 2.4e-10),
@@ -1432,13 +1463,18 @@ PINNED_RUNS = {
     # a kernel with two ends
     "exp": (lambda: image_norm_power(exp_measure(), 2.0, 2.0, 1.0),
             "0x1.555555555555dp-3", "0x1.72ec4155ff647p-27", 3, "0x1.558f7eb55dcdep-3"),
-    # a kernel with a Gregory end
+    # a kernel with a Gregory end.  This entry and the next were re-pinned
+    # when the window guess became the one place that scales an image's
+    # shift by its measure's support (the decay hint had applied it too):
+    # their windows start elsewhere, and each value moved within its old
+    # estimate (8.825423389305271 +- 7.1e-6 and 18.68696493780969 +- 1.1e-6)
+    # with the same levels and one level-0 call
     "rsqrt": (lambda: image_norm_power(rsqrt_01(), 2.0, 1.5, 0.2),
-              "0x1.1a69de4fcd6d8p+3", "0x1.dcfe132455ae0p-18", 3, "0x1.1aa51d7e36046p+3"),
+              "0x1.1a69de5598e37p+3", "0x1.eb4ca3fe3d3cep-18", 3, "0x1.1aa51d83534e4p+3"),
     "atoms-and-segment": (lambda: image_norm_power(Measure(
         atoms=(Atom(0.5, 0.3), Atom(3.0, 0.2)),
         segments=(DensitySegment.from_spec(0.5, 4.0, ("const", (1.0,))),)), 2.0, 1.5, 0.5),
-        "0x1.2afdcef25642cp+4", "0x1.24b58b8ea4110p-20", 3, "0x1.2af51a3306967p+4"),
+        "0x1.2afdcefa82b9dp+4", "0x1.04b886492f007p-21", 3, "0x1.2af51a384ba5dp+4"),
     # six window tries at level 0 before; the far edge grows beyond the
     # rows evaluated ahead once
     "walk-off": (lambda: image_norm_power(power_tail_measure(), 1.0, 2.1, 1.0),

@@ -53,6 +53,26 @@ def test_atom_validation():
     Atom(1.0, 0.0)  # zero weight is fine
 
 
+@pytest.mark.parametrize("location, weight", [
+    (math.inf, 1.0), (1e-310, 1.0), (1.0, math.inf),
+])
+def test_atom_outside_float_range_is_refused(location, weight):
+    # an infinite location, one whose reciprocal overflows, or an infinite
+    # weight once gave a norm of 0 or a value of inf or nan with error 0
+    with pytest.raises(ValueError):
+        Atom(location, weight)
+
+
+def test_atom_range_is_closed_under_inversion():
+    tiny = np.finfo(float).tiny
+    for t in (tiny, 1.0 / tiny, 3.7e-300, 2.9e300):
+        [atom] = pushforward_inverse(Measure.from_atoms((t, 1.0))).atoms
+        assert tiny <= atom.location <= 1.0 / tiny
+    for t in (np.nextafter(tiny, 0.0), np.nextafter(1.0 / tiny, math.inf)):
+        with pytest.raises(ValueError):
+            Atom(float(t), 1.0)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         DensitySegment.from_spec(2.0, 1.0, ("const", (1.0,)))

@@ -155,7 +155,7 @@ def test_lattice_work_counts_a_small_operation_list():
     assert (_LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel, _Side.level) == (
         run, level, conv_kernel, side_level)
     assert all(r.converged for r in results)
-    assert work["runs"] == 4
+    assert work["runs"] == 4 and work["stops"] == {"converged": 4}
     assert work["levels"] == sum(r.subdivisions_used for r in results[2:])
     calls = work["calls"]
     assert calls[0] == 4 and set(calls) == set(range(max(calls) + 1))
@@ -174,6 +174,23 @@ def test_lattice_work_counts_a_small_operation_list():
     assert line.split()[:5] == ["w", "runs", "4", "levels", str(work["levels"])]
     assert f"(atoms {kinds['atoms']:,} / gauss 0 / lower 0 / kernel rows" in line
     assert line.endswith(f"kernel builds {work['kernels']}")
+
+
+def test_lattice_work_shows_runs_that_stop_early():
+    # one bisection a 1-D integral, 10,000 family evaluations a lattice run:
+    # the norm stops "budget", and its line says so
+    from hausdorff_bergman import QuadratureConfig, bergman_norm_p_power, rational_power
+
+    starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
+    f = rational_power(1.0, 1.5)
+
+    class Op:
+        def run(self):
+            return bergman_norm_p_power(f, 2.0, starved)
+
+    work = lattice_work.lattice_work([Op(), Op()])
+    assert work["stops"] == {"budget": 2}
+    assert "  stops budget 2  " in lattice_work.format_work("w", work)
 
 
 def test_same_numbers_compares_outcomes_bitwise():

@@ -6,7 +6,9 @@
 Run from the repository root, with the library imported from ./src and the
 operation lists from bench/workloads.py (built with warm_up=False, so each
 operation runs exactly once).  For each workload it prints the lattice runs
-(`_LogPolarNorm.run` calls), the levels they complete, the evaluations
+(`_LogPolarNorm.run` calls), the levels they complete, the runs by stop
+reason ("converged", or the failure reason: "budget", "tail"), so that a
+run which stops early shows, the evaluations
 of a lattice (`_LogPolarNorm._level` calls) at each level and in all, the
 family evaluations the runs count against their budget, those evaluations
 by kind, and the convolution kernels built (`_Side._conv_kernel` calls).
@@ -42,13 +44,15 @@ def _kinds(lv, n_v: int) -> tuple:
 
 def lattice_work(ops) -> dict:
     """Run each operation's `run` once and count the lattice work it does:
-    runs, levels (completed levels, summed over the runs), calls
+    runs, levels (completed levels, summed over the runs), stops (runs
+    per stop reason, "converged" for a run that converged), calls
     (`_level` calls, each one evaluation of a lattice, per level index),
     evals (family evaluations), kinds (those evaluations per kind of KINDS)
     and kernels (convolution kernels built)."""
     from hausdorff_bergman.logpolar import _LogPolarNorm, _Side, _theta_rule
 
-    work = {"runs": 0, "levels": 0, "calls": collections.Counter(), "evals": 0,
+    work = {"runs": 0, "levels": 0, "stops": collections.Counter(),
+            "calls": collections.Counter(), "evals": 0,
             "kinds": dict.fromkeys(KINDS, 0), "kernels": 0}
     run, level, conv_kernel = _LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel
     side_level = _Side.level
@@ -58,6 +62,7 @@ def lattice_work(ops) -> dict:
         res = run(self)
         work["runs"] += 1
         work["levels"] += res.subdivisions_used
+        work["stops"][res.failure_reason or "converged"] += 1
         work["evals"] += self.evals
         return res
 
@@ -95,7 +100,9 @@ def format_work(name: str, work: dict) -> str:
     calls = work["calls"]
     per_level = " ".join(f"{lvl}:{calls[lvl]}" for lvl in sorted(calls))
     kinds = " / ".join(f"{kind} {n:,}" for kind, n in work["kinds"].items())
+    stops = " / ".join(f"{why} {n}" for why, n in sorted(work["stops"].items()))
     return (f"{name:14s} runs {work['runs']:4d}  levels {work['levels']:5d}  "
+            f"stops {stops or 'none'}  "
             f"_level calls {sum(calls.values()):5d} ({per_level or 'none'})  "
             f"evals {work['evals']:,} ({kinds})  kernel builds {work['kernels']}")
 
