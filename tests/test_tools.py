@@ -155,7 +155,7 @@ def test_lattice_work_counts_a_small_operation_list():
     assert (_LogPolarNorm.run, _LogPolarNorm._level, _Side._conv_kernel, _Side.level) == (
         run, level, conv_kernel, side_level)
     assert all(r.converged for r in results)
-    assert work["runs"] == 4 and work["stops"] == {"converged": 4}
+    assert work["runs"] == 4
     assert work["levels"] == sum(r.subdivisions_used for r in results[2:])
     calls = work["calls"]
     assert calls[0] == 4 and set(calls) == set(range(max(calls) + 1))
@@ -178,7 +178,8 @@ def test_lattice_work_counts_a_small_operation_list():
 
 def test_lattice_work_shows_runs_that_stop_early():
     # one bisection a 1-D integral, 10,000 family evaluations a lattice run:
-    # the norm stops "budget", and its line says so
+    # the starved norms stop "budget", and the line says so next to the
+    # converged one
     from hausdorff_bergman import QuadratureConfig, bergman_norm_p_power, rational_power
 
     starved = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=1)
@@ -188,9 +189,13 @@ def test_lattice_work_shows_runs_that_stop_early():
         def run(self):
             return bergman_norm_p_power(f, 2.0, starved)
 
-    work = lattice_work.lattice_work([Op(), Op()])
-    assert work["stops"] == {"budget": 2}
-    assert "  stops budget 2  " in lattice_work.format_work("w", work)
+    class Converged:
+        def run(self):
+            return bergman_norm_p_power(f, 2.0, QuadratureConfig())
+
+    work = lattice_work.lattice_work([Op(), Converged(), Op()])
+    assert work["stops"] == {"budget": 2, "converged": 1}
+    assert "  stops budget 2 / converged 1  " in lattice_work.format_work("w", work)
 
 
 def test_same_numbers_compares_outcomes_bitwise():
